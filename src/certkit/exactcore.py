@@ -368,26 +368,6 @@ class Polynomial:
             return 0
         return total
 
-    def restrict_variables(self, variables: Sequence[str]) -> "Polynomial":
-        """Re-express over a different variable list (a superset or reorder)."""
-        variables = tuple(variables)
-        idx = []
-        for j, v in enumerate(self.variables):
-            if v not in variables:
-                if any(e[j] for e in self.terms):
-                    raise ValueError(f"variable {v} in use, cannot drop")
-                idx.append(None)
-            else:
-                idx.append(variables.index(v))
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for j, exp in enumerate(e):
-                if exp:
-                    ne[idx[j]] = exp
-            terms[tuple(ne)] = c
-        return Polynomial(variables, terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -410,10 +390,6 @@ def _is_one(c) -> bool:
         return c == 1
     except TypeError:
         return False
-
-
-def _zero_like(c):
-    return c * 0
 
 
 def _one_like(c):
@@ -588,18 +564,20 @@ def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rref(mat: Sequence[Sequence[object]]):
+def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
     """Row-reduce a copy of mat; returns (rows, pivot_columns).
 
-    Entries may be Fraction, Fp, or F4; plain ints are promoted to Fraction
-    so that division stays exact.
+    Pivots are taken only among the first `limit` columns (all by default);
+    later columns, such as the right-hand side of an augmented system, are
+    carried along.  Entries may be Fraction, Fp, or F4; plain ints are
+    promoted to Fraction so that division stays exact.
     """
     rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if limit is None else limit):
         pivot = None
         for i in range(r, nrows):
             if rows[i][c]:
@@ -609,17 +587,31 @@ def _rref(mat: Sequence[Sequence[object]]):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        inv_row = [x / pv for x in rows[r]]
-        rows[r] = inv_row
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        pivot_row = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], inv_row)]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, pivots
+
+
+def solve(columns: Sequence[Sequence[object]], target: Sequence[object]):
+    """The unique x with sum_i x[i] * columns[i] = target, computed exactly.
+
+    Returns None when the columns are linearly dependent or the system is
+    inconsistent.  Integer entries are solved over Q.
+    """
+    k = len(columns)
+    rows, pivots = _rref(zip(*columns, target, strict=True), k)
+    if len(pivots) < k or any(row[k] for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
 
 
 def matrix_rank(mat: Sequence[Sequence[object]]) -> int:
@@ -715,15 +707,12 @@ def graded_piece(polys: Iterable[Polynomial], degree: int) -> GradedPiece:
     return GradedPiece(degree, basis, rows)
 
 
-def ideal_graded_dimension(generators: Sequence[Polynomial], d: int) -> int:
-    """Dimension of the degree-d piece of the ideal the generators span.
-
-    Computed as the rank of {m * g : deg(m g) = d} over the monomial basis.
-    Generators must be homogeneous.
-    """
+def ideal_piece(generators: Sequence[Polynomial], d: int) -> list:
+    """Spanning set {m * g : deg(m g) = d} of the degree-d piece of the
+    ideal the generators span.  Generators must be homogeneous."""
     gens = list(generators)
     if not gens:
-        return 0
+        return []
     variables = gens[0].variables
     for g in gens:
         if g.variables != variables:
@@ -741,10 +730,16 @@ def ideal_graded_dimension(generators: Sequence[Polynomial], d: int) -> int:
         for m in monomials_of_degree(nvars, d - e):
             mono = Polynomial(variables, {m: Fraction(1)})
             products.append(mono * g)
+    return products
+
+
+def ideal_graded_dimension(generators: Sequence[Polynomial], d: int) -> int:
+    """Dimension of the degree-d piece of the ideal the generators span:
+    the rank of ideal_piece over the monomial basis."""
+    products = ideal_piece(generators, d)
     if not products:
         return 0
-    piece = graded_piece(products, d)
-    return matrix_rank(piece.coordinates)
+    return matrix_rank(graded_piece(products, d).coordinates)
 
 
 def span_dimension(polys: Sequence[Polynomial]) -> int:

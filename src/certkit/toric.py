@@ -8,7 +8,8 @@ search for a covector inducing a fibration to the projective line.
 Rays are primitive integer vectors; construction normalizes by gcd, the
 file loader rejects non-primitive input instead.  All feasibility questions
 (cone membership, strong convexity) are settled by enumerating basic
-solutions of small exact linear systems, never by floating point.
+solutions of small linear systems with `exactcore.solve`, never by floating
+point; ray ranks come from `exactcore.matrix_rank`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import gcd_of_maximal_minors, int_determinant
+from .exactcore import gcd_of_maximal_minors, matrix_rank, solve
 
 
 def _normalize_ray(v: Sequence[int]) -> tuple:
@@ -50,43 +50,6 @@ class TorusDivisor:
         return self.coefficients[i]
 
 
-def _solve_exact(columns, target):
-    """Solve sum_i x_i * columns[i] = target exactly.
-
-    Returns the unique solution when the columns are linearly independent
-    and the system is consistent, else None.
-    """
-    m = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(m)]
-    # forward elimination with exact pivots
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = None
-        for r in range(row, m):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None  # dependent columns: not a basic solution
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    # consistency of the remaining rows
-    for r in range(row, m):
-        if aug[r][k]:
-            return None
-    return [aug[i][k] for i in range(k)]
-
-
 def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
     """Exact membership of x in the cone generated by the rays."""
     x = tuple(x)
@@ -96,7 +59,7 @@ def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
     idx = range(len(rays))
     for size in range(1, d + 1):
         for subset in itertools.combinations(idx, size):
-            sol = _solve_exact([rays[i] for i in subset], x)
+            sol = solve([rays[i] for i in subset], x)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
@@ -113,7 +76,7 @@ def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
     target = (0,) * d + (1,)
     for size in range(1, d + 2):
         for subset in itertools.combinations(range(len(cols)), size):
-            sol = _solve_exact([cols[i] for i in subset], target)
+            sol = solve([cols[i] for i in subset], target)
             if sol is not None and all(c >= 0 for c in sol):
                 return False
     return True
@@ -187,7 +150,7 @@ class Fan:
             rays = [self.rays[i] for i in c]
             if len(c) <= self.dim:
                 # simplicial cone: rays must be linearly independent
-                if _rank_int(rays) != len(c):
+                if matrix_rank(rays) != len(c):
                     raise ValueError("dependent rays in simplicial cone")
             else:
                 if self.dim != 3:
@@ -247,34 +210,6 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, cones={len(self.maximal_cones)})"
 
 
-def _rank_int(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while col < ncols and r < len(rows):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # smoothness and multiplicities
 # ---------------------------------------------------------------------------
@@ -286,7 +221,7 @@ def cone_is_smooth(fan: Fan, cone) -> tuple:
     to a lattice basis."""
     cone = tuple(cone)
     rays = [fan.rays[i] for i in cone]
-    if len(cone) > fan.dim or _rank_int(rays) != len(cone):
+    if len(cone) > fan.dim or matrix_rank(rays) != len(cone):
         raise ValueError("not simplicial")
     mult = gcd_of_maximal_minors(rays)
     return (mult == 1, mult)
@@ -567,21 +502,26 @@ def fibration_to_p1(fan: Fan, bound: int = 3):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are ints to Python but not to a fan file."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def fan_from_dict(data: dict) -> Fan:
     """Build a fan from parsed file data; rejects non-primitive rays rather
-    than normalizing them."""
+    than normalizing them, and booleans where integers belong."""
     for field in ("dim", "rays", "cones"):
         if field not in data:
             raise ValueError(f"missing field '{field}'")
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise ValueError("field 'dim' must be an integer")
     rays = data["rays"]
     if not isinstance(rays, list) or not rays:
         raise ValueError("field 'rays' must be a non-empty list")
     for r in rays:
         if (not isinstance(r, list) or len(r) != dim
-                or not all(isinstance(x, int) for x in r)):
+                or not all(_is_int(x) for x in r)):
             raise ValueError("each ray must be a list of integers of length dim")
         if all(x == 0 for x in r):
             raise ValueError("zero ray")
@@ -591,7 +531,7 @@ def fan_from_dict(data: dict) -> Fan:
     if not isinstance(cones, list) or not cones:
         raise ValueError("field 'cones' must be a non-empty list")
     for c in cones:
-        if not isinstance(c, list) or not all(isinstance(i, int) for i in c):
+        if not isinstance(c, list) or not all(_is_int(i) for i in c):
             raise ValueError("each cone must be a list of ray indices")
     return Fan(dim, rays, cones)
 

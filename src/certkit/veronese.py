@@ -25,10 +25,12 @@ from .exactcore import (
     Polynomial,
     RationalFunction,
     ideal_graded_dimension,
+    ideal_piece,
     matrix_rank,
     monomials_of_degree,
     poly_from_string_exps,
     poly_substitute,
+    solve,
     span_dimension,
     spans_contain,
 )
@@ -282,19 +284,6 @@ def _p4(data) -> Polynomial:
     return poly_from_string_exps(P4_VARS, {k: Fraction(v) for k, v in data.items()})
 
 
-def _ideal_piece(gens: list, d: int) -> list:
-    """Spanning set of the degree-d piece of the ideal on the generators."""
-    out = []
-    nvars = len(P4_VARS)
-    for g in gens:
-        e = g.total_degree()
-        if e > d:
-            continue
-        for m in monomials_of_degree(nvars, d - e):
-            out.append(Polynomial(P4_VARS, {m: Fraction(1)}) * g)
-    return out
-
-
 def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> SplitVerdict:
     """Split the hyperplane section of a singular quadric through the
     projected surface into two linear components, avoiding a designated
@@ -329,15 +318,15 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
     containment = True
     for gens in (comp_a, comp_b):
         for d, poly in ((1, h), (2, q)):
-            piece = _ideal_piece(list(gens), d)
+            piece = ideal_piece(gens, d)
             if not spans_contain(piece, [poly]):
                 containment = False
 
     rows = []
     for d in range(1, 4):
-        pair_piece = _ideal_piece([q, h], d)
-        a_piece = _ideal_piece(list(comp_a), d)
-        b_piece = _ideal_piece(list(comp_b), d)
+        pair_piece = ideal_piece([q, h], d)
+        a_piece = ideal_piece(comp_a, d)
+        b_piece = ideal_piece(comp_b, d)
         a_dim = span_dimension(a_piece)
         b_dim = span_dimension(b_piece)
         sum_dim = span_dimension(a_piece + b_piece)
@@ -468,44 +457,6 @@ class ConicSubspace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-
-def _solve_field(rows, target, field):
-    """Solve sum_i mu_i rows[i] = target over the field; None if unsolvable."""
-    n = len(rows)
-    width = len(target)
-    aug = [[rows[i][j] for i in range(n)] + [target[j]] for j in range(width)]
-    zero = _field_zero(field)
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, width):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(width):
-            if i != r and aug[i][c]:
-                fct = aug[i][c]
-                aug[i] = [p - fct * q for p, q in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, width):
-        if aug[i][n]:
-            return None
-    sol = [zero] * n
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][n]
-    return sol
-
-
-def _in_span(rows, target, field) -> bool:
-    return _solve_field(rows, target, field) is not None
 
 
 # coefficient slots: 0 x^2, 1 y^2, 2 z^2, 3 yz, 4 zx, 5 xy
@@ -648,7 +599,7 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     ]
 
     # case one: all three squares belong to the system
-    sq_combos = [_solve_field(rows, list(sq), field) for sq in squares]
+    sq_combos = [solve(rows, sq) for sq in squares]
     if all(s is not None for s in sq_combos):
         # xy + z^2 = f + A x^2 + B y^2 + z^2 with A, B from f
         combo = f_combo
@@ -662,7 +613,7 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     span_rows = squares + [tuple(f_vec)]
     g_vec = g_combo = None
     for i, r in enumerate(rows):
-        if not _in_span(span_rows, tuple(r), field):
+        if solve(span_rows, r) is None:
             g_vec = list(r)
             g_combo = unit(i)
             break

@@ -3,7 +3,10 @@ verdicts, and the command-line entry point."""
 
 import enum
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -330,6 +333,25 @@ def test_fan_check_bad_ray(capsys):
     assert "error: ray not primitive: [2, 0, 0]" in err
 
 
+def test_fan_check_rejects_boolean_coordinates(capsys):
+    assert cli.main(["fan", "check", str(DATA / "bool_ray.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: each ray must be a list of integers of length dim" in err
+
+
 def test_fan_check_missing_file(capsys):
     assert cli.main(["fan", "check", str(DATA / "no_such_fan.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_all_matches_committed_report():
+    """A fresh process reproduces the committed seed-0 report byte for byte,
+    so the report is pinned across versions, not only within one run."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "certkit.certify_cli", "run", "all",
+         "--format", "json", "--seed", "0"],
+        capture_output=True, env=env, check=True).stdout
+    assert out == (DATA / "report_all_seed0.json").read_bytes()

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certkit.exactcore import (
@@ -15,6 +15,7 @@ from certkit.exactcore import (
     RationalFunction,
     gcd_of_maximal_minors,
     ideal_graded_dimension,
+    ideal_piece,
     int_determinant,
     kernel_dimension,
     lattice_index,
@@ -22,6 +23,7 @@ from certkit.exactcore import (
     monomials_of_degree,
     poly_from_string_exps,
     poly_substitute,
+    solve,
     span_dimension,
     spans_contain,
 )
@@ -260,6 +262,48 @@ def test_rank_nullity(rows):
             assert sum(a * b for a, b in zip(r, v)) == 0
 
 
+W = F4(0, 1)
+
+# (columns, target, expected) per field: an independent consistent system,
+# dependent columns, and an inconsistent system
+SOLVE_CASES = {
+    "Q": [
+        ([(2, 1, 0), (1, 3, 0)], (1, 0, 0), [Fraction(3, 5), Fraction(-1, 5)]),
+        ([(1, 2, 0), (2, 4, 0)], (1, 2, 0), None),
+        ([(1, 0, 0), (0, 1, 0)], (0, 0, 1), None),
+    ],
+    "F2": [
+        ([(Fp(2, 1), Fp(2, 1), Fp(2, 0)), (Fp(2, 0), Fp(2, 1), Fp(2, 1))],
+         (Fp(2, 1), Fp(2, 0), Fp(2, 1)), [Fp(2, 1), Fp(2, 1)]),
+        ([(Fp(2, 1), Fp(2, 1)), (Fp(2, 1), Fp(2, 1))], (Fp(2, 1), Fp(2, 1)), None),
+        ([(Fp(2, 1), Fp(2, 1))], (Fp(2, 0), Fp(2, 1)), None),
+    ],
+    "F4": [
+        ([(F4(1), W), (W, F4(1))], (F4(0), W), [W, F4(1)]),
+        ([(F4(1), W), (W, W * W)], (F4(1), W), None),
+        ([(F4(1), W, F4(0))], (F4(0), F4(0), F4(1)), None),
+    ],
+}
+
+
+@pytest.mark.parametrize("field", sorted(SOLVE_CASES))
+def test_solve_unique_dependent_inconsistent(field):
+    for columns, target, expected in SOLVE_CASES[field]:
+        assert solve(columns, target) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+             min_size=k, max_size=k),
+    st.lists(st.integers(-5, 5), min_size=k, max_size=k))))
+def test_solve_recovers_coefficients(case):
+    columns, x = case
+    assume(matrix_rank(columns) == len(columns))
+    target = [sum(xi * col[i] for xi, col in zip(x, columns)) for i in range(3)]
+    assert solve(columns, target) == x
+
+
 # ---------------------------------------------------------------------------
 # graded pieces
 # ---------------------------------------------------------------------------
@@ -282,6 +326,16 @@ def test_ideal_graded_dimension_rejects_inhomogeneous():
     p = _poly({"x": 1, "1": 1})
     with pytest.raises(ValueError):
         ideal_graded_dimension([p], 2)
+
+
+def test_ideal_piece_spans_degree_d_multiples():
+    x = Polynomial.variable("x", XY)
+    y = Polynomial.variable("y", XY)
+    assert ideal_piece([x, y * y], 2) == [x * x, x * y, y * y]
+    assert ideal_piece([x * x], 1) == []
+    assert ideal_piece([], 3) == []
+    with pytest.raises(ValueError):
+        ideal_piece([x, Polynomial.variable("u", ("u", "v"))], 2)
 
 
 def test_span_helpers():

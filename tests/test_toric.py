@@ -342,6 +342,11 @@ def test_fan_from_dict_errors():
         fan_from_dict({"dim": 3,
                        "rays": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
                        "cones": [[0, 1, 2]]})
+    # JSON booleans are Python ints; a fan file may not use them as such
+    with pytest.raises(ValueError, match="field 'dim' must be an integer"):
+        fan_from_dict({"dim": True, "rays": [[1]], "cones": [[0]]})
+    with pytest.raises(ValueError, match="each cone must be a list of ray indices"):
+        fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[False, True]]})
 
 
 def test_load_fan_reports_parse_position(tmp_path):
