@@ -32,6 +32,11 @@ PROVENANCE_TAGS = ("published", "derived", "trivial")
 VERDICTS = ("pass", "fail", "flagged")
 SUITE_NAMES = ("schubert", "toric", "veronese", "hodge", "numerology", "all")
 
+# input caps for `certify run`: a degree bound of 12 already takes tens of
+# seconds, and the seeded checks run in time linear in the trial count
+MAX_DEGREE_BOUND = 12
+MAX_TRIALS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -109,11 +114,20 @@ def encode_value(value):
 
 
 def make_certificate(cert_id, description, provenance, expected, computed,
-                     flag_on_mismatch=False) -> Certificate:
+                     discrepancy=None) -> Certificate:
+    """Verdict pass when computed equals expected.  A certificate with a
+    recorded discrepancy (the value the exact recomputation gave against a
+    published one) is flagged only when computed equals that discrepancy;
+    any other mismatch fails."""
     if provenance not in PROVENANCE_TAGS:
         raise ValueError(f"unknown provenance tag: {provenance}")
-    same = encode_value(expected) == encode_value(computed)
-    verdict = "pass" if same else ("flagged" if flag_on_mismatch else "fail")
+    got = encode_value(computed)
+    if encode_value(expected) == got:
+        verdict = "pass"
+    elif discrepancy is not None and encode_value(discrepancy) == got:
+        verdict = "flagged"
+    else:
+        verdict = "fail"
     return Certificate(cert_id, description, provenance, expected, computed, verdict)
 
 
@@ -243,7 +257,8 @@ def _suite_schubert(config: RunConfig) -> list:
             "twisted-c3-v5",
             "Third Chern class of the twisted cotangent bundle: published "
             "coefficient table against the exact recomputation.",
-            "published", [145, 14, 10, -2], c3_vector, flag_on_mismatch=True),
+            "published", [145, 14, 10, -2], c3_vector,
+            discrepancy=[25, 14, 10, -2]),
         make_certificate(
             "twisted-c3-v5-recomputed",
             "Third Chern class of the twisted cotangent bundle, recomputed "
@@ -263,7 +278,7 @@ def _suite_schubert(config: RunConfig) -> list:
             "Coefficient vector of the restricted third Chern class: published "
             "values against the exact recomputation.",
             "published", [120, 5, 4, -2], list(det.coefficient_vector),
-            flag_on_mismatch=True),
+            discrepancy=[0, 5, 4, -2]),
         make_certificate(
             "coefficient-vector-v5-recomputed",
             "Coefficient vector of the restricted third Chern class, recomputed.",
@@ -272,7 +287,7 @@ def _suite_schubert(config: RunConfig) -> list:
             "c3-omega-v5-twist",
             "Degree of the third Chern class of the twisted cotangent bundle: "
             "published total against the exact recomputation.",
-            "published", 620, det.value, flag_on_mismatch=True),
+            "published", 620, det.value, discrepancy=20),
         make_certificate(
             "c3-omega-v5-twist-recomputed",
             "Degree of the third Chern class of the twisted cotangent bundle, "
@@ -435,7 +450,8 @@ def _suite_toric(config: RunConfig) -> list:
             "l014-base-ray-note",
             "Third base ray as printed in the source against the ray the stated "
             "self-intersections force.",
-            "published", [-1, 0, 3], list(bundle14.rays[2]), flag_on_mismatch=True),
+            "published", [-1, 0, 3], list(bundle14.rays[2]),
+            discrepancy=[-1, 3, 0]),
         make_certificate(
             "l014-contract-up-pole",
             "Contracting the remaining pole is rejected: its star spans a half "
@@ -474,7 +490,7 @@ def _suite_toric(config: RunConfig) -> list:
             {"diagonal-v1v3": True, "diagonal-v2v4": False},
             {"diagonal-v1v3": facts23["v1v3"]["smooth"],
              "diagonal-v2v4": facts23["v2v4"]["smooth"]},
-            flag_on_mismatch=True),
+            discrepancy={"diagonal-v1v3": False, "diagonal-v2v4": True}),
     ]
     return certs
 
@@ -681,13 +697,13 @@ def _suite_veronese(config: RunConfig) -> list:
             "projection-member-s2-tu",
             "The first proposed kernel generator maps to zero under the "
             "projection substitution: published claim against the recomputation.",
-            "published", True, kernel_cfg.memberships[0][1], flag_on_mismatch=True),
+            "published", True, kernel_cfg.memberships[0][1], discrepancy=False),
         make_certificate(
             "projection-identity-claim",
             "Degreewise dimension identity for the two proposed kernel "
             "generators up to the configured bound: published claim against "
             "the recomputation.",
-            "published", True, kernel_cfg.identity_all, flag_on_mismatch=True),
+            "published", True, kernel_cfg.identity_all, discrepancy=False),
         make_certificate(
             "projection-degree-rows",
             "Degree, ideal piece, image span, ring piece, and identity verdict "
@@ -713,7 +729,7 @@ def _suite_veronese(config: RunConfig) -> list:
             "degreewise dimensions: published decomposition against the "
             "recomputation.",
             "published", True, all(r.equal for r in quotient6),
-            flag_on_mismatch=True),
+            discrepancy=False),
         make_certificate(
             "quotient-hilbert-rows",
             "Degree, quotient dimension, claimed dimension, and agreement "
@@ -780,7 +796,7 @@ def _suite_veronese(config: RunConfig) -> list:
             "For the span of the three mixed monomials and the first square, "
             "the case split as printed hands back a member whose smoothness "
             "the literal test rejects; the printed claim is recorded.",
-            "published", True, printed_smooth, flag_on_mismatch=True),
+            "published", True, printed_smooth, discrepancy=False),
         make_certificate(
             "conic-case-split-corrected",
             "The corrected case split returns a smooth member of that span.",
@@ -1189,8 +1205,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                             default="text", help="report rendering (default text)")
     run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--trials", type=int, default=500)
-    run_parser.add_argument("--degree-bound", type=int, default=6)
+    run_parser.add_argument("--trials", type=int, default=500,
+                            help=f"seeded trials per randomized check (0 to {MAX_TRIALS})")
+    run_parser.add_argument("--degree-bound", type=int, default=6,
+                            help=f"top degree of the kernel certificates (2 to {MAX_DEGREE_BOUND})")
     run_parser.add_argument("--out", default=None,
                             help="write the report to a file instead of stdout")
 
@@ -1208,8 +1226,12 @@ def main(argv=None) -> int:
     if args.command == "run":
         if args.trials < 0:
             parser.error("--trials must be nonnegative")
+        if args.trials > MAX_TRIALS:
+            parser.error(f"--trials must be at most {MAX_TRIALS}")
         if args.degree_bound < 2:
             parser.error("--degree-bound must be at least 2")
+        if args.degree_bound > MAX_DEGREE_BOUND:
+            parser.error(f"--degree-bound must be at most {MAX_DEGREE_BOUND}")
         config = RunConfig(seed=args.seed, trials=args.trials,
                            degree_bound=args.degree_bound)
         report = run_suite(args.suite, config)

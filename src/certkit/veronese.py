@@ -20,7 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import (
+    F2_ELEMENTS,
+    F4,
     F4_ELEMENTS,
+    GF4_INV,
+    GF4_MUL,
     Fp,
     Polynomial,
     RationalFunction,
@@ -39,7 +43,7 @@ P5_VARS = ("x", "y", "z", "s", "t", "u")
 KERNEL_VARS = ("Z", "S", "T", "U")
 CHART_VARS = ("t", "u")
 
-F2_FIELD = (Fp(2, 0), Fp(2, 1))
+F2_FIELD = F2_ELEMENTS
 F4_FIELD = F4_ELEMENTS
 
 
@@ -341,23 +345,58 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
 # conics in characteristic two
 # ---------------------------------------------------------------------------
 
-
-def _field_one(field):
-    for x in field:
-        if x:
-            return x / x
-    raise ValueError("field without nonzero element")
+# The conic layer computes on GF(4) codes (see exactcore.GF4_MUL): F2 is the
+# codes {0, 1}, F4 the codes 0..3, a form is its six coefficient codes and a
+# combination of basis members is a list of codes.  Codes add by XOR.  Field
+# elements appear only at the public boundary.
 
 
-def _field_zero(field):
-    one = _field_one(field)
-    return one - one
+def _field_codes(field):
+    """The codes of the field's elements, in the caller's order, and the
+    element tuple that decodes a code.  The field must be all of F2 or F4."""
+    field = tuple(field)
+    elements = F4_FIELD if field and type(field[0]) is F4 else F2_FIELD
+    try:
+        codes = _encode(field, elements)
+    except TypeError:
+        raise ValueError("field not of characteristic two") from None
+    if sorted(codes) not in ([0, 1], [0, 1, 2, 3]):
+        raise ValueError("field is not all of F2 or F4")
+    return codes, elements
 
 
-def _check_char2(field):
-    one = _field_one(field)
-    if one + one:
-        raise ValueError("field not of characteristic two")
+def _encode(values, elements) -> list:
+    """Codes of field elements of the same type as `elements`."""
+    kind = type(elements[0])
+    out = []
+    for x in values:
+        if type(x) is not kind or kind is Fp and x.p != 2:
+            raise TypeError(f"{x!r} is not an element of {elements}")
+        out.append(x.v if kind is Fp else x.a | x.b << 1)
+    return out
+
+
+def _decode(codes, elements) -> tuple:
+    return tuple(elements[c] for c in codes)
+
+
+def _add(u, v, c) -> list:
+    """u + c * v."""
+    m = GF4_MUL[c]
+    return [a ^ m[b] for a, b in zip(u, v)]
+
+
+def _scale(u, c) -> list:
+    m = GF4_MUL[c]
+    return [m[a] for a in u]
+
+
+def _combine(combo, basis) -> list:
+    form = [0] * 6
+    for mu, b in zip(combo, basis):
+        if mu:
+            form = _add(form, b, mu)
+    return form
 
 
 class QuadraticForm3:
@@ -397,37 +436,43 @@ class QuadraticForm3:
         return f"QuadraticForm3{self.coeffs}"
 
 
-def _projective_points(field):
-    """One representative per point of P^2 over the finite field."""
-    zero = _field_zero(field)
-    one = _field_one(field)
-    pts = []
-    for y in field:
-        for z in field:
-            pts.append((one, y, z))
-    for z in field:
-        pts.append((zero, one, z))
-    pts.append((zero, zero, one))
-    return pts
+# coefficient slots: 0 x^2, 1 y^2, 2 z^2, 3 yz, 4 zx, 5 xy
+_SLOT_VARS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+_PAIR_SLOT = ((0, 5, 4), (5, 1, 3), (4, 3, 2))   # slot of x_i x_j
+
+
+def _plane_points(q: int) -> tuple:
+    """One representative per point of P^2 over the field of order q, each
+    with the codes of its monomials in slot order."""
+    field = range(q)
+    pts = [(1, y, z) for y in field for z in field]
+    pts += [(0, 1, z) for z in field]
+    pts.append((0, 0, 1))
+    return tuple((p, tuple(GF4_MUL[p[i]][p[j]] for i, j in _SLOT_VARS)) for p in pts)
+
+
+_PLANE_POINTS = {q: _plane_points(q) for q in (2, 4)}
+
+
+def _smooth(form, points) -> bool:
+    # a row of the table multiplies by that coefficient
+    a, b, c, d, e, f = (GF4_MUL[k] for k in form)
+    for (x, y, z), (xx, yy, zz, yz, zx, xy) in points:
+        # partials in characteristic two
+        if not (e[z] ^ f[y] or d[z] ^ f[x] or d[y] ^ e[x]):
+            if not (a[xx] ^ b[yy] ^ c[zz] ^ d[yz] ^ e[zx] ^ f[xy]):
+                return False
+    return True
 
 
 def is_smooth_conic(q: QuadraticForm3, field) -> bool:
     """Smoothness of the conic in characteristic two, decided literally:
     enumerate the projective points where all three partials vanish and
     demand the form be nonzero at each of them."""
-    _check_char2(field)
+    codes, elements = _field_codes(field)
     if q.is_zero():
         raise ValueError("zero form")
-    a, b, c, d, e, f = q.coeffs
-    for (x, y, z) in _projective_points(field):
-        # partials in characteristic two
-        px = e * z + f * y
-        py = d * z + f * x
-        pz = d * y + e * x
-        if not (px or py or pz):
-            if not q.evaluate((x, y, z)):
-                return False
-    return True
+    return _smooth(_encode(q.coeffs, elements), _PLANE_POINTS[len(codes)])
 
 
 def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
@@ -459,46 +504,31 @@ class ConicSubspace:
         return len(self.basis)
 
 
-# coefficient slots: 0 x^2, 1 y^2, 2 z^2, 3 yz, 4 zx, 5 xy
-
-
-def _substitute_linear(vec, sub, field):
+def _substitute_linear(vec, sub):
     """Apply the linear substitution x_i -> sum_j sub[i][j] * x_j to a form."""
-    zero = _field_zero(field)
-    # expand the form on exponent triples
-    slots = {(2, 0, 0): 0, (0, 2, 0): 1, (0, 0, 2): 2,
-             (0, 1, 1): 3, (1, 0, 1): 4, (1, 1, 0): 5}
-    out = [zero] * 6
-    lin = sub  # lin[i] = coefficients of the image of variable i
-    for exps, slot in slots.items():
+    out = [0] * 6
+    for slot, (v1, v2) in enumerate(_SLOT_VARS):
         coeff = vec[slot]
         if not coeff:
             continue
-        # product of the substituted linear forms per the exponent pattern
-        factors = []
-        for var_i, k in enumerate(exps):
-            factors.extend([lin[var_i]] * k)
-        l1, l2 = factors
+        # product of the two substituted linear forms
+        l1, l2 = _scale(sub[v1], coeff), sub[v2]
         for i in range(3):
+            if not l1[i]:
+                continue
+            m = GF4_MUL[l1[i]]
             for j in range(3):
-                cij = coeff * l1[i] * l2[j]
-                if not cij:
-                    continue
-                mono = [0, 0, 0]
-                mono[i] += 1
-                mono[j] += 1
-                out[slots[tuple(mono)]] = out[slots[tuple(mono)]] + cij
+                out[_PAIR_SLOT[i][j]] ^= m[l2[j]]
     return out
 
 
-def _swap_vars(vec, i, j, field):
-    ident = [[_field_zero(field)] * 3 for _ in range(3)]
-    one = _field_one(field)
+def _swap_vars(vec, i, j):
     perm = [0, 1, 2]
     perm[i], perm[j] = perm[j], perm[i]
-    for r in range(3):
-        ident[r][perm[r]] = one
-    return _substitute_linear(vec, ident, field)
+    out = [0] * 6
+    for slot, (v1, v2) in enumerate(_SLOT_VARS):
+        out[_PAIR_SLOT[perm[v1]][perm[v2]]] = vec[slot]
+    return out
 
 
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
@@ -506,17 +536,15 @@ ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
 
 def exhaustive_smooth_conic(subspace: ConicSubspace, field):
     """Oracle: scan every member of the subspace for a smooth conic."""
-    n = subspace.dimension
-    for combo in itertools.product(field, repeat=n):
+    codes, elements = _field_codes(field)
+    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
+    points = _PLANE_POINTS[len(codes)]
+    for combo in itertools.product(codes, repeat=len(basis)):
         if not any(combo):
             continue
-        form = QuadraticForm3([_field_zero(field)] * 6)
-        for mu, b in zip(combo, subspace.basis):
-            form = form + b.scale(mu)
-        if form.is_zero():
-            continue
-        if is_smooth_conic(form, field):
-            return form
+        form = _combine(combo, basis)
+        if any(form) and _smooth(form, points):
+            return QuadraticForm3(_decode(form, elements))
     return None
 
 
@@ -531,23 +559,22 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     to deliver (it should not, at any field size), an exhaustive scan of
     the finite subspace is used instead and reported as the path.
     """
-    _check_char2(field)
+    codes, elements = _field_codes(field)
     if subspace.dimension < 4:
         raise ValueError("subspace dimension below four")
-    zero = _field_zero(field)
-    one = _field_one(field)
     n = subspace.dimension
+    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
+    points = _PLANE_POINTS[len(codes)]
 
     def result_from_combo(combo, path):
-        form = QuadraticForm3([zero] * 6)
-        for mu, b in zip(combo, subspace.basis):
-            form = form + b.scale(mu)
-        if form.is_zero() or not is_smooth_conic(form, field):
+        form = _combine(combo, basis)
+        if not any(form) or not _smooth(form, points):
             return None
-        return ConicSearchResult(form, path, tuple(combo))
+        return ConicSearchResult(QuadraticForm3(_decode(form, elements)), path,
+                                 _decode(combo, elements))
 
     def fallback():
-        for combo in itertools.product(field, repeat=n):
+        for combo in itertools.product(codes, repeat=n):
             if not any(combo):
                 continue
             res = result_from_combo(combo, "exhaustive-fallback")
@@ -555,12 +582,13 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
                 return res
         return ConicSearchResult(None, "exhausted-none", None)
 
-    def add_combo(c1, c2, factor):
-        return tuple(a + factor * b for a, b in zip(c1, c2))
+    def solve_codes(columns, target):
+        x = solve([_decode(c, elements) for c in columns], _decode(target, elements))
+        return None if x is None else _encode(x, elements)
 
     # transformed copies of the basis; combos always refer to the original
-    rows = [list(q.coeffs) for q in subspace.basis]
-    unit = lambda i: tuple(one if j == i else zero for j in range(n))
+    rows = basis
+    unit = lambda i: [int(j == i) for j in range(n)]
 
     # pick a member with an off-diagonal term and rotate it into the xy slot
     pick = None
@@ -573,91 +601,90 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     if not rows[pick][5]:
         # zx-term: swap y and z brings it to xy; yz-term: swap x and z
         swap = (1, 2) if rows[pick][4] else (0, 2)
-        rows = [_swap_vars(r, swap[0], swap[1], field) for r in rows]
-    f_vec = list(rows[pick])
-    f_combo = unit(pick)
-    scale = one / f_vec[5]
-    f_vec = [v * scale for v in f_vec]
-    f_combo = tuple(mu * scale for mu in f_combo)
+        rows = [_swap_vars(r, swap[0], swap[1]) for r in rows]
+    scale = GF4_INV[rows[pick][5]]
+    f_vec = _scale(rows[pick], scale)
+    f_combo = _scale(unit(pick), scale)
 
     # absorb the remaining off-diagonal terms of f into a coordinate change
     alpha, beta = f_vec[3], f_vec[4]
     if alpha or beta:
-        sub = [[one, zero, alpha], [zero, one, beta], [zero, zero, one]]
-        rows = [_substitute_linear(r, sub, field) for r in rows]
-        f_vec = _substitute_linear(f_vec, sub, field)
-    if f_vec[3] or f_vec[4] or f_vec[5] != one:
+        sub = ((1, 0, alpha), (0, 1, beta), (0, 0, 1))
+        rows = [_substitute_linear(r, sub) for r in rows]
+        f_vec = _substitute_linear(f_vec, sub)
+    if f_vec[3] or f_vec[4] or f_vec[5] != 1:
         return fallback()
     if f_vec[2]:
         res = result_from_combo(f_combo, "normalized-member-smooth")
         return res if res is not None else fallback()
 
     squares = [
-        (one, zero, zero, zero, zero, zero),
-        (zero, one, zero, zero, zero, zero),
-        (zero, zero, one, zero, zero, zero),
+        (1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (0, 0, 1, 0, 0, 0),
     ]
 
     # case one: all three squares belong to the system
-    sq_combos = [solve(rows, sq) for sq in squares]
+    sq_combos = [solve_codes(rows, sq) for sq in squares]
     if all(s is not None for s in sq_combos):
         # xy + z^2 = f + A x^2 + B y^2 + z^2 with A, B from f
         combo = f_combo
-        combo = add_combo(combo, tuple(sq_combos[0]), f_vec[0])
-        combo = add_combo(combo, tuple(sq_combos[1]), f_vec[1])
-        combo = add_combo(combo, tuple(sq_combos[2]), one)
+        combo = _add(combo, sq_combos[0], f_vec[0])
+        combo = _add(combo, sq_combos[1], f_vec[1])
+        combo = _add(combo, sq_combos[2], 1)
         res = result_from_combo(combo, "case-all-squares")
         return res if res is not None else fallback()
 
     # case two: take a member outside (squares + f) and normalize its yz term
-    span_rows = squares + [tuple(f_vec)]
+    span_rows = squares + [f_vec]
     g_vec = g_combo = None
     for i, r in enumerate(rows):
-        if solve(span_rows, r) is None:
-            g_vec = list(r)
+        if solve_codes(span_rows, r) is None:
+            g_vec = r
             g_combo = unit(i)
             break
     if g_vec is None:
         return fallback()
-    g_combo = add_combo(g_combo, f_combo, -g_vec[5])
-    g_vec = [p - g_vec[5] * q for p, q in zip(g_vec, f_vec)]
+    # subtraction is addition in characteristic two
+    g_combo = _add(g_combo, f_combo, g_vec[5])
+    g_vec = _add(g_vec, f_vec, g_vec[5])
     if not g_vec[3]:
         if not g_vec[4]:
             return fallback()
-        rows = [_swap_vars(r, 0, 1, field) for r in rows]
-        f_vec = _swap_vars(f_vec, 0, 1, field)
-        g_vec = _swap_vars(g_vec, 0, 1, field)
-    scale = one / g_vec[3]
-    g_vec = [v * scale for v in g_vec]
-    g_combo = tuple(mu * scale for mu in g_combo)
+        rows = [_swap_vars(r, 0, 1) for r in rows]
+        f_vec = _swap_vars(f_vec, 0, 1)
+        g_vec = _swap_vars(g_vec, 0, 1)
+    scale = GF4_INV[g_vec[3]]
+    g_vec = _scale(g_vec, scale)
+    g_combo = _scale(g_combo, scale)
     if g_vec[4]:
         b = g_vec[4]
-        sub = [[one, zero, zero], [b, one, zero], [zero, zero, one]]
-        rows = [_substitute_linear(r, sub, field) for r in rows]
-        f_vec = _substitute_linear(f_vec, sub, field)
-        g_vec = _substitute_linear(g_vec, sub, field)
-        scale = one / f_vec[5]
-        f_vec = [v * scale for v in f_vec]
-        f_combo = tuple(mu * scale for mu in f_combo)
+        sub = ((1, 0, 0), (b, 1, 0), (0, 0, 1))
+        rows = [_substitute_linear(r, sub) for r in rows]
+        f_vec = _substitute_linear(f_vec, sub)
+        g_vec = _substitute_linear(g_vec, sub)
+        scale = GF4_INV[f_vec[5]]
+        f_vec = _scale(f_vec, scale)
+        f_combo = _scale(f_combo, scale)
     if g_vec[0]:
         res = result_from_combo(g_combo, "yz-member-smooth")
         return res if res is not None else fallback()
 
     def reduce_mod_fg(vec, combo):
-        combo = add_combo(combo, f_combo, -vec[5])
-        vec = [p - vec[5] * q for p, q in zip(vec, f_vec)]
-        combo = add_combo(combo, g_combo, -vec[3])
-        vec = [p - vec[3] * q for p, q in zip(vec, g_vec)]
+        combo = _add(combo, f_combo, vec[5])
+        vec = _add(vec, f_vec, vec[5])
+        combo = _add(combo, g_combo, vec[3])
+        vec = _add(vec, g_vec, vec[3])
         return vec, combo
 
     # case three: some member retains a zx term after reduction
     h_vec = h_combo = None
     for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(list(r), unit(i))
+        vec, combo = reduce_mod_fg(r, unit(i))
         if vec[4]:
-            scale = one / vec[4]
-            h_vec = [v * scale for v in vec]
-            h_combo = tuple(mu * scale for mu in combo)
+            scale = GF4_INV[vec[4]]
+            h_vec = _scale(vec, scale)
+            h_combo = _scale(combo, scale)
             break
     if h_vec is not None:
         if h_vec[1]:
@@ -665,56 +692,49 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
             return res if res is not None else fallback()
         # diagonal residue outside (f, g, h)
         for i, r in enumerate(rows):
-            vec, combo = reduce_mod_fg(list(r), unit(i))
-            combo = add_combo(combo, h_combo, -vec[4])
-            vec = [p - vec[4] * q for p, q in zip(vec, h_vec)]
+            vec, combo = reduce_mod_fg(r, unit(i))
+            combo = _add(combo, h_combo, vec[4])
+            vec = _add(vec, h_vec, vec[4])
             if not any(vec):
                 continue
             if vec[2]:
-                res = result_from_combo(add_combo(combo, f_combo, one),
-                                        "diagonal-plus-xy")
+                res = result_from_combo(_add(combo, f_combo, 1), "diagonal-plus-xy")
             elif vec[0]:
-                res = result_from_combo(add_combo(combo, g_combo, one),
-                                        "diagonal-plus-yz")
+                res = result_from_combo(_add(combo, g_combo, 1), "diagonal-plus-yz")
             else:
-                res = result_from_combo(add_combo(combo, h_combo, one),
-                                        "diagonal-plus-zx")
+                res = result_from_combo(_add(combo, h_combo, 1), "diagonal-plus-zx")
             return res if res is not None else fallback()
         return fallback()
 
     # case four: all reductions are diagonal
     h_vec = h_combo = None
     for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(list(r), unit(i))
+        vec, combo = reduce_mod_fg(r, unit(i))
         if any(vec):
             h_vec, h_combo = vec, combo
             break
     if h_vec is None:
         return fallback()
     if h_vec[2]:
-        res = result_from_combo(add_combo(h_combo, f_combo, one),
-                                "diagonal-plus-xy")
+        res = result_from_combo(_add(h_combo, f_combo, 1), "diagonal-plus-xy")
         return res if res is not None else fallback()
     if h_vec[0]:
-        res = result_from_combo(add_combo(h_combo, g_combo, one),
-                                "diagonal-plus-yz")
+        res = result_from_combo(_add(h_combo, g_combo, 1), "diagonal-plus-yz")
         return res if res is not None else fallback()
     # h is a pure y^2 residue; look one element further
-    scale = one / h_vec[1]
-    h_vec = [v * scale for v in h_vec]
-    h_combo = tuple(mu * scale for mu in h_combo)
+    scale = GF4_INV[h_vec[1]]
+    h_vec = _scale(h_vec, scale)
+    h_combo = _scale(h_combo, scale)
     for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(list(r), unit(i))
-        combo = add_combo(combo, h_combo, -vec[1])
-        vec = [p - vec[1] * q for p, q in zip(vec, h_vec)]
+        vec, combo = reduce_mod_fg(r, unit(i))
+        combo = _add(combo, h_combo, vec[1])
+        vec = _add(vec, h_vec, vec[1])
         if not any(vec):
             continue
         if vec[2]:
-            res = result_from_combo(add_combo(combo, f_combo, one),
-                                    "diagonal-plus-xy")
+            res = result_from_combo(_add(combo, f_combo, 1), "diagonal-plus-xy")
         else:
-            res = result_from_combo(add_combo(combo, g_combo, one),
-                                    "diagonal-plus-yz")
+            res = result_from_combo(_add(combo, g_combo, 1), "diagonal-plus-yz")
         return res if res is not None else fallback()
     return fallback()
 

@@ -81,13 +81,14 @@ def test_make_certificate_verdicts():
     assert ok.verdict == "pass"
     bad = cli.make_certificate("a", "d", "derived", 1, 2)
     assert bad.verdict == "fail"
-    flagged = cli.make_certificate("a", "d", "published", 1, 2,
-                                   flag_on_mismatch=True)
+    flagged = cli.make_certificate("a", "d", "published", 1, 2, discrepancy=2)
     assert flagged.verdict == "flagged"
     # the flag only fires on a mismatch
-    agree = cli.make_certificate("a", "d", "published", 1, 1,
-                                 flag_on_mismatch=True)
+    agree = cli.make_certificate("a", "d", "published", 1, 1, discrepancy=2)
     assert agree.verdict == "pass"
+    # and only for the recorded discrepancy: any other value fails
+    drifted = cli.make_certificate("a", "d", "published", 1, 3, discrepancy=2)
+    assert drifted.verdict == "fail"
 
 
 def test_make_certificate_rejects_unknown_tag():
@@ -149,6 +150,18 @@ def test_pinned_published_discrepancy(all_report):
     assert twist.verdict == "flagged"
     assert cli.encode_value(twist.expected) == "620"
     assert cli.encode_value(twist.computed) == "20"
+
+
+def test_drifted_flagged_value_fails_the_run(monkeypatch, capsys):
+    # a flagged certificate whose computed value moves off the recorded
+    # discrepancy (20 against the published 620) must fail, not stay flagged
+    real = cli.schubert.v5_separability_details
+    monkeypatch.setattr(cli.schubert, "v5_separability_details",
+                        lambda: real()._replace(value=21))
+    assert cli.main(["run", "schubert"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL   ] c3-omega-v5-twist\n" in out
+    assert "flagged=2 " in out
 
 
 def test_pinned_diagonal_certificates(all_report):
@@ -301,6 +314,17 @@ def test_main_rejects_bad_knobs():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "all", "--degree-bound", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, cap", [("--trials", cli.MAX_TRIALS),
+                                       ("--degree-bound", cli.MAX_DEGREE_BOUND)])
+def test_main_caps_run_inputs(flag, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "numerology", flag, str(cap + 1)])
+    assert exc.value.code == 2
+    assert f"{flag} must be at most {cap}" in capsys.readouterr().err
+    # the cap itself is accepted
+    assert cli.main(["run", "numerology", flag, str(cap)]) == 0
 
 
 def test_main_seed_changes_echo(capsys):

@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: fields, polynomials, substitution, integer
 matrices, and graded ideal dimensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certkit.exactcore import (
+    F2_ELEMENTS,
     F4,
+    F4_ELEMENTS,
+    GF4_INV,
+    GF4_MUL,
     Fp,
     Polynomial,
     RationalFunction,
@@ -302,6 +307,111 @@ def test_solve_recovers_coefficients(case):
     assume(matrix_rank(columns) == len(columns))
     target = [sum(xi * col[i] for xi, col in zip(x, columns)) for i in range(3)]
     assert solve(columns, target) == x
+
+
+# ---------------------------------------------------------------------------
+# bit-packed F2 / F4 elimination
+# ---------------------------------------------------------------------------
+
+
+def test_gf4_code_tables_match_field_arithmetic():
+    for i, x in enumerate(F4_ELEMENTS):
+        for j, y in enumerate(F4_ELEMENTS):
+            assert F4_ELEMENTS[GF4_MUL[i][j]] == x * y
+        if i:
+            assert F4_ELEMENTS[GF4_INV[i]] == x.inverse()
+    for i, x in enumerate(F2_ELEMENTS):
+        for j, y in enumerate(F2_ELEMENTS):
+            assert F2_ELEMENTS[GF4_MUL[i][j]] == x * y
+
+
+def _dot(row, vec, zero):
+    total = zero
+    for a, b in zip(row, vec):
+        total = total + a * b
+    return total
+
+
+def _matrices(max_rows, max_cols):
+    """(elements, matrix) over F2 or F4, entries drawn by code."""
+    return st.sampled_from([F2_ELEMENTS, F4_ELEMENTS]).flatmap(lambda elements: st.tuples(
+        st.just(elements),
+        st.integers(1, max_cols).flatmap(lambda ncols: st.lists(
+            st.lists(st.sampled_from(elements), min_size=ncols, max_size=ncols),
+            min_size=1, max_size=max_rows))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(4, 5))
+def test_packed_rank_counts_the_row_span(case):
+    elements, mat = case
+    zero = elements[0]
+    span = {tuple(_dot(col, combo, zero) for col in zip(*mat))
+            for combo in itertools.product(elements, repeat=len(mat))}
+    assert len(span) == len(elements) ** matrix_rank(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(5, 6))
+def test_packed_kernel_vectors_annihilate(case):
+    elements, mat = case
+    dim, basis = kernel_dimension(mat)
+    assert dim == len(mat[0]) - matrix_rank(mat)
+    for v in basis:
+        assert all(type(x) is type(elements[0]) for x in v)
+        assert all(_dot(row, v, elements[0]) == elements[0] for row in mat)
+    if basis:
+        assert matrix_rank(basis) == dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(4, 6).flatmap(lambda case: st.tuples(
+    st.just(case),
+    st.lists(st.sampled_from(case[0]), min_size=len(case[1]), max_size=len(case[1])))))
+def test_packed_solve_recovers_coefficients(case):
+    (elements, columns), x = case
+    zero = elements[0]
+    target = [_dot(row, x, zero) for row in zip(*columns)]
+    expected = x if matrix_rank(columns) == len(columns) else None
+    assert solve(columns, target) == expected
+
+
+def test_packed_path_is_not_capped_at_64_columns():
+    zero, one, w, w2 = F4_ELEMENTS
+    ncols = 70
+    rows = []
+    for pivot, tail in ((2, w), (65, w2), (68, one)):
+        row = [zero] * ncols
+        row[pivot] = w
+        row[69] = tail
+        rows.append(row)
+    rows.append([a + b for a, b in zip(rows[1], rows[2])])
+    assert matrix_rank(rows) == 3
+    dim, basis = kernel_dimension(rows)
+    assert dim == ncols - 3
+    for v in basis:
+        assert all(_dot(row, v, zero) == zero for row in rows)
+    # 66 unknowns: the augmented rows carry 67 bits
+    n = 66
+    columns = [[w if j == i else one if j == i + 1 else zero for j in range(n)]
+               for i in range(n)]
+    x = [F4_ELEMENTS[i % 4] for i in range(n)]
+    target = [_dot(row, x, zero) for row in zip(*columns)]
+    assert solve(columns, target) == x
+    f2 = [[F2_ELEMENTS[int(j in (0, 66))] for j in range(ncols)],
+          [F2_ELEMENTS[int(j in (64, 66))] for j in range(ncols)]]
+    assert matrix_rank(f2) == 2
+    assert kernel_dimension(f2)[0] == ncols - 2
+
+
+def test_mixed_f4_and_f2_entries_raise_type_error():
+    mixed = [[F4(1), F4(0)], [Fp(2, 1), Fp(2, 1)]]
+    with pytest.raises(TypeError):
+        matrix_rank(mixed)
+    with pytest.raises(TypeError):
+        kernel_dimension(mixed)
+    with pytest.raises(TypeError):
+        solve([(F4(1), Fp(2, 1)), (F4(0), Fp(2, 1))], (F4(1), Fp(2, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ projection kernel, singular quadrics, hyperplane splittings, and the
 characteristic-two smooth-conic search."""
 
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -374,6 +376,35 @@ def test_case_split_regression_span():
     assert is_smooth_conic(res.form, F2_FIELD)
     # the branch as printed would hand back x^2 + xy, which is singular
     assert not is_smooth_conic(form((1, 0, 0, 0, 0, 1)), F2_FIELD)
+
+
+WITNESSES = pathlib.Path(__file__).parent / "data" / "conic_witnesses.json"
+
+
+def _codes(values, field):
+    """Index of each value in the field tuple, which is its GF(4) code."""
+    assert all(type(x) is type(field[0]) for x in values)
+    return [field.index(x) for x in values]
+
+
+def test_search_reproduces_recorded_witnesses():
+    """conic_witnesses.json was recorded from the element-object search that
+    preceded the GF(4)-code one: the 651 subspaces of the F2 sweep, 300
+    seeded F2/F4 subspaces of dimension 4 to 6, and 60 of dimension 1 to 3
+    (oracle only).  Entries are GF(4) codes."""
+    entries = json.loads(WITNESSES.read_text(encoding="utf-8"))
+    assert len(entries) == 1011
+    for e in entries:
+        field = F2_FIELD if e["q"] == 2 else F4_FIELD
+        sub = ConicSubspace([QuadraticForm3(field[c] for c in r) for r in e["basis"]])
+        oracle = exhaustive_smooth_conic(sub, field)
+        assert (None if oracle is None else _codes(oracle.coeffs, field)) == e["oracle"]
+        if e["path"] is None:
+            continue
+        res = find_smooth_conic_details(sub, field)
+        assert res.path == e["path"]
+        assert _codes(res.combo, field) == e["combo"]
+        assert _codes(res.form.coeffs, field) == e["form"]
 
 
 def test_char_two_guard():
