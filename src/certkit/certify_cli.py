@@ -30,36 +30,34 @@ from .veronese import ConicSubspace, QuadraticForm3
 
 PROVENANCE_TAGS = ("published", "derived", "trivial")
 VERDICTS = ("pass", "fail", "flagged")
-SUITE_NAMES = ("schubert", "toric", "veronese", "hodge", "numerology", "all")
 
 # input caps for `certify run`: a degree bound of 12 already takes tens of
 # seconds, and the seeded checks run in time linear in the trial count
 MAX_DEGREE_BOUND = 12
 MAX_TRIALS = 100_000
 
+# the genus window of the divisibility survey and its excluded genus; the
+# report echoes them with the run settings
+GENUS_MIN = 7
+GENUS_MAX = 12
+EXCLUDED_GENUS = (11,)
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite.
-
-    The genus window and its exclusion are survey inputs carried as data,
-    not constants baked into the arithmetic.
-    """
+    """Knobs shared by every suite."""
 
     seed: int = 0
     trials: int = 500
     degree_bound: int = 6
-    genus_min: int = 7
-    genus_max: int = 12
-    excluded_genus: tuple = (11,)
 
     def echo(self) -> dict:
         return {
             "trials": self.trials,
             "degree_bound": self.degree_bound,
-            "genus_min": self.genus_min,
-            "genus_max": self.genus_max,
-            "excluded_genus": list(self.excluded_genus),
+            "genus_min": GENUS_MIN,
+            "genus_max": GENUS_MAX,
+            "excluded_genus": list(EXCLUDED_GENUS),
         }
 
 
@@ -147,19 +145,14 @@ def _render_poly(p: Polynomial) -> str:
         mono = "*".join(f"{v}^{k}" if k > 1 else v
                         for v, k in zip(p.variables, exps) if k)
         mag = abs(coeff)
-        body = mono if mono else _frac_str(mag)
+        body = mono if mono else encode_value(mag)
         if mono and mag != 1:
-            body = f"{_frac_str(mag)}*{mono}"
+            body = f"{encode_value(mag)}*{mono}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _weight1(fc) -> Fraction:
@@ -228,7 +221,7 @@ def _suite_schubert(config: RunConfig) -> list:
     det = schubert.v5_separability_details()
     ch = det.cotangent_character
     tw = det.chern
-    c3_vector = list(tw.classes[3].weight3_vector())
+    c3_vector = list(schubert.weight3_vector(tw.classes[3]))
     certs = [
         make_certificate(
             "cotangent-ch1-v5",
@@ -244,7 +237,7 @@ def _suite_schubert(config: RunConfig) -> list:
             "cotangent-ch3-v5",
             "Degree-three character part, coefficients on the weight-three monomial basis.",
             "published", [Fraction(-11, 6), Fraction(5, 2), 2, -1],
-            list(ch.ch3.weight3_vector())),
+            list(schubert.weight3_vector(ch.ch3))),
         make_certificate(
             "twisted-c1-v5",
             "First Chern class of the cotangent bundle twisted by three hyperplanes.",
@@ -958,7 +951,7 @@ def _suite_hodge(config: RunConfig) -> list:
 
 def _suite_numerology(config: RunConfig) -> list:
     window = sorted(list(s) for s in numerology.p_divisibility_solutions(
-        config.genus_min, config.genus_max, config.excluded_genus))
+        GENUS_MIN, GENUS_MAX, EXCLUDED_GENUS))
     empty = sorted(list(s) for s in numerology.p_divisibility_solutions(3, 3))
     single = sorted(list(s) for s in numerology.p_divisibility_solutions(5, 5))
     obstruction = numerology.g10_obstruction()
@@ -1052,8 +1045,8 @@ def run_suite(name: str, config: RunConfig | None = None) -> Report:
     config = config or RunConfig()
     if name == "all":
         certs = []
-        for suite in ("schubert", "toric", "veronese", "hodge", "numerology"):
-            certs.extend(_SUITE_BUILDERS[suite](config))
+        for build in _SUITE_BUILDERS.values():
+            certs.extend(build(config))
     elif name in _SUITE_BUILDERS:
         certs = _SUITE_BUILDERS[name](config)
     else:
@@ -1201,7 +1194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run a certificate suite")
-    run_parser.add_argument("suite", choices=SUITE_NAMES)
+    run_parser.add_argument("suite", choices=(*_SUITE_BUILDERS, "all"))
     run_parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                             default="text", help="report rendering (default text)")
     run_parser.add_argument("--seed", type=int, default=0)

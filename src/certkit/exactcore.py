@@ -356,9 +356,7 @@ class Polynomial:
                 continue
             new = c * e[i]
             if new:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                terms[ne] = terms.get(ne, new * 0) + new if ne in terms else new
-        terms = {e: c for e, c in terms.items() if c}
+                terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = new
         out = Polynomial.__new__(Polynomial)
         out.variables = self.variables
         out.terms = terms
@@ -718,7 +716,7 @@ def kernel_dimension(mat: Sequence[Sequence[object]]):
     rows, pivots = _rref(mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    one = _one_for_matrix(mat)
+    one = _one_like(rows[0][0]) if free else Fraction(1)
     zero = one - one
     basis = []
     for fc in free:
@@ -728,18 +726,6 @@ def kernel_dimension(mat: Sequence[Sequence[object]]):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return len(free), basis
-
-
-def _one_for_matrix(mat):
-    for row in mat:
-        for x in row:
-            if isinstance(x, Fp):
-                return Fp(x.p, 1)
-            if isinstance(x, F4):
-                return F4(1)
-            if isinstance(x, Fraction):
-                return Fraction(1)
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

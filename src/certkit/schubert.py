@@ -5,9 +5,11 @@ Littlewood-Richardson rule; for two-row shapes the lattice-word enumeration
 is tiny, and every coefficient is 0 or 1.  An independent product route via
 iterated Pieri steps is kept for cross-checking.
 
-Chern-class bookkeeping happens in a formal weighted ring Q[s1,s11,s2,s3]
-(weights 1,2,2,3) truncated above weight 3: powers of s1 stay symbolic and
-are only paired against the ambient Grassmannian at the very end.
+Chern-class bookkeeping happens in the formal weighted ring Q[s1,s11,s2,s3]
+(weights 1,2,2,3), whose elements are exactcore Polynomials over
+FORMAL_GENERATORS.  Classes only go up to weight 3, which ChernVector and
+ChernCharacter check homogeneous part by homogeneous part; powers of s1 stay
+symbolic and are only paired against the ambient Grassmannian at the very end.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
+
+from .exactcore import Polynomial
 
 Partition2 = tuple  # (a, b) with a >= b >= 0
 
@@ -252,141 +256,40 @@ def degree(x: SchubertElement) -> Fraction:
 FORMAL_GENERATORS = ("s1", "s11", "s2", "s3")
 FORMAL_WEIGHTS = (1, 2, 2, 3)
 
-# weight-3 monomial basis, fixed order: s1^3, s1*s11, s1*s2, s3
+# every weight-3 monomial, in a fixed order: s1^3, s1*s11, s1*s2, s3
 WEIGHT3_BASIS = ((3, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
 
-
-def _weight(exps: tuple) -> int:
-    return sum(e * w for e, w in zip(exps, FORMAL_WEIGHTS))
-
-
-class FormalClass:
-    """Element of Q[s1,s11,s2,s3], weighted by (1,2,2,3), truncated above
-    a weight cap (default 3: threefold targets)."""
-
-    __slots__ = ("terms", "cap")
-
-    def __init__(self, terms: Mapping[tuple, object] | None = None, cap: int = 3):
-        self.cap = cap
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(e)
-                if _weight(e) > cap:
-                    continue
-                c = Fraction(c)
-                if c:
-                    clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, cap: int = 3) -> "FormalClass":
-        return cls({}, cap)
-
-    @classmethod
-    def constant(cls, c, cap: int = 3) -> "FormalClass":
-        return cls({(0, 0, 0, 0): Fraction(c)}, cap)
-
-    @classmethod
-    def generator(cls, name: str, cap: int = 3) -> "FormalClass":
-        i = FORMAL_GENERATORS.index(name)
-        e = tuple(1 if j == i else 0 for j in range(4))
-        return cls({e: Fraction(1)}, cap)
-
-    def __add__(self, other):
-        if not isinstance(other, FormalClass):
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return FormalClass(terms, self.cap)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalClass):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FormalClass":
-        c = Fraction(c)
-        return FormalClass({e: v * c for e, v in self.terms.items()}, self.cap)
-
-    def __mul__(self, other):
-        if isinstance(other, FormalClass):
-            terms: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    if _weight(e) > self.cap:
-                        continue
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return FormalClass(terms, self.cap)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "FormalClass":
-        out = FormalClass.constant(1, self.cap)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, FormalClass):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def graded_part(self, w: int) -> "FormalClass":
-        return FormalClass({e: c for e, c in self.terms.items() if _weight(e) == w},
-                           self.cap)
-
-    def weights(self) -> set:
-        return {_weight(e) for e in self.terms}
-
-    def weight3_vector(self) -> tuple:
-        """Coefficients on the basis (s1^3, s1*s11, s1*s2, s3)."""
-        for e, c in self.terms.items():
-            if _weight(e) == 3 and e not in WEIGHT3_BASIS:
-                raise ValueError(f"unexpected weight-3 monomial {e}")
-        return tuple(self.terms.get(e, Fraction(0)) for e in WEIGHT3_BASIS)
-
-    def to_schubert(self, n: int) -> SchubertElement:
-        """Expand the symbolic generators into actual Schubert classes."""
-        gens = (SchubertElement.sigma(n, 1),
-                SchubertElement.sigma(n, 1, 1),
-                SchubertElement.sigma(n, 2),
-                SchubertElement.sigma(n, 3))
-        total = SchubertElement.zero(n)
-        for e, c in self.terms.items():
-            term = SchubertElement.unit(n)
-            for g, k in zip(gens, e):
-                for _ in range(k):
-                    term = mul(term, g)
-            total = total + term.scale(c)
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = FORMAL_GENERATORS
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (_weight(t), t)):
-            c = self.terms[e]
-            mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
-                            for i, k in enumerate(e) if k)
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(bits)
+ONE = Polynomial.constant(FORMAL_GENERATORS, Fraction(1))
+ZERO = Polynomial.zero(FORMAL_GENERATORS)
+S1 = Polynomial.variable("s1", FORMAL_GENERATORS)
+S11 = Polynomial.variable("s11", FORMAL_GENERATORS)
+S2 = Polynomial.variable("s2", FORMAL_GENERATORS)
+S3 = Polynomial.variable("s3", FORMAL_GENERATORS)
 
 
-S1 = FormalClass.generator("s1")
-S11 = FormalClass.generator("s11")
-S2 = FormalClass.generator("s2")
-S3 = FormalClass.generator("s3")
+def _weights(p: Polynomial) -> set:
+    return {sum(e * w for e, w in zip(exps, FORMAL_WEIGHTS)) for exps in p.terms}
+
+
+def weight3_vector(p: Polynomial) -> tuple:
+    """Coefficients of a formal class on the basis (s1^3, s1*s11, s1*s2, s3)."""
+    return tuple(p.terms.get(e, Fraction(0)) for e in WEIGHT3_BASIS)
+
+
+def _to_schubert(p: Polynomial, n: int) -> SchubertElement:
+    """Expand the symbolic generators into actual Schubert classes."""
+    gens = (SchubertElement.sigma(n, 1),
+            SchubertElement.sigma(n, 1, 1),
+            SchubertElement.sigma(n, 2),
+            SchubertElement.sigma(n, 3))
+    total = SchubertElement.zero(n)
+    for e, c in p.terms.items():
+        term = SchubertElement.unit(n)
+        for g, k in zip(gens, e):
+            for _ in range(k):
+                term = mul(term, g)
+        total = total + term.scale(c)
+    return total
 
 
 class ChernVector:
@@ -398,10 +301,10 @@ class ChernVector:
         classes = list(classes)
         if len(classes) != 4:
             raise ValueError("expected classes c0..c3")
-        if classes[0] != FormalClass.constant(1):
+        if classes[0] != ONE:
             raise ValueError("c0 must be 1")
         for i, c in enumerate(classes):
-            if not c.is_zero() and c.weights() != {i}:
+            if not c.is_zero() and _weights(c) != {i}:
                 raise ValueError(f"c{i} not homogeneous of weight {i}")
         self.rank = rank
         self.classes = classes
@@ -421,9 +324,9 @@ class ChernCharacter:
 
     __slots__ = ("rank", "ch1", "ch2", "ch3")
 
-    def __init__(self, rank, ch1: FormalClass, ch2: FormalClass, ch3: FormalClass):
+    def __init__(self, rank, ch1: Polynomial, ch2: Polynomial, ch3: Polynomial):
         for i, p in enumerate((ch1, ch2, ch3), start=1):
-            if not p.is_zero() and p.weights() != {i}:
+            if not p.is_zero() and _weights(p) != {i}:
                 raise ValueError(f"ch{i} not homogeneous of weight {i}")
         self.rank = Fraction(rank)
         self.ch1 = ch1
@@ -466,7 +369,7 @@ def character_to_chern(ch: ChernCharacter, rank) -> ChernVector:
     c1 = ch.ch1
     c2 = (c1 * c1).scale(Fraction(1, 2)) - ch.ch2
     c3 = ch.ch3.scale(2) - (c1 * c1 * c1).scale(Fraction(1, 3)) + c1 * c2
-    return ChernVector(rank, [FormalClass.constant(1), c1, c2, c3])
+    return ChernVector(rank, [ONE, c1, c2, c3])
 
 
 def line_character(m) -> ChernCharacter:
@@ -485,41 +388,23 @@ def twist_character(ch: ChernCharacter, m) -> ChernCharacter:
 
 def tautological_sub_chern() -> ChernVector:
     """c(S) = 1 - s1 t + s11 t^2 on Gr(2,n), rank 2."""
-    one = FormalClass.constant(1)
-    return ChernVector(2, [one, S1.scale(-1), S11, FormalClass.zero()])
+    return ChernVector(2, [ONE, S1.scale(-1), S11, ZERO])
 
 
 def tautological_quotient_dual_chern() -> ChernVector:
     """c(Q*) = 1 - s1 t + s2 t^2 - s3 t^3 for the rank-3 quotient on Gr(2,5)."""
-    one = FormalClass.constant(1)
-    return ChernVector(3, [one, S1.scale(-1), S2, S3.scale(-1)])
+    return ChernVector(3, [ONE, S1.scale(-1), S2, S3.scale(-1)])
 
 
 def restriction_coefficients() -> tuple:
     """Scalar coefficients of (1 - s1 t + s1^2 t^2 - s1^3 t^3)^3 truncated
-    at t^3, reported as (t^3, t^2, t^1, t^0) multipliers of s1-powers."""
-    # polynomial in t with FormalClass coefficients
-    base = [FormalClass.constant(1), S1.scale(-1), S1 * S1, (S1 ** 3).scale(-1)]
-    prod = [FormalClass.constant(1), FormalClass.zero(),
-            FormalClass.zero(), FormalClass.zero()]
-    for _ in range(3):
-        nxt = [FormalClass.zero() for _ in range(4)]
-        for i in range(4):
-            for j in range(4 - i):
-                nxt[i + j] = nxt[i + j] + prod[i] * base[j]
-        prod = nxt
-    # each t^k coefficient is a scalar times s1^k; extract the scalars
-    out = []
-    for k in (3, 2, 1, 0):
-        e = (k, 0, 0, 0)
-        out.append(prod[k].terms.get(e, Fraction(0)))
-        extra = {m for m in prod[k].terms if m != e}
-        if extra:
-            raise AssertionError("restriction coefficient not a pure s1 power")
-    return tuple(out)
+    at t^3, reported as (t^3, t^2, t^1, t^0) multipliers of s1-powers.
+    Each t^k comes with s1^k, so they are read off as s1-power coefficients."""
+    cube = (ONE - S1 + S1 ** 2 - S1 ** 3) ** 3
+    return tuple(cube.terms.get((k, 0, 0, 0), Fraction(0)) for k in (3, 2, 1, 0))
 
 
-def restrict_third_chern(c: ChernVector) -> FormalClass:
+def restrict_third_chern(c: ChernVector) -> Polynomial:
     """Third Chern class after restriction along a codimension-3 linear
     section: sum of (restriction coefficient)_k * s1^k * c_(3-k)."""
     k3, k2, k1, k0 = restriction_coefficients()
@@ -535,8 +420,8 @@ def weight3_degree_table(n: int = 5) -> tuple:
     s1_cubed = SchubertElement.sigma(n, 1) ** 3
     out = []
     for e in WEIGHT3_BASIS:
-        mono = FormalClass({e: Fraction(1)})
-        out.append(int(degree(mul(mono.to_schubert(n), s1_cubed))))
+        mono = Polynomial(FORMAL_GENERATORS, {e: Fraction(1)})
+        out.append(int(degree(mul(_to_schubert(mono, n), s1_cubed))))
     return tuple(out)
 
 
@@ -545,7 +430,7 @@ V5Report = namedtuple("V5Report", [
     "twisted_character",        # after tensoring with the square of the hyperplane class
     "chern",                    # ChernVector of the twisted bundle
     "restriction_coefficients",
-    "restricted_third_chern",   # FormalClass, weight 3
+    "restricted_third_chern",   # Polynomial, weight 3
     "coefficient_vector",       # on the basis (s1^3, s1*s11, s1*s2, s3)
     "degree_table",
     "value",
@@ -562,7 +447,7 @@ def v5_separability_details() -> V5Report:
     c = character_to_chern(ch_tw, 6)
     coeffs = restriction_coefficients()
     cbar3 = restrict_third_chern(c)
-    vec = cbar3.weight3_vector()
+    vec = weight3_vector(cbar3)
     table = weight3_degree_table(5)
     value = sum(v * t for v, t in zip(vec, table))
     if value.denominator != 1:

@@ -70,16 +70,9 @@ def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
     rays summing to zero is trivial."""
     if not rays:
         return True
+    # infeasibility of  sum l_i (r_i, 1) = (0, 1),  l >= 0
     d = len(rays[0])
-    # feasibility of  sum l_i (r_i, 1) = (0, 1),  l >= 0
-    cols = [tuple(r) + (1,) for r in rays]
-    target = (0,) * d + (1,)
-    for size in range(1, d + 2):
-        for subset in itertools.combinations(range(len(cols)), size):
-            sol = solve([cols[i] for i in subset], target)
-            if sol is not None and all(c >= 0 for c in sol):
-                return False
-    return True
+    return not cone_contains([tuple(r) + (1,) for r in rays], (0,) * d + (1,))
 
 
 def _cross3(a, b):

@@ -7,15 +7,18 @@ from fractions import Fraction
 import pytest
 
 from certkit import schubert
+from certkit.exactcore import Polynomial
 from certkit.schubert import (
     ChernCharacter,
     ChernVector,
-    FormalClass,
+    FORMAL_GENERATORS,
+    ONE,
     S1,
     S11,
     S2,
     S3,
     SchubertElement,
+    ZERO,
     character_mul,
     character_to_chern,
     chern_to_character,
@@ -31,6 +34,7 @@ from certkit.schubert import (
     v5_separability_certificate,
     v5_separability_details,
     weight3_degree_table,
+    weight3_vector,
 )
 
 
@@ -161,12 +165,11 @@ def fc(**data):
         "s2": (0, 0, 1, 0), "s3": (0, 0, 0, 1), "s1sq": (2, 0, 0, 0),
         "s1cu": (3, 0, 0, 0), "s1s11": (1, 1, 0, 0), "s1s2": (1, 0, 1, 0),
     }
-    return FormalClass({table[k]: Fraction(v) for k, v in data.items()})
+    return Polynomial(FORMAL_GENERATORS, {table[k]: Fraction(v) for k, v in data.items()})
 
 
 def test_chern_to_character_tautological():
-    c = ChernVector(2, [FormalClass.constant(1), S1.scale(Fraction(-1)), S11,
-                        FormalClass.zero()])
+    c = ChernVector(2, [ONE, S1.scale(Fraction(-1)), S11, ZERO])
     ch = chern_to_character(c)
     assert ch.rank == 2
     assert ch.ch1 == fc(s1=-1)
@@ -175,7 +178,7 @@ def test_chern_to_character_tautological():
 
 
 def test_chern_to_character_quotient_dual():
-    c = ChernVector(3, [FormalClass.constant(1), S1.scale(Fraction(-1)), S2,
+    c = ChernVector(3, [ONE, S1.scale(Fraction(-1)), S2,
                         S3.scale(Fraction(-1))])
     ch = chern_to_character(c)
     assert ch.ch2 == fc(s1sq=Fraction(1, 2), s2=-1)
@@ -184,13 +187,12 @@ def test_chern_to_character_quotient_dual():
 
 
 def test_chern_to_character_trivial_bundle():
-    c = ChernVector(4, [FormalClass.constant(1), FormalClass.zero(),
-                        FormalClass.zero(), FormalClass.zero()])
+    c = ChernVector(4, [ONE, ZERO, ZERO, ZERO])
     ch = chern_to_character(c)
     assert ch.rank == 4
-    assert ch.ch1 == FormalClass.zero()
-    assert ch.ch2 == FormalClass.zero()
-    assert ch.ch3 == FormalClass.zero()
+    assert ch.ch1 == ZERO
+    assert ch.ch2 == ZERO
+    assert ch.ch3 == ZERO
 
 
 def test_character_mul_cotangent_parts():
@@ -199,17 +201,16 @@ def test_character_mul_cotangent_parts():
     assert ch.rank == 6
     assert ch.ch1 == fc(s1=-5)
     assert ch.ch2 == fc(s1sq=Fraction(7, 2), s11=-3, s2=-2)
-    assert ch.ch3.weight3_vector() == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    assert weight3_vector(ch.ch3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
 
 
 def test_character_mul_by_zero():
     det = v5_separability_details()
-    zero = ChernCharacter(0, FormalClass.zero(), FormalClass.zero(),
-                          FormalClass.zero())
+    zero = ChernCharacter(0, ZERO, ZERO, ZERO)
     prod = character_mul(det.cotangent_character, zero)
     assert prod.rank == 0
-    assert prod.ch1 == FormalClass.zero()
-    assert prod.ch3 == FormalClass.zero()
+    assert prod.ch1 == ZERO
+    assert prod.ch3 == ZERO
 
 
 def test_twist_degree_one_part():
@@ -230,16 +231,15 @@ def test_character_to_chern_twisted_cotangent():
     assert tw.classes[2] == fc(s1sq=19, s11=3, s2=2)
     # third class recomputed exactly; the published table differs and is
     # carried as a flagged certificate plus a red acceptance assert
-    assert tw.classes[3].weight3_vector() == (25, 14, 10, -2)
+    assert weight3_vector(tw.classes[3]) == (25, 14, 10, -2)
 
 
 def test_character_to_chern_constant_character():
-    ch = ChernCharacter(5, FormalClass.zero(), FormalClass.zero(),
-                        FormalClass.zero())
+    ch = ChernCharacter(5, ZERO, ZERO, ZERO)
     c = character_to_chern(ch, 5)
-    assert c.classes[1] == FormalClass.zero()
-    assert c.classes[2] == FormalClass.zero()
-    assert c.classes[3] == FormalClass.zero()
+    assert c.classes[1] == ZERO
+    assert c.classes[2] == ZERO
+    assert c.classes[3] == ZERO
 
 
 def _random_formal(rng, max_weight):
@@ -253,19 +253,41 @@ def _random_formal(rng, max_weight):
         v = rng.randrange(-4, 5)
         if v:
             terms[e] = Fraction(v, rng.randrange(1, 4))
-    return FormalClass(terms)
+    return Polynomial(FORMAL_GENERATORS, terms)
 
 
 def test_chern_character_roundtrip_random():
     rng = random.Random("chern-roundtrip")
     for _ in range(200):
         rank = rng.randrange(1, 7)
-        c = ChernVector(rank, [FormalClass.constant(1), _random_formal(rng, 1),
+        c = ChernVector(rank, [ONE, _random_formal(rng, 1),
                                _random_formal(rng, 2), _random_formal(rng, 3)])
         back = character_to_chern(chern_to_character(c), rank)
         assert back.classes[1] == c.classes[1]
         assert back.classes[2] == c.classes[2]
         assert back.classes[3] == c.classes[3]
+
+
+def test_formal_classes_are_plain_polynomials():
+    assert S1 == Polynomial.variable("s1", FORMAL_GENERATORS)
+    assert ONE == Polynomial.constant(FORMAL_GENERATORS, 1)
+    s1, s11, s2, s3 = (Polynomial.variable(g, FORMAL_GENERATORS)
+                       for g in FORMAL_GENERATORS)
+    c = ChernVector(5, [Polynomial.constant(FORMAL_GENERATORS, 1), s1.scale(3),
+                        s1 * s1 - s11.scale(2) + s2,
+                        (s1 * s11).scale(Fraction(1, 2)) - s3])
+    back = character_to_chern(chern_to_character(c), 5)
+    assert back == c
+    assert weight3_vector(back.classes[3]) == (0, Fraction(1, 2), 0, -1)
+
+
+def test_homogeneity_checks_reject_stray_weights():
+    with pytest.raises(ValueError):
+        ChernVector(2, [ONE, S1, S1, ZERO])
+    with pytest.raises(ValueError):
+        ChernVector(2, [ONE + S1, ZERO, ZERO, ZERO])
+    with pytest.raises(ValueError):
+        ChernCharacter(1, S1, S1 * S1, S1 ** 4)
 
 
 def test_whitney_trivial_twist_fixes_chern_vector():

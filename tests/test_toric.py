@@ -66,6 +66,18 @@ def test_fan_rejects_dependent_simplicial_cone():
         Fan(2, ((1, 0), (-1, 0)), ((0, 1),))
 
 
+def test_cone_is_strongly_convex():
+    assert toric.cone_is_strongly_convex([(1, 0), (1, 1)])
+    assert not toric.cone_is_strongly_convex([(1, 0), (-1, 0)])
+    # a square-based pyramid over the plane z = 1 is pointed
+    assert toric.cone_is_strongly_convex(
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    # (1, 1, 0) + (-1, 0, 0) + (0, -1, 0) = 0 spans a line
+    assert not toric.cone_is_strongly_convex(
+        [(1, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)])
+    assert toric.cone_is_strongly_convex([])
+
+
 def test_fan_constructor_normalizes_rays():
     # construction divides by the gcd; only the file parser insists on
     # primitive input
