@@ -31,8 +31,9 @@ from .veronese import ConicSubspace, QuadraticForm3
 PROVENANCE_TAGS = ("published", "derived", "trivial")
 VERDICTS = ("pass", "fail", "flagged")
 
-# input caps for `certify run`: a degree bound of 12 already takes tens of
-# seconds, and the seeded checks run in time linear in the trial count
+# input caps for `certify run`: the kernel certificates' work grows fast with
+# the degree bound (12 takes about a second end to end), and the seeded
+# checks run in time linear in the trial count
 MAX_DEGREE_BOUND = 12
 MAX_TRIALS = 100_000
 

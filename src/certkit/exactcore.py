@@ -6,15 +6,16 @@ vectors to nonzero coefficients; the coefficient domain can be Fraction,
 int, a prime field Fp, or the four-element field F4.  Rational functions
 compare by cross-multiplication, so no polynomial GCD is ever needed.
 
-All ideal questions are answered degree by degree with linear algebra on
-monomial bases.  There is deliberately no Groebner machinery here.
+All ideal questions are answered degree by degree with linear algebra:
+polynomial spans are eliminated on sparse rows keyed by monomial, by the
+same Gauss-Jordan routine that reduces matrices, whose rows are keyed by
+column.  There is deliberately no Groebner machinery here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -495,14 +496,16 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
     """Substitute a rational function for every variable that occurs in p.
 
     Raises ValueError("unmapped variable") when p uses a variable with no
-    image.  The result is combined over common denominators, exactly.
+    image, and ValueError when there are no images to give the target
+    variables.  The result is combined over common denominators, exactly.
     """
     used = [v for j, v in enumerate(p.variables) if any(e[j] for e in p.terms)]
     for v in used:
         if v not in images:
             raise ValueError("unmapped variable")
-    some = next(iter(images.values()))
-    target_vars = some.num.variables
+    if not images:
+        raise ValueError("no images: the target variables are unknown")
+    target_vars = next(iter(images.values())).num.variables
     for img in images.values():
         if img.num.variables != target_vars:
             raise ValueError("images over different variable lists")
@@ -574,46 +577,67 @@ def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _promote(items) -> dict:
+    """Sparse row {key: entry} of the nonzero entries; plain ints become
+    Fraction, so that division stays exact."""
+    return {k: Fraction(x) if isinstance(x, int) else x for k, x in items if x}
+
+
+def _echelon(rows: list, order: Iterable) -> tuple:
+    """Gauss-Jordan elimination, in place, on sparse rows {key: nonzero
+    entry}, trying the keys in `order` as pivots.  Returns (rows, pivots):
+    rows[i] is the reduced row of pivots[i], with a unit at its pivot and no
+    other pivot key; the remaining rows keep only keys outside `order`."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in order:
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if c in rows[i]:
+                break
+        else:
+            continue
+        pivot_row = rows[i]
+        rows[i] = rows[r]
+        pv = pivot_row[c]
+        if pv != 1:
+            pivot_row = {k: x / pv for k, x in pivot_row.items()}
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, b in pivot_row.items():
+                x = row.get(k, 0) - f * b
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
-    """Row-reduce a copy of mat; returns (rows, pivot_columns).
+    """`_echelon` on the rows of mat keyed by column; returns (rows, pivots).
 
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
     carried along.  Entries may be Fraction, Fp, or F4; plain ints are
-    promoted to Fraction so that division stays exact.  A matrix whose
-    entries are all F4, or all Fp(2, .), is reduced on bit-packed rows.
+    promoted to Fraction.  A matrix whose entries are all F4, or all
+    Fp(2, .), is reduced on bit-packed rows and decoded to the same shape.
     """
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if ncols and type(rows[0][0]) in _PACKED_TYPES:
-        packed = _pack_gf4(rows)
+    mat = list(mat)
+    ncols = len(mat[0]) if mat else 0
+    if limit is None:
+        limit = ncols
+    if ncols and type(mat[0][0]) in _PACKED_TYPES:
+        packed = _pack_gf4(mat)
         if packed is not None:
             return _rref_gf4(*packed, ncols, limit)
-    pivots = []
-    r = 0
-    for c in range(ncols if limit is None else limit):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
 
 
 # Bit-packed GF(4) rows, as in M4RIE (Albrecht, ISSAC 2012): a row is the pair
@@ -660,7 +684,7 @@ def _rref_gf4(rows, elements, ncols, limit):
     nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols if limit is None else limit):
+    for c in range(limit):
         for i in range(r, nrows):
             lo, hi = rows[i]
             if (lo | hi) >> c & 1:
@@ -680,8 +704,8 @@ def _rref_gf4(rows, elements, ncols, limit):
         r += 1
         if r == nrows:
             break
-    decoded = [[elements[(lo >> j & 1) | (hi >> j & 1) << 1] for j in range(ncols)]
-               for lo, hi in rows]
+    decoded = [{j: elements[(lo >> j & 1) | (hi >> j & 1) << 1]
+                for j in range(ncols) if (lo | hi) >> j & 1} for lo, hi in rows]
     return decoded, pivots
 
 
@@ -693,9 +717,10 @@ def solve(columns: Sequence[Sequence[object]], target: Sequence[object]):
     """
     k = len(columns)
     rows, pivots = _rref(zip(*columns, target, strict=True), k)
-    if len(pivots) < k or any(row[k] for row in rows[k:]):
+    if len(pivots) < k or any(rows[k:]):
         return None
-    return [row[k] for row in rows[:k]]
+    # the pivots are 0..k-1, so row i holds the unit at column i
+    return [row[k] if k in row else row[i] - row[i] for i, row in enumerate(rows[:k])]
 
 
 def matrix_rank(mat: Sequence[Sequence[object]]) -> int:
@@ -716,14 +741,18 @@ def kernel_dimension(mat: Sequence[Sequence[object]]):
     rows, pivots = _rref(mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    one = _one_like(rows[0][0]) if free else Fraction(1)
+    if not free:
+        return 0, []
+    # a pivot entry is the field's unit; a zero matrix keeps its entries' type
+    x = rows[0][pivots[0]] if pivots else mat[0][0]
+    one = _one_like(Fraction(x) if isinstance(x, int) else x)
     zero = one - one
     basis = []
     for fc in free:
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = -rows[r].get(fc, zero)
         basis.append(v)
     return len(free), basis
 
@@ -753,32 +782,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
     return out
 
 
-@dataclass
-class GradedPiece:
-    """Coordinates of a collection of homogeneous polynomials in one degree."""
-    degree: int
-    basis: list          # exponent vectors, descending lex
-    coordinates: list    # one coefficient row per polynomial
-
-
-def graded_piece(polys: Iterable[Polynomial], degree: int) -> GradedPiece:
-    polys = list(polys)
-    if not polys:
-        raise ValueError("empty polynomial list")
-    nvars = len(polys[0].variables)
-    basis = monomials_of_degree(nvars, degree)
-    index = {e: i for i, e in enumerate(basis)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(basis)
-        for e, c in p.terms.items():
-            if sum(e) != degree:
-                raise ValueError("polynomial not homogeneous of the piece degree")
-            row[index[e]] = c
-        rows.append(row)
-    return GradedPiece(degree, basis, rows)
-
-
 def ideal_piece(generators: Sequence[Polynomial], d: int) -> list:
     """Spanning set {m * g : deg(m g) = d} of the degree-d piece of the
     ideal the generators span.  Generators must be homogeneous."""
@@ -806,28 +809,16 @@ def ideal_piece(generators: Sequence[Polynomial], d: int) -> list:
 
 
 def ideal_graded_dimension(generators: Sequence[Polynomial], d: int) -> int:
-    """Dimension of the degree-d piece of the ideal the generators span:
-    the rank of ideal_piece over the monomial basis."""
-    products = ideal_piece(generators, d)
-    if not products:
-        return 0
-    return matrix_rank(graded_piece(products, d).coordinates)
+    """Dimension of the degree-d piece of the ideal the generators span."""
+    return span_dimension(ideal_piece(generators, d))
 
 
 def span_dimension(polys: Sequence[Polynomial]) -> int:
-    """Rank of a finite set of polynomials as vectors (any degrees)."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    monos = sorted({e for p in polys for e in p.terms})
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monos)
-        for e, c in p.terms.items():
-            row[index[e]] = c
-        rows.append(row)
-    return matrix_rank(rows)
+    """Rank of a finite set of polynomials as vectors (any degrees),
+    eliminated on sparse rows keyed by monomial."""
+    rows = [_promote(p.terms.items()) for p in polys]
+    monos = sorted({e for row in rows for e in row})
+    return len(_echelon(rows, monos)[1])
 
 
 def spans_contain(container: Sequence[Polynomial], members: Sequence[Polynomial]) -> bool:

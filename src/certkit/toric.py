@@ -501,8 +501,8 @@ def _is_int(x) -> bool:
 
 
 def fan_from_dict(data: dict) -> Fan:
-    """Build a fan from parsed file data; rejects non-primitive rays rather
-    than normalizing them, and booleans where integers belong."""
+    """Build a fan from parsed file data; rejects rather than mends
+    non-primitive rays, booleans where integers belong and repeated indices."""
     for field in ("dim", "rays", "cones"):
         if field not in data:
             raise ValueError(f"missing field '{field}'")
@@ -526,6 +526,8 @@ def fan_from_dict(data: dict) -> Fan:
     for c in cones:
         if not isinstance(c, list) or not all(_is_int(i) for i in c):
             raise ValueError("each cone must be a list of ray indices")
+        if len(set(c)) != len(c):
+            raise ValueError(f"cone lists a ray index twice: {c}")
     return Fan(dim, rays, cones)
 
 

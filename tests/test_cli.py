@@ -2,6 +2,7 @@
 verdicts, and the command-line entry point."""
 
 import enum
+import hashlib
 import json
 import os
 import pathlib
@@ -363,9 +364,30 @@ def test_fan_check_rejects_boolean_coordinates(capsys):
     assert "error: each ray must be a list of integers of length dim" in err
 
 
+def test_fan_check_rejects_repeated_cone_index(capsys):
+    assert cli.main(["fan", "check", str(DATA / "dup_cone_index.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: cone lists a ray index twice: [0, 1, 1]" in err
+
+
 def test_fan_check_missing_file(capsys):
     assert cli.main(["fan", "check", str(DATA / "no_such_fan.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_degree_10_report_matches_recorded_sha256():
+    """`run veronese --degree-bound 10` reproduces the report whose sha256
+    the benchmark harness records in perfbench/golden.json."""
+    argv = ["run", "veronese", "--degree-bound", "10", "--format", "json", "--seed", "0"]
+    golden = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    expect = json.loads(golden.read_text())["reports"]["veronese-deep"]
+    assert expect["argv"] == argv
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "certkit.certify_cli", *argv],
+                         capture_output=True, env=env, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == expect["sha256"]
 
 
 def test_run_all_matches_committed_report():

@@ -176,6 +176,13 @@ def test_substitute_missing_image_errors():
         poly_substitute(p, {"x": RationalFunction.from_polynomial(x)})
 
 
+def test_substitute_without_images_raises_value_error():
+    with pytest.raises(ValueError, match="no images"):
+        poly_substitute(Polynomial.constant(XY, Fraction(3)), {})
+    with pytest.raises(ValueError, match="no images"):
+        poly_substitute(Polynomial.zero(XY), {})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                        st.fractions(max_denominator=8), max_size=4),
@@ -454,6 +461,55 @@ def test_span_helpers():
     assert span_dimension([x, y, x + y]) == 2
     assert spans_contain([x, y], [x - y])
     assert not spans_contain([x], [y])
+    # plain int coefficients: dividing them as ints would go through floats,
+    # and float rounding leaves p + q outside the span of p and q
+    p = poly_from_string_exps(XY, {"x": -3, "y": -3, "1": -2})
+    q = poly_from_string_exps(XY, {"x": -2, "y": -3, "1": -3})
+    assert spans_contain([p, q], [p + q])
+
+
+def _dense_rank(polys) -> int:
+    """Rank of the coefficient rows over all monomials that occur, by a
+    plain Fraction elimination kept apart from exactcore."""
+    monos = sorted({e for p in polys for e in p.terms})
+    rows = [[Fraction(p.terms.get(e, 0)) for e in monos] for p in polys]
+    rank = 0
+    for c in range(len(monos)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# int and Fraction coefficients: int / int would be a float
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                    max_denominator=4))
+_SPAN_POLYS = st.lists(st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFFS, max_size=4),
+    max_size=5).map(lambda terms: [Polynomial(XY, t) for t in terms])
+_HOMOGENEOUS_GENS = st.lists(st.integers(0, 2).flatmap(lambda deg: st.dictionaries(
+    st.sampled_from(monomials_of_degree(2, deg)), _COEFFS, min_size=1, max_size=3)),
+    max_size=3).map(lambda terms: [Polynomial(XY, t) for t in terms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPAN_POLYS, _SPAN_POLYS, st.lists(_COEFFS, min_size=5, max_size=5),
+       _HOMOGENEOUS_GENS, st.integers(0, 4))
+def test_span_helpers_match_a_dense_rank(container, members, multipliers, gens, d):
+    rank = _dense_rank(container)
+    assert span_dimension(container) == rank
+    assert spans_contain(container, members) == \
+        (_dense_rank(container + members) == rank)
+    combination = Polynomial.zero(XY)
+    for c, p in zip(multipliers, container):
+        combination = combination + p.scale(c)
+    assert spans_contain(container, [combination])
+    assert ideal_graded_dimension(gens, d) == _dense_rank(ideal_piece(gens, d))
 
 
 def test_random_spans_stay_consistent():

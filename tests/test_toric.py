@@ -359,6 +359,10 @@ def test_fan_from_dict_errors():
         fan_from_dict({"dim": True, "rays": [[1]], "cones": [[0]]})
     with pytest.raises(ValueError, match="each cone must be a list of ray indices"):
         fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[False, True]]})
+    # a repeated index is an error, not a smaller cone
+    with pytest.raises(ValueError, match=r"cone lists a ray index twice: \[0, 1, 1\]"):
+        fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                       "cones": [[0, 1, 1], [1, 2], [2, 0]]})
 
 
 def test_load_fan_reports_parse_position(tmp_path):

@@ -4,6 +4,7 @@ characteristic-two smooth-conic search."""
 
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -184,6 +185,27 @@ def test_quotient_hilbert_rows():
     assert tuple(tuple(r) for r in rows) == QUOTIENT_ROWS
     for r in rows:
         assert r.claimed_dim == (r.degree + 2) * (r.degree + 1) // 2 + r.degree
+
+
+def test_kernel_dimensions_follow_closed_forms_through_degree_12():
+    # the pair leaves a 4d-dimensional quotient in each degree d >= 1, the
+    # principal ideal is its quadric times every monomial of degree d - 2,
+    # and the images t^(2a+b+c) u^(b+e) are (d+1)^2 distinct monomials
+    pair = projection_kernel_certificate(12).rows
+    principal = projection_kernel_principal_certificate(12).rows
+    assert [r.degree for r in pair] == [r.degree for r in principal] == list(range(1, 13))
+    for r in pair:
+        d = r.degree
+        assert r.ideal_dim == math.comb(d + 3, 3) - 4 * d
+        assert r.image_dim == (d + 1) ** 2
+    for r in principal:
+        d = r.degree
+        assert r.ideal_dim == math.comb(d + 1, 3)
+        assert r.image_dim == (d + 1) ** 2
+    quotient = quotient_hilbert_comparison(12)
+    assert [r.degree for r in quotient] == list(range(13))
+    for r in quotient:
+        assert r.quotient_dim == (4 * r.degree if r.degree else 1)
 
 
 def test_proposed_generators_shape():
