@@ -528,13 +528,16 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.  Entries
+    must be ints; anything else, booleans included, raises TypeError."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("non-square matrix")
     if n == 0:
         return 1
-    m = [list(map(int, r)) for r in rows]
+    m = [list(r) for r in rows]
+    if not all(type(x) is int for r in m for x in r):
+        raise TypeError("integer matrix entries must be ints")
     sign = 1
     prev = 1
     for k in range(n - 1):

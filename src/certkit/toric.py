@@ -6,10 +6,14 @@ ray contraction, enumeration of small simplicial subdivisions, and the
 search for a covector inducing a fibration to the projective line.
 
 Rays are primitive integer vectors; construction normalizes by gcd, the
-file loader rejects non-primitive input instead.  All feasibility questions
-(cone membership, strong convexity) are settled by enumerating basic
-solutions of small linear systems with `exactcore.solve`, never by floating
-point; ray ranks come from `exactcore.matrix_rank`.
+file loader rejects non-primitive input instead.  Cone membership and
+strong convexity are decided on integers alone: by Caratheodory's theorem a
+point lies in a cone exactly when it is a nonnegative combination of some
+basis of the rays' span, and each basis is tested by the signs of its
+integer Cramer numerators, never by division or floating point.  A cone's
+bases and cofactors are built once and reused for every point tested
+against it.  Independence of simplicial rays is the nonvanishing of a
+maximal minor.
 """
 
 from __future__ import annotations
@@ -19,13 +23,21 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .exactcore import gcd_of_maximal_minors, matrix_rank, solve
+from .exactcore import gcd_of_maximal_minors
+
+
+def _is_int(x) -> bool:
+    """A plain integer; booleans are ints to Python but not to a fan."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _normalize_ray(v: Sequence[int]) -> tuple:
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
+    if not all(_is_int(x) for x in v):
+        raise ValueError(f"ray entries must be integers: {list(v)}")
     g = math.gcd(*v) if v else 0
     if g == 0:
         raise ValueError("zero ray")
@@ -50,19 +62,70 @@ class TorusDivisor:
         return self.coefficients[i]
 
 
-def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
-    """Exact membership of x in the cone generated by the rays."""
-    x = tuple(x)
-    if all(c == 0 for c in x):
-        return True
-    d = len(x)
-    idx = range(len(rays))
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(idx, size):
-            sol = solve([rays[i] for i in subset], x)
-            if sol is not None and all(c >= 0 for c in sol):
+def _det(m) -> int:
+    """Determinant of a small square integer matrix by expansion along the
+    first row; the empty matrix has determinant 1."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+class _Cone:
+    """Membership test for the cone on the given integer rays.
+
+    Holds, for each basis B of span(rays), a coordinate set J on which the
+    minor D = det(B_J) is nonzero, made positive, and the cofactor rows of
+    B_J.  For a point x the Cramer numerators N_i = cof_i . x_J are
+    integers with x_J = sum (N_i / D) B_J[i]; x is a nonnegative combination
+    of B iff every N_i >= 0 and D x_j = sum N_i B[i][j] at the coordinates
+    outside J.  By Caratheodory, x lies in the cone iff one basis accepts."""
+
+    __slots__ = ("rank", "bases")
+
+    def __init__(self, rays: Sequence[tuple], d: int):
+        # the rank is the largest size with an independent subset; every
+        # independent subset of that size is a basis (the empty one for
+        # rank 0, whose 0 x 0 minor is 1)
+        for k in range(min(len(rays), d), -1, -1):
+            bases = []
+            for basis in itertools.combinations(rays, k):
+                for cols in itertools.combinations(range(d), k):
+                    m = [[b[j] for j in cols] for b in basis]
+                    det = _det(m)
+                    if det:
+                        sign = 1 if det > 0 else -1
+                        cof = [[sign * (-1) ** (i + j) * _det(
+                                    [row[:j] + row[j + 1:]
+                                     for t, row in enumerate(m) if t != i])
+                                for j in range(k)] for i in range(k)]
+                        rest = [j for j in range(d) if j not in cols]
+                        bases.append((cols, sign * det, cof, rest, basis))
+                        break
+            if bases:
+                self.rank, self.bases = k, bases
+                return
+
+    def contains(self, x: Sequence[int]) -> bool:
+        for cols, det, cof, rest, basis in self.bases:
+            xc = [x[j] for j in cols]
+            num = [sum(map(mul, row, xc)) for row in cof]
+            if min(num, default=0) >= 0 and all(
+                    det * x[j] == sum(n * b[j] for n, b in zip(num, basis))
+                    for j in rest):
                 return True
-    return False
+        return False
+
+
+def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
+    """Exact membership of the integer point x in the cone generated by the
+    integer rays; a ray whose length differs from x's raises ValueError."""
+    x = tuple(x)
+    if any(len(r) != len(x) for r in rays):
+        raise ValueError("ray length does not match the point")
+    return _Cone(rays, len(x)).contains(x)
 
 
 def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
@@ -122,7 +185,10 @@ class Fan:
             raise ValueError("duplicate ray")
         cones = []
         for c in maximal_cones:
-            c = tuple(sorted(set(int(i) for i in c)))
+            c = tuple(c)
+            if not all(_is_int(i) for i in c):
+                raise ValueError(f"cone indices must be integers: {list(c)}")
+            c = tuple(sorted(set(c)))
             if any(i < 0 or i >= len(rays) for i in c):
                 raise ValueError("cone index out of range")
             if len(c) < 2:
@@ -139,11 +205,13 @@ class Fan:
         used = {i for c in self.maximal_cones for i in c}
         if used != set(range(len(self.rays))):
             raise ValueError("unused ray")
+        tests = []
         for c in self.maximal_cones:
             rays = [self.rays[i] for i in c]
+            test = _Cone(rays, self.dim)
             if len(c) <= self.dim:
                 # simplicial cone: rays must be linearly independent
-                if matrix_rank(rays) != len(c):
+                if test.rank != len(c):
                     raise ValueError("dependent rays in simplicial cone")
             else:
                 if self.dim != 3:
@@ -154,16 +222,16 @@ class Fan:
                     others = [r for t, r in enumerate(rays) if t != k]
                     if cone_contains(others, rays[k]):
                         raise ValueError("non-extremal ray in cone")
+            tests.append(test)
         # no cone swallowed by another, no foreign ray inside a cone
         cone_sets = [set(c) for c in self.maximal_cones]
         for a, sa in enumerate(cone_sets):
             for b, sb in enumerate(cone_sets):
                 if a != b and sa <= sb:
                     raise ValueError("cone contained in another")
-        for c in self.maximal_cones:
-            gens = [self.rays[i] for i in c]
+        for sc, test in zip(cone_sets, tests):
             for i, r in enumerate(self.rays):
-                if i not in c and cone_contains(gens, r):
+                if i not in sc and test.contains(r):
                     raise ValueError("ray inside another cone")
 
     def cone_rays(self, cone) -> list:
@@ -213,10 +281,12 @@ def cone_is_smooth(fan: Fan, cone) -> tuple:
     of the maximal minors of the ray matrix, 1 exactly when the rays extend
     to a lattice basis."""
     cone = tuple(cone)
-    rays = [fan.rays[i] for i in cone]
-    if len(cone) > fan.dim or matrix_rank(rays) != len(cone):
+    if len(cone) > fan.dim:
         raise ValueError("not simplicial")
-    mult = gcd_of_maximal_minors(rays)
+    # the rays are independent exactly when some maximal minor is nonzero
+    mult = gcd_of_maximal_minors([fan.rays[i] for i in cone])
+    if mult == 0:
+        raise ValueError("not simplicial")
     return (mult == 1, mult)
 
 
@@ -493,11 +563,6 @@ def fibration_to_p1(fan: Fan, bound: int = 3):
 # ---------------------------------------------------------------------------
 # fan files
 # ---------------------------------------------------------------------------
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; booleans are ints to Python but not to a fan file."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def fan_from_dict(data: dict) -> Fan:

@@ -233,6 +233,17 @@ def test_int_determinant_sign():
     assert int_determinant([[2]]) == 2
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.9, 2.0, True])
+def test_integer_matrix_helpers_reject_non_int_entries(entry):
+    # int() would read 1/2 as 0 and 1.9 as 1; a bool is not a matrix entry
+    with pytest.raises(TypeError):
+        int_determinant([[entry]])
+    with pytest.raises(TypeError):
+        lattice_index([[1, 0], [0, entry]])
+    with pytest.raises(TypeError):
+        gcd_of_maximal_minors([[1, 0, entry]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                 min_size=3, max_size=3),

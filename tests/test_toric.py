@@ -2,12 +2,16 @@
 intersection numbers, bundle fans, contraction, triangulations, and the
 fibration search."""
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certkit import toric
+from certkit import certify_cli, exactcore, toric
 from certkit.toric import (
     Fan,
     blow_up_surface,
@@ -66,6 +70,95 @@ def test_fan_rejects_dependent_simplicial_cone():
         Fan(2, ((1, 0), (-1, 0)), ((0, 1),))
 
 
+@pytest.mark.parametrize("dim, rays, cones, message", [
+    # (0, 0, 1) = ((1, 0, 1) + (0, 1, 1) + (-1, -1, 1)) / 3 lies inside
+    (3, ((1, 0, 1), (0, 1, 1), (-1, -1, 1), (0, 0, 1)), ((0, 1, 2, 3),),
+     "non-extremal ray in cone"),
+    (2, ((1, 0), (0, 1), (1, 1)), ((0, 1, 2),), "overfull cone in dimension 2"),
+    (3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2, 3),),
+     "not strongly convex"),
+    # a two-ray cone of a 3-D fan spans a plane holding the ray (1, 1, 0)
+    (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), ((0, 1), (2, 3)),
+     "ray inside another cone"),
+])
+def test_fan_validation_errors(dim, rays, cones, message):
+    with pytest.raises(ValueError, match=message):
+        Fan(dim, rays, cones)
+
+
+@pytest.mark.parametrize("rays, cones", [
+    (((Fraction(3, 2), 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+    (((1.5, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+    (((1.0, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+    (((True, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+    (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2.0))),
+    (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (Fraction(0), 2))),
+    (((1, 0), (0, 1), (-1, -1)), ((0, 1), (True, 2), (0, 2))),
+])
+def test_fan_rejects_non_integer_input(rays, cones):
+    # int() would read 3/2 and 1.5 as 1 and build the plane's fan
+    with pytest.raises(ValueError, match="must be integers"):
+        Fan(2, rays, cones)
+
+
+def _solve_cone_contains(rays, x):
+    """Reference membership: some set of at most len(x) rays gives a unique
+    solution of sum l_i r_i = x over Q, and it is nonnegative."""
+    if not any(x):
+        return True
+    for size in range(1, len(x) + 1):
+        for subset in itertools.combinations(rays, size):
+            sol = exactcore.solve(list(subset), x)
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
+    return False
+
+
+@st.composite
+def _cone_cases(draw):
+    """Rays in dimension 2-4, many parallel, opposite or dependent on
+    earlier rays (a combination of two is coplanar with them), and a
+    target that is often zero or an integer combination of the rays."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    vectors = st.tuples(*[st.integers(-2, 2)] * d)
+    rays = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("free", "parallel", "opposite", "dependent")))
+        if kind == "free" or not rays:
+            rays.append(draw(vectors))
+        elif kind == "dependent":
+            a, b = draw(st.sampled_from(rays)), draw(st.sampled_from(rays))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rays.append(tuple(s * u + t * v for u, v in zip(a, b)))
+        else:
+            k = draw(st.integers(1, 3)) * (1 if kind == "parallel" else -1)
+            rays.append(tuple(k * c for c in draw(st.sampled_from(rays))))
+    target = draw(st.sampled_from(("free", "zero", "combination")))
+    if target == "zero":
+        x = (0,) * d
+    elif target == "combination":
+        coeffs = [draw(st.integers(-1, 2)) for _ in rays]
+        x = tuple(sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(d))
+    else:
+        x = draw(vectors)
+    return rays, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_cases(), st.integers(0, 5))
+def test_cone_contains_matches_solve_reference(case, at):
+    rays, x = case
+    assert toric.cone_contains(rays, x) == _solve_cone_contains(rays, x)
+    lifted = [r + (1,) for r in rays]
+    apex = (0,) * len(x) + (1,)
+    assert toric.cone_is_strongly_convex(rays) == (
+        not rays or not _solve_cone_contains(lifted, apex))
+    bad = list(rays)
+    bad.insert(at % (len(rays) + 1), (1,) * (len(x) + 1))
+    with pytest.raises(ValueError):
+        toric.cone_contains(bad, x)
+
+
 def test_cone_is_strongly_convex():
     assert toric.cone_is_strongly_convex([(1, 0), (1, 1)])
     assert not toric.cone_is_strongly_convex([(1, 0), (-1, 0)])
@@ -113,6 +206,20 @@ def test_cone_is_smooth_rejects_non_simplicial():
     big = next(c for c in contracted.maximal_cones if len(c) == 4)
     with pytest.raises(ValueError, match="not simplicial"):
         cone_is_smooth(contracted, big)
+
+
+def test_toric_checks_run_without_fraction_elimination(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Fraction elimination in a toric check")
+
+    monkeypatch.setattr(exactcore, "_echelon", forbidden)
+    for bundle in (bundle_14(), bundle_23()):
+        assert fan_is_smooth(bundle)
+        assert not contract_ray(bundle, 5).is_simplicial()
+    assert toric.cone_is_strongly_convex([(1, 0, 1), (0, 1, 1), (-1, 0, 1)])
+    assert not toric.cone_is_strongly_convex([(1, 0), (-1, 0)])
+    report = certify_cli.check_fan("tests/data/bundle_fan_s14.json")
+    assert report.smooth and report.complete
 
 
 def test_fan_is_smooth_examples():
