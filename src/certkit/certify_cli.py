@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import itertools
 import json
 import random
@@ -615,7 +616,8 @@ def _suite_veronese(config: RunConfig) -> list:
     rng = random.Random(f"{config.seed}:veronese")
     bound = max(config.degree_bound, 2)
     kernel_cfg = veronese.projection_kernel_certificate(bound)
-    kernel6 = kernel_cfg if bound == 6 else veronese.projection_kernel_certificate(6)
+    # rows are computed per degree: a longer run's first six are the bound-6 rows
+    rows6 = (kernel_cfg if bound >= 6 else veronese.projection_kernel_certificate(6)).rows[:6]
     principal_cfg = veronese.projection_kernel_principal_certificate(bound)
     quotient6 = veronese.quotient_hilbert_comparison(6)
     pencil = veronese.quadric_pencil_singularity_certificate()
@@ -702,11 +704,11 @@ def _suite_veronese(config: RunConfig) -> list:
             "projection-degree-rows",
             "Degree, ideal piece, image span, ring piece, and identity verdict "
             "for the two proposed generators, degrees one through six.",
-            "derived", _KERNEL_ROWS_6, [list(r) for r in kernel6.rows]),
+            "derived", _KERNEL_ROWS_6, [list(r) for r in rows6]),
         make_certificate(
             "projection-image-dimension-d2",
             "Dimension of the span of the images of the ten quadratic monomials.",
-            "derived", 9, kernel6.rows[1].image_dim),
+            "derived", 9, rows6[1].image_dim),
         make_certificate(
             "projection-principal-member",
             "The single-generator kernel candidate maps to zero under the "
@@ -1188,7 +1190,10 @@ def render_fan_check(report: FanCheckReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and reused: building costs far more
+    than a parse, and parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="certify",
         description="Run exact-arithmetic certificate suites and validate fan files.")

@@ -34,10 +34,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_tuple(values, what: str) -> tuple:
+    """The values as a tuple; ValueError if one is not a plain integer,
+    where int() would truncate 1.5 or read True as 1."""
+    values = tuple(values)
+    if not all(_is_int(x) for x in values):
+        raise ValueError(f"{what} must be integers: {list(values)}")
+    return values
+
+
 def _normalize_ray(v: Sequence[int]) -> tuple:
-    v = tuple(v)
-    if not all(_is_int(x) for x in v):
-        raise ValueError(f"ray entries must be integers: {list(v)}")
+    v = _int_tuple(v, "ray entries")
     g = math.gcd(*v) if v else 0
     if g == 0:
         raise ValueError("zero ray")
@@ -50,7 +57,8 @@ class TorusDivisor:
     coefficients: tuple
 
     def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
+        object.__setattr__(self, "coefficients",
+                           _int_tuple(coefficients, "divisor coefficients"))
 
     def __iter__(self):
         return iter(self.coefficients)
@@ -185,10 +193,7 @@ class Fan:
             raise ValueError("duplicate ray")
         cones = []
         for c in maximal_cones:
-            c = tuple(c)
-            if not all(_is_int(i) for i in c):
-                raise ValueError(f"cone indices must be integers: {list(c)}")
-            c = tuple(sorted(set(c)))
+            c = tuple(sorted(set(_int_tuple(c, "cone indices"))))
             if any(i < 0 or i >= len(rays) for i in c):
                 raise ValueError("cone index out of range")
             if len(c) < 2:
@@ -302,7 +307,7 @@ def fan_is_smooth(fan: Fan) -> bool:
 def principal_divisor(fan: Fan, m: Sequence[int]) -> TorusDivisor:
     """Divisor of the character with exponent covector m: coefficient at
     each ray is the pairing <m, ray>."""
-    m = tuple(int(x) for x in m)
+    m = _int_tuple(m, "covector entries")
     if len(m) != fan.dim:
         raise ValueError("covector length does not match dimension")
     return TorusDivisor(_dot(m, r) for r in fan.rays)
@@ -450,11 +455,11 @@ def build_p1_bundle_fan(base: Fan, a) -> Fan:
         raise ValueError("base fan not 2-dimensional")
     if not fan_is_complete(base):
         raise ValueError("base fan not complete")
-    coeffs = list(a)
+    coeffs = _int_tuple(a, "bundle coefficients")
     if len(coeffs) != len(base.rays):
         raise ValueError("coefficient count does not match rays")
     nb = len(base.rays)
-    rays = [(r[0], r[1], -int(c)) for r, c in zip(base.rays, coeffs)]
+    rays = [(r[0], r[1], -c) for r, c in zip(base.rays, coeffs)]
     rays += [(0, 0, 1), (0, 0, -1)]
     up, down = nb, nb + 1
     cones = []
@@ -538,25 +543,20 @@ def enumerate_qfactorializations(fan: Fan) -> list:
 def fibration_to_p1(fan: Fan, bound: int = 3):
     """First primitive covector (in the search order 0, 1, -1, 2, -2, ...
     per coordinate) whose pairing with every maximal cone is one-signed,
-    so the fan maps onto the two-cone fan of the projective line.
+    so the fan maps onto the two-cone fan of the projective line.  Each ray
+    is paired once per candidate, and a candidate fails on the first cone
+    holding both a positive and a negative pairing.
     Returns None when no covector within the bound works."""
     values = [0]
     for k in range(1, bound + 1):
         values += [k, -k]
     for m in itertools.product(values, repeat=fan.dim):
-        if all(x == 0 for x in m):
+        if math.gcd(*m) != 1:  # also skips the zero covector, gcd 0
             continue
-        if math.gcd(*m) != 1:
-            continue
-        ok = True
-        for c in fan.maximal_cones:
-            signs = {(_dot(m, fan.rays[i]) > 0) - (_dot(m, fan.rays[i]) < 0)
-                     for i in c}
-            if 1 in signs and -1 in signs:
-                ok = False
-                break
-        if ok:
-            return tuple(m)
+        pairing = [_dot(m, r) for r in fan.rays]
+        if not any(min(pairing[i] for i in c) < 0 < max(pairing[i] for i in c)
+                   for c in fan.maximal_cones):
+            return m
     return None
 
 

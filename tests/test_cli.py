@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from certkit import certify_cli as cli
+from certkit import toric
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -280,6 +282,30 @@ def test_render_text_layout(all_report):
 # ---------------------------------------------------------------------------
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's certkit first on the path."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _certify_subprocess(argv, **kwargs):
+    """`python -m certkit.certify_cli *argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "certkit.certify_cli", *argv],
+                          capture_output=True, env=_checkout_env(), **kwargs)
+
+
+def _main_inprocess(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 def test_main_run_all_exits_zero(capsys):
     assert cli.main(["run", "all"]) == 0
     out = capsys.readouterr().out
@@ -375,6 +401,120 @@ def test_fan_check_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
+    """One process, one parser, mixed commands: every call answers as a fresh
+    process would, and one call's options never reach the next."""
+    # argparse wraps usage lines to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    out_file = tmp_path / "numerology.txt"
+    calls = [
+        ["fan", "check", str(DATA / "p2.json")],
+        ["run", "numerology", "--seed", "7", "--out", str(out_file)],
+        ["fan", "check", str(DATA / "bad_ray.json")],
+        ["run", "all", "--trials", "-1"],
+        ["run", "numerology", "--format", "json"],
+        ["fan", "check", str(DATA / "p2.json")],
+    ]
+    cli._build_parser.cache_clear()
+    results = []
+    for i, argv in enumerate(calls):
+        results.append(_main_inprocess(argv, capsys))
+        if i == 1:
+            written = out_file.read_text(encoding="utf-8")
+    assert cli._build_parser.cache_info().misses == 1
+
+    assert [code for code, _, _ in results] == [0, 0, 2, 2, 0, 0]
+    assert "seed: 7" in written and results[1][1] == ""
+    # call 5 prints seed 0 to stdout and leaves call 2's file alone
+    assert json.loads(results[4][1])["seed"] == "0"
+    assert out_file.read_text(encoding="utf-8") == written
+    assert results[5] == results[0]
+
+    for argv, result in zip(calls, results):
+        fresh = _certify_subprocess(argv, text=True)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if "--out" in argv:
+            assert out_file.read_text(encoding="utf-8") == written
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI module constructs no argparse parser; the first
+    `main` call does."""
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import certkit.certify_cli as cli\n"
+        "print(len(built), cli._build_parser.cache_info().misses)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         env=_checkout_env(), text=True, check=True).stdout
+    assert out == "0 0\n"
+
+
+def _break_fan(data: dict, kind: int):
+    """Damage a fan dict in one of the ways the loader rejects."""
+    rays, cones = data["rays"], data["cones"]
+    if kind == 0:
+        rays[-1] = [2 * x for x in rays[-1]]
+    elif kind == 1:
+        rays.append([a + b for a, b in zip(rays[cones[0][0]], rays[cones[0][1]])])
+    elif kind == 2:
+        cones.append(cones[0] if data["dim"] == 2 else cones[0][:2])
+    elif kind == 3:
+        cones[-1] = cones[-1] + cones[-1][:1]
+    elif kind == 4:
+        cones.append([0, len(rays)])
+    elif kind == 5:
+        rays[0] = [float(x) for x in rays[0]]
+    else:
+        data.pop("cones")
+
+
+def _generated_fan_files(directory, count: int) -> list:
+    """Seeded fan files from the toric constructors: blowup chains on a
+    Hirzebruch surface or the plane, half of them under a P^1-bundle with
+    twists in -3..3, and every fourth file broken by `_break_fan`."""
+    rng = random.Random("fan-check-files")
+    paths = []
+    for n in range(count):
+        k = rng.randint(-1, 4)
+        base = toric.projective_plane_fan() if k < 0 else toric.hirzebruch_fan(k)
+        for _ in range(rng.randint(0, 3)):
+            base = toric.blow_up_surface(base, rng.choice(base.maximal_cones))
+        fan = base
+        if rng.random() < 0.5:
+            fan = toric.build_p1_bundle_fan(base, [rng.randint(-3, 3) for _ in base.rays])
+        data = fan.to_dict()
+        if n % 4 == 3:
+            _break_fan(data, n // 4 % 7)
+        path = directory / f"fan{n:03d}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def test_fan_check_main_matches_check_fan_on_generated_files(tmp_path, capsys):
+    """`main` on many fan files in one process prints what `check_fan` and
+    `render_fan_check` give for each file, or its error with exit code 2."""
+    results = []
+    for path in _generated_fan_files(tmp_path, 200):
+        got = _main_inprocess(["fan", "check", str(path)], capsys)
+        try:
+            expected = (0, cli.render_fan_check(cli.check_fan(str(path))), "")
+        except (OSError, ValueError) as e:
+            expected = (2, "", f"error: {e}\n")
+        assert got == expected, path
+        results.append(got)
+    assert sum(code == 2 for code, _, _ in results) == 50
+    fibrations = {out.splitlines()[-1] for code, out, _ in results if code == 0}
+    assert "fibration covector: none" in fibrations and len(fibrations) > 1
+
+
 def test_degree_10_report_matches_recorded_sha256():
     """`run veronese --degree-bound 10` reproduces the report whose sha256
     the benchmark harness records in perfbench/golden.json."""
@@ -382,22 +522,13 @@ def test_degree_10_report_matches_recorded_sha256():
     golden = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
     expect = json.loads(golden.read_text())["reports"]["veronese-deep"]
     assert expect["argv"] == argv
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "certkit.certify_cli", *argv],
-                         capture_output=True, env=env, check=True).stdout
+    out = _certify_subprocess(argv, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == expect["sha256"]
 
 
 def test_run_all_matches_committed_report():
     """A fresh process reproduces the committed seed-0 report byte for byte,
     so the report is pinned across versions, not only within one run."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "certkit.certify_cli", "run", "all",
-         "--format", "json", "--seed", "0"],
-        capture_output=True, env=env, check=True).stdout
+    out = _certify_subprocess(["run", "all", "--format", "json", "--seed", "0"],
+                              check=True).stdout
     assert out == (DATA / "report_all_seed0.json").read_bytes()

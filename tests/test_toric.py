@@ -4,6 +4,7 @@ fibration search."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -239,6 +240,27 @@ def test_principal_divisor_scroll_characters():
     assert tuple(principal_divisor(S14, (0, 0))) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build_p1_bundle_fan(S14, (1.5, 0, 0, True)),
+    lambda: principal_divisor(S14, (0.9, 1)),
+    lambda: toric.TorusDivisor([2.7, True]),
+    lambda: principal_divisor(S14, (Fraction(1), 0)),
+    lambda: build_p1_bundle_fan(S14, (Fraction(2, 2), 0, 0, 1)),
+], ids=["bundle-float-bool", "covector-float", "divisor-float-bool",
+        "covector-fraction", "bundle-fraction"])
+def test_divisor_and_bundle_inputs_reject_non_integers(call):
+    # int() would build the bundle for (1, 0, 0, 1), the divisor of (0, 1)
+    # and the divisor (2, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_integer_divisor_and_bundle_inputs_unchanged():
+    assert toric.TorusDivisor([2, -1]).coefficients == (2, -1)
+    assert toric.TorusDivisor(iter((0, 3))).coefficients == (0, 3)
+    assert build_p1_bundle_fan(S14, [1, 0, 0, 1]) == bundle_14()
+
+
 def test_self_intersections_scrolls_and_plane():
     assert surface_self_intersections(S14) == (0, -3, 0, 3)
     assert surface_self_intersections(S23) == (0, -1, 0, 1)
@@ -437,6 +459,65 @@ def test_fibration_halfspace_property():
     for cone in smooth_tri.maximal_cones:
         vals = [sum(a * b for a, b in zip(m, smooth_tri.rays[i])) for i in cone]
         assert all(v >= 0 for v in vals) or all(v <= 0 for v in vals)
+
+
+def _sign_set_fibration(fan, bound):
+    """Reference search: the same candidates in the same order, with the
+    signs of the pairings collected per cone, each ray paired anew for
+    every cone holding it."""
+    values = [0]
+    for k in range(1, bound + 1):
+        values += [k, -k]
+    for m in itertools.product(values, repeat=fan.dim):
+        if all(x == 0 for x in m) or math.gcd(*m) != 1:
+            continue
+        ok = True
+        for c in fan.maximal_cones:
+            signs = {(toric._dot(m, fan.rays[i]) > 0) - (toric._dot(m, fan.rays[i]) < 0)
+                     for i in c}
+            if 1 in signs and -1 in signs:
+                ok = False
+                break
+        if ok:
+            return tuple(m)
+    return None
+
+
+@st.composite
+def _fibration_fans(draw):
+    """A Hirzebruch surface or the plane, a chain of blowups, and often a
+    P^1-bundle over it with twists in -3..3.  The plane and most twisted
+    bundles over it have no fibration covector; a principal twist gives a
+    product whose covector (m, 1) may need entries beyond the first bound."""
+    base = draw(st.one_of(st.integers(-3, 5).map(hirzebruch_fan), st.just(P2)))
+    for _ in range(draw(st.integers(0, 4))):
+        base = blow_up_surface(base, draw(st.sampled_from(base.maximal_cones)))
+    if draw(st.booleans()):
+        return base
+    twist = draw(st.lists(st.integers(-3, 3), min_size=len(base.rays),
+                          max_size=len(base.rays)))
+    if draw(st.booleans()):
+        m = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        principal = list(principal_divisor(base, m))
+        if all(-3 <= a <= 3 for a in principal):
+            twist = principal
+    return build_p1_bundle_fan(base, twist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fibration_fans())
+def test_fibration_matches_sign_set_reference(fan):
+    for bound in (1, 2, 3):
+        assert fibration_to_p1(fan, bound) == _sign_set_fibration(fan, bound)
+
+
+def test_fibration_reference_cases_cover_bounds():
+    """The generated shapes reach a fan with no covector and one whose
+    first covector depends on the bound."""
+    assert _sign_set_fibration(build_p1_bundle_fan(P2, (1, 0, 0)), 3) is None
+    product = build_p1_bundle_fan(P2, list(principal_divisor(P2, (2, 0))))
+    assert _sign_set_fibration(product, 1) is None
+    assert _sign_set_fibration(product, 2) == fibration_to_p1(product, 2) == (2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
