@@ -5,6 +5,11 @@ an identifier, a description, an expected value carrying a provenance
 tag, the freshly recomputed value, and a verdict.  Values are compared
 exactly after canonical encoding; nothing here is floating point.
 
+The claims (id, provenance, expected value, recorded discrepancy,
+description) live in one table, `_CLAIMS`; each suite has one compute
+function that returns {id: recomputed value}, and `run_suite` pairs the
+two and applies the verdict rule.
+
 Verdicts are "pass" when the values agree, "fail" when they do not, and
 "flagged" for recorded discrepancies that the suite is expected to
 exhibit.  A flagged certificate documents a mismatch between a published
@@ -167,6 +172,275 @@ def _weight2(fc) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the claims: one row (id, provenance, expected, discrepancy, description)
+# per certificate, grouped by suite in run order.  Each suite's compute
+# function below returns {id: computed value} for exactly its rows' ids, and
+# run_suite judges every row against its value with make_certificate.
+# ---------------------------------------------------------------------------
+
+_CLAIMS = {
+    "schubert": (
+        ("cotangent-ch1-v5", "published", Fraction(-5), None,
+         "Degree-one character part of the cotangent bundle of the Grassmannian of lines in "
+         "projective four-space, as a multiple of the hyperplane class."),
+        ("cotangent-ch2-v5", "published", [Fraction(7, 2), -3, -2], None,
+         "Degree-two character part of the same cotangent bundle, coefficients on the square of "
+         "the hyperplane class and the two codimension-two classes."),
+        ("cotangent-ch3-v5", "published", [Fraction(-11, 6), Fraction(5, 2), 2, -1], None,
+         "Degree-three character part, coefficients on the weight-three monomial basis."),
+        # "twisted by three hyperplanes" is the source's wording; the bundle is
+        # the cotangent bundle twisted by O(2), so c1 = -5 + 6*2 = 7, and the
+        # three hyperplanes are the ones that cut V5 out of Gr(2,5)
+        ("twisted-c1-v5", "published", 7, None,
+         "First Chern class of the cotangent bundle twisted by three hyperplanes."),
+        ("twisted-c2-v5", "published", [19, 3, 2], None,
+         "Second Chern class of the twisted cotangent bundle."),
+        ("twisted-c3-v5", "published", [145, 14, 10, -2], [25, 14, 10, -2],
+         "Third Chern class of the twisted cotangent bundle: published coefficient table against "
+         "the exact recomputation."),
+        ("twisted-c3-v5-recomputed", "derived", [25, 14, 10, -2], None,
+         "Third Chern class of the twisted cotangent bundle, recomputed coefficients frozen from "
+         "the Chern-character route."),
+        ("degree-table-v5", "published", [5, 2, 3, 1], None,
+         "Degrees of the weight-three basis classes multiplied up to the top class."),
+        ("restriction-coefficients-v5", "derived", [-10, 6, -3, 1], None,
+         "Coefficients of the hyperplane restriction relation used to push the third Chern class "
+         "onto the weight-three basis."),
+        ("coefficient-vector-v5", "published", [120, 5, 4, -2], [0, 5, 4, -2],
+         "Coefficient vector of the restricted third Chern class: published values against the "
+         "exact recomputation."),
+        ("coefficient-vector-v5-recomputed", "derived", [0, 5, 4, -2], None,
+         "Coefficient vector of the restricted third Chern class, recomputed."),
+        ("c3-omega-v5-twist", "published", 620, 20,
+         "Degree of the third Chern class of the twisted cotangent bundle: published total "
+         "against the exact recomputation."),
+        ("c3-omega-v5-twist-recomputed", "derived", 20, None,
+         "Degree of the third Chern class of the twisted cotangent bundle, recomputed from the "
+         "degree table."),
+        ("mul-pieri-agreement-gr25", "derived", True, None,
+         "Littlewood-Richardson products agree with iterated special-class products for every "
+         "pair of basis classes on the Grassmannian of lines in projective four-space."),
+        ("duality-pairing-gr25", "derived", True, None,
+         "Every basis class pairs to one against its complementary class."),
+        ("associativity-seeded", "derived", True, None,
+         "Seeded random triples multiply associatively in two ambient sizes."),
+    ),
+    "toric": (
+        ("s14-self-intersections", "published", [0, -3, 0, 3], None,
+         "Boundary self-intersection numbers of the degree-five scroll surface."),
+        ("s23-self-intersections", "published", [0, -1, 0, 1], None,
+         "Boundary self-intersection numbers of the second scroll surface."),
+        ("p2-self-intersections", "trivial", [1, 1, 1], None,
+         "Boundary self-intersection numbers of the projective plane."),
+        ("noether-smooth-surfaces", "derived", True, None,
+         "Sum of self-intersections plus three times the ray count equals twelve on the built-in "
+         "fans and on fifty seeded blowup chains."),
+        ("s14-principal-divisors", "trivial", [[1, 0, -1, 0], [0, 1, 3, -1]], None,
+         "Divisors of the two coordinate characters on the scroll, coefficients in ray order."),
+        ("s14-principal-pairing-zero", "derived", True, None,
+         "Both principal divisors pair to zero with every boundary divisor."),
+        ("l014-bundle-fan", "derived", [True, True, 8], None,
+         "The projectivized-bundle fan over the scroll is complete and smooth with eight maximal "
+         "cones."),
+        ("l014-contraction-cones", "derived", 5, None,
+         "Contracting the lower pole leaves five maximal cones, one of them four-ray."),
+        ("l014-triangulations", "published", 2, None,
+         "The contracted fan admits exactly two small resolutions by its own rays."),
+        ("l014-delta1-smooth", "published", False, None,
+         "Smoothness of the first triangulation (diagonal through the first and third base "
+         "rays)."),
+        ("l014-delta1-max-multiplicity", "published", 4, None,
+         "Largest cone multiplicity in the first triangulation."),
+        ("l014-delta1-fibration", "derived", None, None,
+         "The first triangulation admits no fibration covector within the search bound."),
+        ("l014-delta2-smooth", "published", True, None,
+         "Smoothness of the second triangulation (diagonal through the second and fourth base "
+         "rays)."),
+        ("l014-delta2-fibration", "published", [1, 0, 0], None,
+         "Fibration covector of the second triangulation."),
+        ("l014-base-ray-note", "published", [-1, 0, 3], [-1, 3, 0],
+         "Third base ray as printed in the source against the ray the stated self-intersections "
+         "force."),
+        ("l014-contract-up-pole", "trivial", "not strongly convex", None,
+         "Contracting the remaining pole is rejected: its star spans a half space, not a strongly "
+         "convex cone."),
+        ("l023-bundle-fan", "derived", [True, True, 8], None,
+         "The second bundle fan is complete and smooth with eight maximal cones."),
+        ("l023-diag-v1v3-smooth", "published", False, None,
+         "Smoothness of the triangulation with diagonal through the first and third base rays."),
+        ("l023-diag-v1v3-multiplicities", "published", [2, 3], None,
+         "Cone multiplicities of the two split cones in that triangulation."),
+        ("l023-diag-v2v4-smooth", "published", True, None,
+         "Smoothness of the triangulation with diagonal through the second and fourth base rays."),
+        ("l023-diag-v2v4-fibration", "published", [1, 0, 0], None,
+         "Fibration covector of the smooth triangulation."),
+        ("l023-labeling-inconsistency", "published",
+         {"diagonal-v1v3": True, "diagonal-v2v4": False},
+         {"diagonal-v1v3": False, "diagonal-v2v4": True},
+         "Smoothness of the two triangulations as asserted in the source's proof paragraph, keyed "
+         "by diagonal; the recomputation matches the source's own statement instead, so the "
+         "discrepancy is recorded."),
+    ),
+    "veronese": (
+        ("veronese-ideal-generators", "published",
+         ["x*y - u^2", "y*z - s^2", "x*z - t^2", "x*s - t*u", "y*t - s*u", "z*u - s*t"], None,
+         "The six quadric generators of the quadratic embedding of the plane, verbatim, rendered "
+         "canonically."),
+        ("veronese-minors-span", "derived", True, None,
+         "The nine two-by-two minors of the generic symmetric matrix span exactly the same "
+         "quadrics as the six generators."),
+        ("secant-cubic-determinant", "published", True, None,
+         "The secant cubic equals the determinant of the generic symmetric matrix as a polynomial "
+         "identity."),
+        ("secant-strata-samples", "derived", ["OnVeronese", "OnSecantOnly", "Generic"], None,
+         "Matrix-rank stratification of three sample points: on the surface, on a secant line "
+         "only, and generic."),
+        ("veronese-map-membership-seeded", "derived", True, None,
+         "Seeded rational points map onto the surface: every generator vanishes and the rank "
+         "stratum is the surface stratum."),
+        ("projection-images", "trivial",
+         {"Z": ["t^2", "1 - u^2"], "S": ["t*u", "1 - u^2"],
+          "T": ["t", "1 - u^2"], "U": ["u", "1 - u^2"]}, None,
+         "Chart images of the four target coordinates under the projection, as numerator and "
+         "denominator pairs."),
+        ("projection-member-st-uz", "published", True, None,
+         "The second proposed kernel generator maps to zero under the projection substitution."),
+        ("projection-member-s2-tu", "published", True, False,
+         "The first proposed kernel generator maps to zero under the projection substitution: "
+         "published claim against the recomputation."),
+        ("projection-identity-claim", "published", True, False,
+         "Degreewise dimension identity for the two proposed kernel generators up to the "
+         "configured bound: published claim against the recomputation."),
+        ("projection-degree-rows", "derived",
+         [[1, 0, 4, 4, True], [2, 2, 9, 10, False], [3, 8, 16, 20, False],
+          [4, 19, 25, 35, False], [5, 36, 36, 56, False], [6, 60, 49, 84, False]], None,
+         "Degree, ideal piece, image span, ring piece, and identity verdict for the two proposed "
+         "generators, degrees one through six."),
+        ("projection-image-dimension-d2", "derived", 9, None,
+         "Dimension of the span of the images of the ten quadratic monomials."),
+        ("projection-principal-member", "derived", True, None,
+         "The single-generator kernel candidate maps to zero under the projection substitution."),
+        ("projection-principal-identity", "derived", True, None,
+         "Degreewise dimension identity holds for the single-generator kernel ideal up to the "
+         "configured bound."),
+        ("quotient-hilbert-claim", "published", True, False,
+         "The quotient by the two proposed generators has the claimed degreewise dimensions: "
+         "published decomposition against the recomputation."),
+        ("quotient-hilbert-rows", "derived",
+         [[0, 1, 1, True], [1, 4, 4, True], [2, 8, 8, True], [3, 12, 13, False],
+          [4, 16, 19, False], [5, 20, 26, False], [6, 24, 34, False]], None,
+         "Degree, quotient dimension, claimed dimension, and agreement verdict, degrees zero "
+         "through six."),
+        ("quadric-pencil-singular", "published", True, None,
+         "The projection base point is singular on every member of the quadric pencil, "
+         "identically in the pencil parameters."),
+        ("split-hyperplane-direct", "published",
+         {"hyperplane": "x2", "components": [["x0", "x2"], ["x1", "x2"]]}, None,
+         "Cutting each singular quadric with the distinguished coordinate hyperplane splits it "
+         "into the two expected planes."),
+        ("split-hyperplane-direct-identity", "derived", [True, True], None,
+         "Ideal of the pair equals the intersection of the component ideals, degree by degree, "
+         "for both quadric choices."),
+        ("split-hyperplane-tilted-choice", "published", "x1 - x2", None,
+         "Hyperplane selected when the first coordinate plane must be avoided."),
+        ("split-hyperplane-tilted-identity", "derived", [True, True], None,
+         "The tilted splitting still satisfies the degreewise ideal identity for both quadric "
+         "choices."),
+        ("conic-subspaces-f2-sweep", "derived",
+         {"searched": 651, "constructive": True, "witnesses": True}, None,
+         "Every four-dimensional space of ternary quadratic forms over the two-element field "
+         "yields a smooth conic through the constructive case analysis, with valid span witnesses "
+         "and no fallback."),
+        ("conic-path-histogram-f2", "derived",
+         {"normalized-member-smooth": 213, "yz-member-smooth": 164, "diagonal-plus-xy": 146,
+          "diagonal-plus-yz": 65, "zx-member-smooth": 45, "diagonal-plus-zx": 12,
+          "case-all-squares": 6}, None,
+         "Branch histogram of the constructive search over the full sweep."),
+        ("conic-seeded-oracle-agreement", "derived", [True, True], None,
+         "Seeded random subspaces over the two fields: constructive search agrees with the "
+         "exhaustive oracle on existence and every returned form is a smooth member of the span."),
+        ("conic-case-split-regression", "published", True, False,
+         "For the span of the three mixed monomials and the first square, the case split as "
+         "printed hands back a member whose smoothness the literal test rejects; the printed "
+         "claim is recorded."),
+        ("conic-case-split-corrected", "derived",
+         {"path": "diagonal-plus-yz", "smooth": True,
+          "nonzero": [True, False, False, True, False, False]}, None,
+         "The corrected case split returns a smooth member of that span."),
+    ),
+    "hodge": (
+        ("chi-pn-samples", "trivial", [[3, 3, 20], [-1, 3, 0], [-4, 3, -1], [0, 5, 1]], None,
+         "Euler characteristics of twists of the structure sheaf on projective spaces, sampled "
+         "across all three ranges."),
+        ("omega2-p3-twist3-sections", "published", 4, None,
+         "Dimension of the space of two-forms on projective three-space twisted by three "
+         "hyperplanes."),
+        ("omega2-p3-intermediate-dims", "published", [24, 40, 20], None,
+         "Source dimension, raw target dimension, and contraction rank behind that count."),
+        ("omega2-p3-basis", "derived", [True, True, 4], None,
+         "The four exhibited sections are independent, lie in the kernel of the Euler "
+         "contraction, and the blockwise count agrees."),
+        ("omega2-vanishing-quartic", "derived", 0, None,
+         "Sections vanishing along a rational curve of degree four."),
+        ("omega2-vanishing-line", "derived", 0, None,
+         "Sections vanishing along a coordinate line."),
+        ("h0-omega-samples", "derived", [0, 6], None,
+         "Twisted one-form section counts at two sample twists."),
+        ("bott-grid-agreement", "derived", True, None,
+         "The Euler-contraction count agrees with the closed-form oracle on the full grid of "
+         "small parameters."),
+        ("diamond-quadric", "derived", [1, 0], None,
+         "Middle Hodge numbers of the quadric threefold."),
+        ("diamond-cubic", "derived", [1, 5], None, "Middle Hodge numbers of the cubic threefold."),
+        ("diamond-quartic", "derived", [1, 30], None,
+         "Middle Hodge numbers of the quartic threefold."),
+        ("diamond-ci23", "derived", [1, 20], None,
+         "Middle Hodge numbers of the quadric-cubic intersection threefold."),
+        ("diamond-ci222", "derived", [1, 14], None,
+         "Middle Hodge numbers of the triple-quadric intersection threefold."),
+        ("diamond-h0j-vanishing", "published", True, None,
+         "Every emitted diamond has a one-dimensional structure row: the first two higher "
+         "structure cohomologies vanish."),
+        ("diamond-h03-fano", "derived", True, None,
+         "The top structure cohomology vanishes on every emitted diamond."),
+        ("diamond-serre", "derived", True, None,
+         "Every emitted diamond is symmetric under Serre duality."),
+        ("euler-cubic", "derived", -6, None,
+         "Alternating sum of Betti numbers of the cubic threefold diamond."),
+        ("chi-omega1-koszul", "derived", True, None,
+         "Both routes to the cotangent Euler characteristic agree on all emitted threefolds."),
+    ),
+    "numerology": (
+        ("delta-genus-double-cover", "published", 0, None,
+         "Delta genus of the degree-five polarized threefold."),
+        ("delta-genus-veronese", "trivial", 0, None,
+         "Delta genus of the quadratic surface embedding."),
+        ("projection-degree-forcing", "published", [1], None,
+         "Degrees admissible under the nonnegativity constraint on four over the degree minus "
+         "three."),
+        ("divisibility-window", "published", [[2, 9, 2], [3, 10, 1]], None,
+         "Prime-square divisibility solutions over the configured genus window."),
+        ("divisibility-empty-window", "derived", [], None, "No solutions at genus three."),
+        ("divisibility-single-window", "derived", [[2, 5, 1]], None,
+         "Exactly one solution at genus five."),
+        ("scroll-degree", "published", 5, None, "Degree of the three-part scroll."),
+        ("scroll-degree-zero", "trivial", 0, None, "Degree of the trivial scroll."),
+        ("scroll-splittings-5", "published", [[1, 4], [2, 3]], None,
+         "Balanced two-part splittings of total degree five."),
+        ("g10-obstruction", "published", [16, True], None,
+         "The genus-ten intersection number and its indivisibility by three."),
+        ("g9-divisor2-variant", "derived", [14, False], None,
+         "The genus-nine variant: the analogous number is divisible by two, so this obstruction "
+         "does not apply there."),
+        ("obstruction-linear-form", "trivial", True, None,
+         "The obstruction number is twice the genus minus four across the whole genus range."),
+        ("surface-rr-parity", "published", [True, True, False], None,
+         "Parity constraint from surface Riemann-Roch at three sample self-intersections."),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # suite: schubert
 # ---------------------------------------------------------------------------
 
@@ -218,92 +492,30 @@ def _associativity_ok(rng: random.Random, trials: int) -> bool:
     return True
 
 
-def _suite_schubert(config: RunConfig) -> list:
+def _compute_schubert(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:schubert")
     det = schubert.v5_separability_details()
     ch = det.cotangent_character
     tw = det.chern
     c3_vector = list(schubert.weight3_vector(tw.classes[3]))
-    certs = [
-        make_certificate(
-            "cotangent-ch1-v5",
-            "Degree-one character part of the cotangent bundle of the Grassmannian "
-            "of lines in projective four-space, as a multiple of the hyperplane class.",
-            "published", Fraction(-5), _weight1(ch.ch1)),
-        make_certificate(
-            "cotangent-ch2-v5",
-            "Degree-two character part of the same cotangent bundle, coefficients on "
-            "the square of the hyperplane class and the two codimension-two classes.",
-            "published", [Fraction(7, 2), -3, -2], _weight2(ch.ch2)),
-        make_certificate(
-            "cotangent-ch3-v5",
-            "Degree-three character part, coefficients on the weight-three monomial basis.",
-            "published", [Fraction(-11, 6), Fraction(5, 2), 2, -1],
-            list(schubert.weight3_vector(ch.ch3))),
-        make_certificate(
-            "twisted-c1-v5",
-            "First Chern class of the cotangent bundle twisted by three hyperplanes.",
-            "published", 7, _weight1(tw.classes[1])),
-        make_certificate(
-            "twisted-c2-v5",
-            "Second Chern class of the twisted cotangent bundle.",
-            "published", [19, 3, 2], _weight2(tw.classes[2])),
-        make_certificate(
-            "twisted-c3-v5",
-            "Third Chern class of the twisted cotangent bundle: published "
-            "coefficient table against the exact recomputation.",
-            "published", [145, 14, 10, -2], c3_vector,
-            discrepancy=[25, 14, 10, -2]),
-        make_certificate(
-            "twisted-c3-v5-recomputed",
-            "Third Chern class of the twisted cotangent bundle, recomputed "
-            "coefficients frozen from the Chern-character route.",
-            "derived", [25, 14, 10, -2], c3_vector),
-        make_certificate(
-            "degree-table-v5",
-            "Degrees of the weight-three basis classes multiplied up to the top class.",
-            "published", [5, 2, 3, 1], list(det.degree_table)),
-        make_certificate(
-            "restriction-coefficients-v5",
-            "Coefficients of the hyperplane restriction relation used to push the "
-            "third Chern class onto the weight-three basis.",
-            "derived", [-10, 6, -3, 1], list(schubert.restriction_coefficients())),
-        make_certificate(
-            "coefficient-vector-v5",
-            "Coefficient vector of the restricted third Chern class: published "
-            "values against the exact recomputation.",
-            "published", [120, 5, 4, -2], list(det.coefficient_vector),
-            discrepancy=[0, 5, 4, -2]),
-        make_certificate(
-            "coefficient-vector-v5-recomputed",
-            "Coefficient vector of the restricted third Chern class, recomputed.",
-            "derived", [0, 5, 4, -2], list(det.coefficient_vector)),
-        make_certificate(
-            "c3-omega-v5-twist",
-            "Degree of the third Chern class of the twisted cotangent bundle: "
-            "published total against the exact recomputation.",
-            "published", 620, det.value, discrepancy=20),
-        make_certificate(
-            "c3-omega-v5-twist-recomputed",
-            "Degree of the third Chern class of the twisted cotangent bundle, "
-            "recomputed from the degree table.",
-            "derived", 20, det.value),
-        make_certificate(
-            "mul-pieri-agreement-gr25",
-            "Littlewood-Richardson products agree with iterated special-class "
-            "products for every pair of basis classes on the Grassmannian of "
-            "lines in projective four-space.",
-            "derived", True, _mul_matches_pieri(5)),
-        make_certificate(
-            "duality-pairing-gr25",
-            "Every basis class pairs to one against its complementary class.",
-            "derived", True, _duality_pairings_ok(5)),
-        make_certificate(
-            "associativity-seeded",
-            "Seeded random triples multiply associatively in two ambient sizes.",
-            "derived", True, _associativity_ok(rng, config.trials)),
-    ]
-    return certs
+    return {
+        "cotangent-ch1-v5": _weight1(ch.ch1),
+        "cotangent-ch2-v5": _weight2(ch.ch2),
+        "cotangent-ch3-v5": list(schubert.weight3_vector(ch.ch3)),
+        "twisted-c1-v5": _weight1(tw.classes[1]),
+        "twisted-c2-v5": _weight2(tw.classes[2]),
+        "twisted-c3-v5": c3_vector,
+        "twisted-c3-v5-recomputed": c3_vector,
+        "degree-table-v5": list(det.degree_table),
+        "restriction-coefficients-v5": list(schubert.restriction_coefficients()),
+        "coefficient-vector-v5": list(det.coefficient_vector),
+        "coefficient-vector-v5-recomputed": list(det.coefficient_vector),
+        "c3-omega-v5-twist": det.value,
+        "c3-omega-v5-twist-recomputed": det.value,
+        "mul-pieri-agreement-gr25": _mul_matches_pieri(5),
+        "duality-pairing-gr25": _duality_pairings_ok(5),
+        "associativity-seeded": _associativity_ok(rng, config.trials),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +529,21 @@ def _bundle_pipeline(base, lift):
     return bundle, contracted, toric.enumerate_qfactorializations(contracted)
 
 
-def _triangulation_facts(fan) -> dict:
-    # the two cones missing the remaining pole (index 4) are the split pair
-    split = [c for c in fan.maximal_cones if 4 not in c]
-    diagonal = tuple(sorted(set(split[0]) & set(split[1])))
-    mults = sorted(toric.cone_is_smooth(fan, c)[1] for c in split)
-    fib = toric.fibration_to_p1(fan)
-    return {
-        "diagonal": diagonal,
-        "smooth": toric.fan_is_smooth(fan),
-        "multiplicities": mults,
-        "fibration": None if fib is None else list(fib),
-    }
+def _triangulation_facts(triangulations) -> dict:
+    """Smoothness, split-cone multiplicities and fibration covector of each
+    triangulation, keyed by its diagonal: "v1v3" joins base rays 1 and 3."""
+    out = {}
+    for fan in triangulations:
+        # the two cones missing the remaining pole (index 4) are the split pair
+        split = [c for c in fan.maximal_cones if 4 not in c]
+        i, j = sorted(set(split[0]) & set(split[1]))
+        fib = toric.fibration_to_p1(fan)
+        out[f"v{i + 1}v{j + 1}"] = {
+            "smooth": toric.fan_is_smooth(fan),
+            "multiplicities": sorted(toric.cone_is_smooth(fan, c)[1] for c in split),
+            "fibration": None if fib is None else list(fib),
+        }
+    return out
 
 
 def _noether_surfaces_ok(rng: random.Random) -> bool:
@@ -346,148 +561,50 @@ def _noether_surfaces_ok(rng: random.Random) -> bool:
     return True
 
 
-def _suite_toric(config: RunConfig) -> list:
+def _compute_toric(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:toric")
     s14 = toric.hirzebruch_fan(3)
     s23 = toric.hirzebruch_fan(1)
-    p2 = toric.projective_plane_fan()
-
+    characters = ((1, 0), (0, 1))
     bundle14, contracted14, tris14 = _bundle_pipeline(s14, (1, 0, 0, 1))
     bundle23, _, tris23 = _bundle_pipeline(s23, (2, 0, 0, 1))
-    facts14 = {}
-    for fan in tris14:
-        facts = _triangulation_facts(fan)
-        facts14[f"v{facts['diagonal'][0] + 1}v{facts['diagonal'][1] + 1}"] = facts
-    facts23 = {}
-    for fan in tris23:
-        facts = _triangulation_facts(fan)
-        facts23[f"v{facts['diagonal'][0] + 1}v{facts['diagonal'][1] + 1}"] = facts
-
-    div_a = list(toric.principal_divisor(s14, (1, 0)))
-    div_b = list(toric.principal_divisor(s14, (0, 1)))
-    pairings_zero = all(
-        toric.divisor_dot(s14, toric.principal_divisor(s14, m), j) == 0
-        for m in ((1, 0), (0, 1)) for j in range(4))
-
+    facts14 = _triangulation_facts(tris14)
+    facts23 = _triangulation_facts(tris23)
     try:
         toric.contract_ray(bundle14, 4)
         up_pole_message = "no error"
     except ValueError as e:
         up_pole_message = str(e)
-
-    certs = [
-        make_certificate(
-            "s14-self-intersections",
-            "Boundary self-intersection numbers of the degree-five scroll surface.",
-            "published", [0, -3, 0, 3], list(toric.surface_self_intersections(s14))),
-        make_certificate(
-            "s23-self-intersections",
-            "Boundary self-intersection numbers of the second scroll surface.",
-            "published", [0, -1, 0, 1], list(toric.surface_self_intersections(s23))),
-        make_certificate(
-            "p2-self-intersections",
-            "Boundary self-intersection numbers of the projective plane.",
-            "trivial", [1, 1, 1], list(toric.surface_self_intersections(p2))),
-        make_certificate(
-            "noether-smooth-surfaces",
-            "Sum of self-intersections plus three times the ray count equals twelve "
-            "on the built-in fans and on fifty seeded blowup chains.",
-            "derived", True, _noether_surfaces_ok(rng)),
-        make_certificate(
-            "s14-principal-divisors",
-            "Divisors of the two coordinate characters on the scroll, "
-            "coefficients in ray order.",
-            "trivial", [[1, 0, -1, 0], [0, 1, 3, -1]], [div_a, div_b]),
-        make_certificate(
-            "s14-principal-pairing-zero",
-            "Both principal divisors pair to zero with every boundary divisor.",
-            "derived", True, pairings_zero),
-        make_certificate(
-            "l014-bundle-fan",
-            "The projectivized-bundle fan over the scroll is complete and smooth "
-            "with eight maximal cones.",
-            "derived", [True, True, 8],
-            [toric.fan_is_complete(bundle14), toric.fan_is_smooth(bundle14),
-             len(bundle14.maximal_cones)]),
-        make_certificate(
-            "l014-contraction-cones",
-            "Contracting the lower pole leaves five maximal cones, one of them "
-            "four-ray.",
-            "derived", 5, len(contracted14.maximal_cones)),
-        make_certificate(
-            "l014-triangulations",
-            "The contracted fan admits exactly two small resolutions by its own rays.",
-            "published", 2, len(tris14)),
-        make_certificate(
-            "l014-delta1-smooth",
-            "Smoothness of the first triangulation (diagonal through the first and "
-            "third base rays).",
-            "published", False, facts14["v1v3"]["smooth"]),
-        make_certificate(
-            "l014-delta1-max-multiplicity",
-            "Largest cone multiplicity in the first triangulation.",
-            "published", 4, max(facts14["v1v3"]["multiplicities"])),
-        make_certificate(
-            "l014-delta1-fibration",
-            "The first triangulation admits no fibration covector within the "
-            "search bound.",
-            "derived", None, facts14["v1v3"]["fibration"]),
-        make_certificate(
-            "l014-delta2-smooth",
-            "Smoothness of the second triangulation (diagonal through the second "
-            "and fourth base rays).",
-            "published", True, facts14["v2v4"]["smooth"]),
-        make_certificate(
-            "l014-delta2-fibration",
-            "Fibration covector of the second triangulation.",
-            "published", [1, 0, 0], facts14["v2v4"]["fibration"]),
-        make_certificate(
-            "l014-base-ray-note",
-            "Third base ray as printed in the source against the ray the stated "
-            "self-intersections force.",
-            "published", [-1, 0, 3], list(bundle14.rays[2]),
-            discrepancy=[-1, 3, 0]),
-        make_certificate(
-            "l014-contract-up-pole",
-            "Contracting the remaining pole is rejected: its star spans a half "
-            "space, not a strongly convex cone.",
-            "trivial", "not strongly convex", up_pole_message),
-        make_certificate(
-            "l023-bundle-fan",
-            "The second bundle fan is complete and smooth with eight maximal cones.",
-            "derived", [True, True, 8],
-            [toric.fan_is_complete(bundle23), toric.fan_is_smooth(bundle23),
-             len(bundle23.maximal_cones)]),
-        make_certificate(
-            "l023-diag-v1v3-smooth",
-            "Smoothness of the triangulation with diagonal through the first and "
-            "third base rays.",
-            "published", False, facts23["v1v3"]["smooth"]),
-        make_certificate(
-            "l023-diag-v1v3-multiplicities",
-            "Cone multiplicities of the two split cones in that triangulation.",
-            "published", [2, 3], facts23["v1v3"]["multiplicities"]),
-        make_certificate(
-            "l023-diag-v2v4-smooth",
-            "Smoothness of the triangulation with diagonal through the second and "
-            "fourth base rays.",
-            "published", True, facts23["v2v4"]["smooth"]),
-        make_certificate(
-            "l023-diag-v2v4-fibration",
-            "Fibration covector of the smooth triangulation.",
-            "published", [1, 0, 0], facts23["v2v4"]["fibration"]),
-        make_certificate(
-            "l023-labeling-inconsistency",
-            "Smoothness of the two triangulations as asserted in the source's "
-            "proof paragraph, keyed by diagonal; the recomputation matches the "
-            "source's own statement instead, so the discrepancy is recorded.",
-            "published",
-            {"diagonal-v1v3": True, "diagonal-v2v4": False},
-            {"diagonal-v1v3": facts23["v1v3"]["smooth"],
-             "diagonal-v2v4": facts23["v2v4"]["smooth"]},
-            discrepancy={"diagonal-v1v3": False, "diagonal-v2v4": True}),
-    ]
-    return certs
+    return {
+        "s14-self-intersections": list(toric.surface_self_intersections(s14)),
+        "s23-self-intersections": list(toric.surface_self_intersections(s23)),
+        "p2-self-intersections":
+            list(toric.surface_self_intersections(toric.projective_plane_fan())),
+        "noether-smooth-surfaces": _noether_surfaces_ok(rng),
+        "s14-principal-divisors": [list(toric.principal_divisor(s14, m)) for m in characters],
+        "s14-principal-pairing-zero": all(
+            toric.divisor_dot(s14, toric.principal_divisor(s14, m), j) == 0
+            for m in characters for j in range(4)),
+        "l014-bundle-fan": [toric.fan_is_complete(bundle14), toric.fan_is_smooth(bundle14),
+                            len(bundle14.maximal_cones)],
+        "l014-contraction-cones": len(contracted14.maximal_cones),
+        "l014-triangulations": len(tris14),
+        "l014-delta1-smooth": facts14["v1v3"]["smooth"],
+        "l014-delta1-max-multiplicity": max(facts14["v1v3"]["multiplicities"]),
+        "l014-delta1-fibration": facts14["v1v3"]["fibration"],
+        "l014-delta2-smooth": facts14["v2v4"]["smooth"],
+        "l014-delta2-fibration": facts14["v2v4"]["fibration"],
+        "l014-base-ray-note": list(bundle14.rays[2]),
+        "l014-contract-up-pole": up_pole_message,
+        "l023-bundle-fan": [toric.fan_is_complete(bundle23), toric.fan_is_smooth(bundle23),
+                            len(bundle23.maximal_cones)],
+        "l023-diag-v1v3-smooth": facts23["v1v3"]["smooth"],
+        "l023-diag-v1v3-multiplicities": facts23["v1v3"]["multiplicities"],
+        "l023-diag-v2v4-smooth": facts23["v2v4"]["smooth"],
+        "l023-diag-v2v4-fibration": facts23["v2v4"]["fibration"],
+        "l023-labeling-inconsistency":
+            {f"diagonal-{d}": facts23[d]["smooth"] for d in ("v1v3", "v2v4")},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +612,15 @@ def _suite_toric(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _f2_subspace_matrices():
-    """Reduced-row-echelon bases of every four-dimensional subspace of the
-    six coefficient slots over the two-element field."""
+def _f2_form(bits) -> QuadraticForm3:
+    """The ternary quadratic form over the two-element field with these 0/1
+    coefficients."""
+    return QuadraticForm3(tuple(veronese.F2_FIELD[b] for b in bits))
+
+
+def _f2_subspaces():
+    """Every four-dimensional subspace of ternary quadratic forms over the
+    two-element field, spanned by its reduced-row-echelon basis."""
     for pivots in itertools.combinations(range(6), 4):
         nonpivots = [j for j in range(6) if j not in pivots]
         free = [(i, j) for i in range(4) for j in nonpivots if j > pivots[i]]
@@ -507,7 +630,7 @@ def _f2_subspace_matrices():
                 rows[i][p] = 1
             for (i, j), bit in zip(free, bits):
                 rows[i][j] = bit
-            yield rows
+            yield ConicSubspace([_f2_form(r) for r in rows])
 
 
 def _combo_matches(result, subspace) -> bool:
@@ -518,15 +641,12 @@ def _combo_matches(result, subspace) -> bool:
 
 
 def _conic_sweep_f2():
-    zero, one = veronese.F2_FIELD
     searched = 0
     histogram = {}
     constructive = True
     witnesses_ok = True
-    for rows in _f2_subspace_matrices():
+    for sub in _f2_subspaces():
         searched += 1
-        basis = [QuadraticForm3(tuple(one if b else zero for b in r)) for r in rows]
-        sub = ConicSubspace(basis)
         res = veronese.find_smooth_conic_details(sub, veronese.F2_FIELD)
         histogram[res.path] = histogram.get(res.path, 0) + 1
         if res.path in ("exhaustive-fallback", "exhausted-none"):
@@ -535,7 +655,8 @@ def _conic_sweep_f2():
                 or not veronese.is_smooth_conic(res.form, veronese.F2_FIELD)
                 or not _combo_matches(res, sub)):
             witnesses_ok = False
-    return searched, histogram, constructive, witnesses_ok
+    sweep = {"searched": searched, "constructive": constructive, "witnesses": witnesses_ok}
+    return sweep, histogram
 
 
 def _random_conic_subspace(rng: random.Random, field, dim=4) -> ConicSubspace:
@@ -564,7 +685,7 @@ def _conic_seeded_trials(rng: random.Random, trials: int):
             if (not veronese.is_smooth_conic(res.form, field)
                     or not _combo_matches(res, sub)):
                 witnesses_ok = False
-    return oracle_agreement, witnesses_ok
+    return [oracle_agreement, witnesses_ok]
 
 
 def _veronese_points_ok(rng: random.Random, trials: int) -> bool:
@@ -592,223 +713,72 @@ def _minors_match_generators() -> bool:
             and span_dimension(minors) == 6)
 
 
-_KERNEL_ROWS_6 = [
-    [1, 0, 4, 4, True],
-    [2, 2, 9, 10, False],
-    [3, 8, 16, 20, False],
-    [4, 19, 25, 35, False],
-    [5, 36, 36, 56, False],
-    [6, 60, 49, 84, False],
-]
-
-_QUOTIENT_ROWS_6 = [
-    [0, 1, 1, True],
-    [1, 4, 4, True],
-    [2, 8, 8, True],
-    [3, 12, 13, False],
-    [4, 16, 19, False],
-    [5, 20, 26, False],
-    [6, 24, 34, False],
-]
-
-
-def _suite_veronese(config: RunConfig) -> list:
+def _compute_veronese(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:veronese")
     bound = max(config.degree_bound, 2)
     kernel_cfg = veronese.projection_kernel_certificate(bound)
     # rows are computed per degree: a longer run's first six are the bound-6 rows
     rows6 = (kernel_cfg if bound >= 6 else veronese.projection_kernel_certificate(6)).rows[:6]
     principal_cfg = veronese.projection_kernel_principal_certificate(bound)
-    quotient6 = veronese.quotient_hilbert_comparison(6)
-    pencil = veronese.quadric_pencil_singularity_certificate()
-    images = veronese.projection_images()
-
-    split_default = {name: veronese.split_hyperplane_certificate(name)
-                     for name in sorted(veronese.QUADRIC_CHOICES)}
+    quotient6 = veronese.quotient_hilbert_comparison(rows6)
+    choices = sorted(veronese.QUADRIC_CHOICES)
+    split_default = {name: veronese.split_hyperplane_certificate(name) for name in choices}
     split_tilted = {name: veronese.split_hyperplane_certificate(name, avoided_divisor=(0, 2))
-                    for name in sorted(veronese.QUADRIC_CHOICES)}
+                    for name in choices}
+    direct = split_default["x0x1+x2^2"]
 
-    searched, histogram, constructive, sweep_witnesses = _conic_sweep_f2()
-    oracle_agreement, trial_witnesses = _conic_seeded_trials(rng, config.trials)
+    sweep, histogram = _conic_sweep_f2()
+    # the seeded conic trials draw from rng before the seeded point checks
+    conic_trials = _conic_seeded_trials(rng, config.trials)
+    points_ok = _veronese_points_ok(rng, config.trials)
 
-    slip_span = ConicSubspace([
-        QuadraticForm3(_f2_form(0, 0, 0, 0, 0, 1)),   # xy
-        QuadraticForm3(_f2_form(0, 0, 0, 1, 0, 0)),   # yz
-        QuadraticForm3(_f2_form(0, 0, 0, 0, 1, 0)),   # zx
-        QuadraticForm3(_f2_form(1, 0, 0, 0, 0, 0)),   # x^2
-    ])
+    slip_span = ConicSubspace([_f2_form(bits) for bits in (
+        (0, 0, 0, 0, 0, 1),     # xy
+        (0, 0, 0, 1, 0, 0),     # yz
+        (0, 0, 0, 0, 1, 0),     # zx
+        (1, 0, 0, 0, 0, 0))])   # x^2
     slip_result = veronese.find_smooth_conic_details(slip_span, veronese.F2_FIELD)
     # the case split as printed would hand this span the singular member
     # x^2 + xy; record its smoothness verdict against the printed claim
-    printed_member = QuadraticForm3(_f2_form(1, 0, 0, 0, 0, 1))
-    printed_smooth = veronese.is_smooth_conic(printed_member, veronese.F2_FIELD)
+    printed_member = _f2_form((1, 0, 0, 0, 0, 1))
 
-    certs = [
-        make_certificate(
-            "veronese-ideal-generators",
-            "The six quadric generators of the quadratic embedding of the plane, "
-            "verbatim, rendered canonically.",
-            "published",
-            ["x*y - u^2", "y*z - s^2", "x*z - t^2",
-             "x*s - t*u", "y*t - s*u", "z*u - s*t"],
-            [_render_poly(g) for g in veronese.veronese_ideal()]),
-        make_certificate(
-            "veronese-minors-span",
-            "The nine two-by-two minors of the generic symmetric matrix span "
-            "exactly the same quadrics as the six generators.",
-            "derived", True, _minors_match_generators()),
-        make_certificate(
-            "secant-cubic-determinant",
-            "The secant cubic equals the determinant of the generic symmetric "
-            "matrix as a polynomial identity.",
-            "published", True, veronese.secant_cubic_matches_determinant()),
-        make_certificate(
-            "secant-strata-samples",
-            "Matrix-rank stratification of three sample points: on the surface, "
-            "on a secant line only, and generic.",
-            "derived", ["OnVeronese", "OnSecantOnly", "Generic"],
-            [veronese.secant_stratum(veronese.veronese_map((1, 2, 3))),
-             veronese.secant_stratum((1, 1, 0, 0, 0, 0)),
-             veronese.secant_stratum((1, 2, 3, 4, 5, 6))]),
-        make_certificate(
-            "veronese-map-membership-seeded",
-            "Seeded rational points map onto the surface: every generator "
-            "vanishes and the rank stratum is the surface stratum.",
-            "derived", True, _veronese_points_ok(rng, config.trials)),
-        make_certificate(
-            "projection-images",
-            "Chart images of the four target coordinates under the projection, "
-            "as numerator and denominator pairs.",
-            "trivial",
-            {"Z": ["t^2", "1 - u^2"], "S": ["t*u", "1 - u^2"],
-             "T": ["t", "1 - u^2"], "U": ["u", "1 - u^2"]},
-            {name: [_render_poly(rf.num), _render_poly(rf.den)]
-             for name, rf in images.items()}),
-        make_certificate(
-            "projection-member-st-uz",
-            "The second proposed kernel generator maps to zero under the "
-            "projection substitution.",
-            "published", True, kernel_cfg.memberships[1][1]),
-        make_certificate(
-            "projection-member-s2-tu",
-            "The first proposed kernel generator maps to zero under the "
-            "projection substitution: published claim against the recomputation.",
-            "published", True, kernel_cfg.memberships[0][1], discrepancy=False),
-        make_certificate(
-            "projection-identity-claim",
-            "Degreewise dimension identity for the two proposed kernel "
-            "generators up to the configured bound: published claim against "
-            "the recomputation.",
-            "published", True, kernel_cfg.identity_all, discrepancy=False),
-        make_certificate(
-            "projection-degree-rows",
-            "Degree, ideal piece, image span, ring piece, and identity verdict "
-            "for the two proposed generators, degrees one through six.",
-            "derived", _KERNEL_ROWS_6, [list(r) for r in rows6]),
-        make_certificate(
-            "projection-image-dimension-d2",
-            "Dimension of the span of the images of the ten quadratic monomials.",
-            "derived", 9, rows6[1].image_dim),
-        make_certificate(
-            "projection-principal-member",
-            "The single-generator kernel candidate maps to zero under the "
-            "projection substitution.",
-            "derived", True, principal_cfg.membership_all),
-        make_certificate(
-            "projection-principal-identity",
-            "Degreewise dimension identity holds for the single-generator "
-            "kernel ideal up to the configured bound.",
-            "derived", True, principal_cfg.identity_all),
-        make_certificate(
-            "quotient-hilbert-claim",
-            "The quotient by the two proposed generators has the claimed "
-            "degreewise dimensions: published decomposition against the "
-            "recomputation.",
-            "published", True, all(r.equal for r in quotient6),
-            discrepancy=False),
-        make_certificate(
-            "quotient-hilbert-rows",
-            "Degree, quotient dimension, claimed dimension, and agreement "
-            "verdict, degrees zero through six.",
-            "derived", _QUOTIENT_ROWS_6, [list(r) for r in quotient6]),
-        make_certificate(
-            "quadric-pencil-singular",
-            "The projection base point is singular on every member of the "
-            "quadric pencil, identically in the pencil parameters.",
-            "published", True, pencil.singular_for_all),
-        make_certificate(
-            "split-hyperplane-direct",
-            "Cutting each singular quadric with the distinguished coordinate "
-            "hyperplane splits it into the two expected planes.",
-            "published",
-            {"hyperplane": "x2", "components": [["x0", "x2"], ["x1", "x2"]]},
-            {"hyperplane": _render_poly(split_default["x0x1+x2^2"].hyperplane),
-             "components": [
-                 [_render_poly(g) for g in split_default["x0x1+x2^2"].component_a],
-                 [_render_poly(g) for g in split_default["x0x1+x2^2"].component_b]]}),
-        make_certificate(
-            "split-hyperplane-direct-identity",
-            "Ideal of the pair equals the intersection of the component ideals, "
-            "degree by degree, for both quadric choices.",
-            "derived", [True, True],
-            [split_default[name].all_equal for name in sorted(split_default)]),
-        make_certificate(
-            "split-hyperplane-tilted-choice",
-            "Hyperplane selected when the first coordinate plane must be avoided.",
-            "published", "x1 - x2",
-            _render_poly(split_tilted["x0x1+x2^2"].hyperplane)),
-        make_certificate(
-            "split-hyperplane-tilted-identity",
-            "The tilted splitting still satisfies the degreewise ideal identity "
-            "for both quadric choices.",
-            "derived", [True, True],
-            [split_tilted[name].all_equal for name in sorted(split_tilted)]),
-        make_certificate(
-            "conic-subspaces-f2-sweep",
-            "Every four-dimensional space of ternary quadratic forms over the "
-            "two-element field yields a smooth conic through the constructive "
-            "case analysis, with valid span witnesses and no fallback.",
-            "derived",
-            {"searched": 651, "constructive": True, "witnesses": True},
-            {"searched": searched, "constructive": constructive,
-             "witnesses": sweep_witnesses}),
-        make_certificate(
-            "conic-path-histogram-f2",
-            "Branch histogram of the constructive search over the full sweep.",
-            "derived",
-            {"normalized-member-smooth": 213, "yz-member-smooth": 164,
-             "diagonal-plus-xy": 146, "diagonal-plus-yz": 65,
-             "zx-member-smooth": 45, "diagonal-plus-zx": 12,
-             "case-all-squares": 6},
-            histogram),
-        make_certificate(
-            "conic-seeded-oracle-agreement",
-            "Seeded random subspaces over the two fields: constructive search "
-            "agrees with the exhaustive oracle on existence and every returned "
-            "form is a smooth member of the span.",
-            "derived", [True, True], [oracle_agreement, trial_witnesses]),
-        make_certificate(
-            "conic-case-split-regression",
-            "For the span of the three mixed monomials and the first square, "
-            "the case split as printed hands back a member whose smoothness "
-            "the literal test rejects; the printed claim is recorded.",
-            "published", True, printed_smooth, discrepancy=False),
-        make_certificate(
-            "conic-case-split-corrected",
-            "The corrected case split returns a smooth member of that span.",
-            "derived",
-            {"path": "diagonal-plus-yz", "smooth": True,
-             "nonzero": [True, False, False, True, False, False]},
-            {"path": slip_result.path,
-             "smooth": veronese.is_smooth_conic(slip_result.form, veronese.F2_FIELD),
-             "nonzero": [bool(c) for c in slip_result.form.coeffs]}),
-    ]
-    return certs
-
-
-def _f2_form(*bits):
-    zero, one = veronese.F2_FIELD
-    return tuple(one if b else zero for b in bits)
+    return {
+        "veronese-ideal-generators": [_render_poly(g) for g in veronese.veronese_ideal()],
+        "veronese-minors-span": _minors_match_generators(),
+        "secant-cubic-determinant": veronese.secant_cubic_matches_determinant(),
+        "secant-strata-samples": [veronese.secant_stratum(veronese.veronese_map((1, 2, 3))),
+                                  veronese.secant_stratum((1, 1, 0, 0, 0, 0)),
+                                  veronese.secant_stratum((1, 2, 3, 4, 5, 6))],
+        "veronese-map-membership-seeded": points_ok,
+        "projection-images": {name: [_render_poly(rf.num), _render_poly(rf.den)]
+                              for name, rf in veronese.projection_images().items()},
+        "projection-member-st-uz": kernel_cfg.memberships[1][1],
+        "projection-member-s2-tu": kernel_cfg.memberships[0][1],
+        "projection-identity-claim": kernel_cfg.identity_all,
+        "projection-degree-rows": [list(r) for r in rows6],
+        "projection-image-dimension-d2": rows6[1].image_dim,
+        "projection-principal-member": principal_cfg.membership_all,
+        "projection-principal-identity": principal_cfg.identity_all,
+        "quotient-hilbert-claim": all(r.equal for r in quotient6),
+        "quotient-hilbert-rows": [list(r) for r in quotient6],
+        "quadric-pencil-singular":
+            veronese.quadric_pencil_singularity_certificate().singular_for_all,
+        "split-hyperplane-direct": {
+            "hyperplane": _render_poly(direct.hyperplane),
+            "components": [[_render_poly(g) for g in component]
+                           for component in (direct.component_a, direct.component_b)]},
+        "split-hyperplane-direct-identity": [split_default[name].all_equal for name in choices],
+        "split-hyperplane-tilted-choice": _render_poly(split_tilted["x0x1+x2^2"].hyperplane),
+        "split-hyperplane-tilted-identity": [split_tilted[name].all_equal for name in choices],
+        "conic-subspaces-f2-sweep": sweep,
+        "conic-path-histogram-f2": histogram,
+        "conic-seeded-oracle-agreement": conic_trials,
+        "conic-case-split-regression": veronese.is_smooth_conic(printed_member, veronese.F2_FIELD),
+        "conic-case-split-corrected": {
+            "path": slip_result.path,
+            "smooth": veronese.is_smooth_conic(slip_result.form, veronese.F2_FIELD),
+            "nonzero": [bool(c) for c in slip_result.form.coeffs]},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -838,113 +808,35 @@ _FANO_CIS = (
 )
 
 
-def _suite_hodge(config: RunConfig) -> list:
+def _compute_hodge(config: RunConfig) -> dict:
     omega2 = hodge.omega2_p3_certificate()
     quartic_curve = [_binary_form({"s^4": 1}), _binary_form({"s^3*t": 1}),
                      _binary_form({"s*t^3": 1}), _binary_form({"t^4": 1})]
     line_curve = [_binary_form({"s": 1}), _binary_form({"t": 1}),
                   Polynomial.zero(hodge.CURVE_VARS), Polynomial.zero(hodge.CURVE_VARS)]
-
-    diamonds = {name: hodge.ci_hodge_diamond(hodge.CIData(n, degs))
-                for name, n, degs in _FANO_CIS}
     cis = {name: hodge.CIData(n, degs) for name, n, degs in _FANO_CIS}
-
-    serre_ok = all(d.h(p, q) == d.h(3 - p, 3 - q)
-                   for d in diamonds.values() for p in range(4) for q in range(4))
-    h0j_ok = all(d.h(0, 0) == 1 and d.h(0, 1) == 0 and d.h(0, 2) == 0
-                 for d in diamonds.values())
-    h03_ok = all(d.h(0, 3) == 0 for d in diamonds.values())
-    koszul_ok = all(hodge.chi_omega1_ci(ci) == hodge.chi_omega1_ci_koszul(ci)
-                    for ci in cis.values())
-
-    certs = [
-        make_certificate(
-            "chi-pn-samples",
-            "Euler characteristics of twists of the structure sheaf on "
-            "projective spaces, sampled across all three ranges.",
-            "trivial", [[3, 3, 20], [-1, 3, 0], [-4, 3, -1], [0, 5, 1]],
-            [[3, 3, hodge.chi_pn(3, 3)], [-1, 3, hodge.chi_pn(-1, 3)],
-             [-4, 3, hodge.chi_pn(-4, 3)], [0, 5, hodge.chi_pn(0, 5)]]),
-        make_certificate(
-            "omega2-p3-twist3-sections",
-            "Dimension of the space of two-forms on projective three-space "
-            "twisted by three hyperplanes.",
-            "published", 4, omega2.kernel_dim),
-        make_certificate(
-            "omega2-p3-intermediate-dims",
-            "Source dimension, raw target dimension, and contraction rank "
-            "behind that count.",
-            "published", [24, 40, 20],
-            [omega2.source_dim, omega2.target_dim, omega2.rank]),
-        make_certificate(
-            "omega2-p3-basis",
-            "The four exhibited sections are independent, lie in the kernel of "
-            "the Euler contraction, and the blockwise count agrees.",
-            "derived", [True, True, 4],
-            [omega2.basis_independent, omega2.basis_in_kernel,
-             omega2.blockwise_count]),
-        make_certificate(
-            "omega2-vanishing-quartic",
-            "Sections vanishing along a rational curve of degree four.",
-            "derived", 0, hodge.omega2_vanishing_on_curve(quartic_curve)),
-        make_certificate(
-            "omega2-vanishing-line",
-            "Sections vanishing along a coordinate line.",
-            "derived", 0, hodge.omega2_vanishing_on_curve(line_curve)),
-        make_certificate(
-            "h0-omega-samples",
-            "Twisted one-form section counts at two sample twists.",
-            "derived", [0, 6],
-            [hodge.h0_omega_p(1, 0, 3), hodge.h0_omega_p(1, 2, 3)]),
-        make_certificate(
-            "bott-grid-agreement",
-            "The Euler-contraction count agrees with the closed-form oracle on "
-            "the full grid of small parameters.",
-            "derived", True, _bott_grid_ok()),
-        make_certificate(
-            "diamond-quadric",
-            "Middle Hodge numbers of the quadric threefold.",
-            "derived", [1, 0], [diamonds["quadric"].h(1, 1), diamonds["quadric"].h(1, 2)]),
-        make_certificate(
-            "diamond-cubic",
-            "Middle Hodge numbers of the cubic threefold.",
-            "derived", [1, 5], [diamonds["cubic"].h(1, 1), diamonds["cubic"].h(1, 2)]),
-        make_certificate(
-            "diamond-quartic",
-            "Middle Hodge numbers of the quartic threefold.",
-            "derived", [1, 30], [diamonds["quartic"].h(1, 1), diamonds["quartic"].h(1, 2)]),
-        make_certificate(
-            "diamond-ci23",
-            "Middle Hodge numbers of the quadric-cubic intersection threefold.",
-            "derived", [1, 20], [diamonds["ci23"].h(1, 1), diamonds["ci23"].h(1, 2)]),
-        make_certificate(
-            "diamond-ci222",
-            "Middle Hodge numbers of the triple-quadric intersection threefold.",
-            "derived", [1, 14], [diamonds["ci222"].h(1, 1), diamonds["ci222"].h(1, 2)]),
-        make_certificate(
-            "diamond-h0j-vanishing",
-            "Every emitted diamond has a one-dimensional structure row: the "
-            "first two higher structure cohomologies vanish.",
-            "published", True, h0j_ok),
-        make_certificate(
-            "diamond-h03-fano",
-            "The top structure cohomology vanishes on every emitted diamond.",
-            "derived", True, h03_ok),
-        make_certificate(
-            "diamond-serre",
-            "Every emitted diamond is symmetric under Serre duality.",
-            "derived", True, serre_ok),
-        make_certificate(
-            "euler-cubic",
-            "Alternating sum of Betti numbers of the cubic threefold diamond.",
-            "derived", -6, diamonds["cubic"].euler_number()),
-        make_certificate(
-            "chi-omega1-koszul",
-            "Both routes to the cotangent Euler characteristic agree on all "
-            "emitted threefolds.",
-            "derived", True, koszul_ok),
-    ]
-    return certs
+    diamonds = {name: hodge.ci_hodge_diamond(ci) for name, ci in cis.items()}
+    return {
+        "chi-pn-samples": [[d, n, hodge.chi_pn(d, n)]
+                           for d, n in ((3, 3), (-1, 3), (-4, 3), (0, 5))],
+        "omega2-p3-twist3-sections": omega2.kernel_dim,
+        "omega2-p3-intermediate-dims": [omega2.source_dim, omega2.target_dim, omega2.rank],
+        "omega2-p3-basis": [omega2.basis_independent, omega2.basis_in_kernel,
+                            omega2.blockwise_count],
+        "omega2-vanishing-quartic": hodge.omega2_vanishing_on_curve(quartic_curve),
+        "omega2-vanishing-line": hodge.omega2_vanishing_on_curve(line_curve),
+        "h0-omega-samples": [hodge.h0_omega_p(1, 0, 3), hodge.h0_omega_p(1, 2, 3)],
+        "bott-grid-agreement": _bott_grid_ok(),
+        **{f"diamond-{name}": [d.h(1, 1), d.h(1, 2)] for name, d in diamonds.items()},
+        "diamond-h0j-vanishing": all(d.h(0, 0) == 1 and d.h(0, 1) == 0 and d.h(0, 2) == 0
+                                     for d in diamonds.values()),
+        "diamond-h03-fano": all(d.h(0, 3) == 0 for d in diamonds.values()),
+        "diamond-serre": all(d.h(p, q) == d.h(3 - p, 3 - q)
+                             for d in diamonds.values() for p in range(4) for q in range(4)),
+        "euler-cubic": diamonds["cubic"].euler_number(),
+        "chi-omega1-koszul": all(hodge.chi_omega1_ci(ci) == hodge.chi_omega1_ci_koszul(ci)
+                                 for ci in cis.values()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -952,80 +844,26 @@ def _suite_hodge(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _suite_numerology(config: RunConfig) -> list:
-    window = sorted(list(s) for s in numerology.p_divisibility_solutions(
-        GENUS_MIN, GENUS_MAX, EXCLUDED_GENUS))
-    empty = sorted(list(s) for s in numerology.p_divisibility_solutions(3, 3))
-    single = sorted(list(s) for s in numerology.p_divisibility_solutions(5, 5))
-    obstruction = numerology.g10_obstruction()
-    variant = numerology.divisibility_obstruction(9, 2)
+def _compute_numerology(config: RunConfig) -> dict:
+    def solutions(*window):
+        return sorted(list(s) for s in numerology.p_divisibility_solutions(*window))
 
-    certs = [
-        make_certificate(
-            "delta-genus-double-cover",
-            "Delta genus of the degree-five polarized threefold.",
-            "published", 0,
-            numerology.delta_genus(numerology.DeltaGenusInput(3, 5, 8))),
-        make_certificate(
-            "delta-genus-veronese",
-            "Delta genus of the quadratic surface embedding.",
-            "trivial", 0,
-            numerology.delta_genus(numerology.DeltaGenusInput(2, 4, 6))),
-        make_certificate(
-            "projection-degree-forcing",
-            "Degrees admissible under the nonnegativity constraint on four "
-            "over the degree minus three.",
-            "published", [1], list(numerology.admissible_projection_degrees())),
-        make_certificate(
-            "divisibility-window",
-            "Prime-square divisibility solutions over the configured genus window.",
-            "published", [[2, 9, 2], [3, 10, 1]], window),
-        make_certificate(
-            "divisibility-empty-window",
-            "No solutions at genus three.",
-            "derived", [], empty),
-        make_certificate(
-            "divisibility-single-window",
-            "Exactly one solution at genus five.",
-            "derived", [[2, 5, 1]], single),
-        make_certificate(
-            "scroll-degree",
-            "Degree of the three-part scroll.",
-            "published", 5, numerology.scroll_degree((0, 1, 4))),
-        make_certificate(
-            "scroll-degree-zero",
-            "Degree of the trivial scroll.",
-            "trivial", 0, numerology.scroll_degree((0,))),
-        make_certificate(
-            "scroll-splittings-5",
-            "Balanced two-part splittings of total degree five.",
-            "published", [[1, 4], [2, 3]],
-            sorted(list(s) for s in numerology.scroll_splittings(5))),
-        make_certificate(
-            "g10-obstruction",
-            "The genus-ten intersection number and its indivisibility by three.",
-            "published", [16, True], list(obstruction)),
-        make_certificate(
-            "g9-divisor2-variant",
-            "The genus-nine variant: the analogous number is divisible by two, "
-            "so this obstruction does not apply there.",
-            "derived", [14, False], list(variant)),
-        make_certificate(
-            "obstruction-linear-form",
-            "The obstruction number is twice the genus minus four across the "
-            "whole genus range.",
-            "trivial", True,
-            all(numerology.divisibility_obstruction(g, 3)[0] == 2 * g - 4
-                for g in range(3, 13))),
-        make_certificate(
-            "surface-rr-parity",
-            "Parity constraint from surface Riemann-Roch at three sample "
-            "self-intersections.",
-            "published", [True, True, False],
-            [numerology.surface_rr_parity(4), numerology.surface_rr_parity(2),
-             numerology.surface_rr_parity(3)]),
-    ]
-    return certs
+    return {
+        "delta-genus-double-cover": numerology.delta_genus(numerology.DeltaGenusInput(3, 5, 8)),
+        "delta-genus-veronese": numerology.delta_genus(numerology.DeltaGenusInput(2, 4, 6)),
+        "projection-degree-forcing": list(numerology.admissible_projection_degrees()),
+        "divisibility-window": solutions(GENUS_MIN, GENUS_MAX, EXCLUDED_GENUS),
+        "divisibility-empty-window": solutions(3, 3),
+        "divisibility-single-window": solutions(5, 5),
+        "scroll-degree": numerology.scroll_degree((0, 1, 4)),
+        "scroll-degree-zero": numerology.scroll_degree((0,)),
+        "scroll-splittings-5": sorted(list(s) for s in numerology.scroll_splittings(5)),
+        "g10-obstruction": list(numerology.g10_obstruction()),
+        "g9-divisor2-variant": list(numerology.divisibility_obstruction(9, 2)),
+        "obstruction-linear-form": all(numerology.divisibility_obstruction(g, 3)[0] == 2 * g - 4
+                                       for g in range(3, 13)),
+        "surface-rr-parity": [numerology.surface_rr_parity(k) for k in (4, 2, 3)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1033,28 +871,37 @@ def _suite_numerology(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-_SUITE_BUILDERS = {
-    "schubert": _suite_schubert,
-    "toric": _suite_toric,
-    "veronese": _suite_veronese,
-    "hodge": _suite_hodge,
-    "numerology": _suite_numerology,
+_COMPUTE = {
+    "schubert": _compute_schubert,
+    "toric": _compute_toric,
+    "veronese": _compute_veronese,
+    "hodge": _compute_hodge,
+    "numerology": _compute_numerology,
 }
 
 
 def run_suite(name: str, config: RunConfig | None = None) -> Report:
-    """Execute one suite (or all of them) and assemble the report,
-    certificates ordered by id."""
+    """Run one suite's compute function (or every suite's, in table order),
+    check that it computed a value for exactly the ids its claims list, and
+    judge every claim; certificates are ordered by id."""
     config = config or RunConfig()
-    if name == "all":
-        certs = []
-        for build in _SUITE_BUILDERS.values():
-            certs.extend(build(config))
-    elif name in _SUITE_BUILDERS:
-        certs = _SUITE_BUILDERS[name](config)
-    else:
+    if name != "all" and name not in _CLAIMS:
         raise ValueError(f"unknown suite: {name}")
-    certs = sorted(certs, key=lambda c: c.id)
+    judged = []
+    for suite, claims in _CLAIMS.items():
+        if name not in ("all", suite):
+            continue
+        values = _COMPUTE[suite](config)
+        unmatched = {row[0] for row in claims} ^ values.keys()
+        if unmatched:
+            raise ValueError(f"suite {suite}: claims and computed values differ "
+                             f"at certificate id: {min(unmatched)}")
+        judged.extend((row, values[row[0]]) for row in claims)
+    certs = []
+    for (cert_id, provenance, expected, discrepancy, description), computed in judged:
+        certs.append(make_certificate(cert_id, description, provenance, expected, computed,
+                                      discrepancy))
+    certs.sort(key=lambda c: c.id)
     seen = set()
     for c in certs:
         if c.id in seen:
@@ -1200,7 +1047,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run a certificate suite")
-    run_parser.add_argument("suite", choices=(*_SUITE_BUILDERS, "all"))
+    run_parser.add_argument("suite", choices=(*_CLAIMS, "all"))
     run_parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                             default="text", help="report rendering (default text)")
     run_parser.add_argument("--seed", type=int, default=0)

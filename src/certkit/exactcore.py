@@ -172,9 +172,6 @@ class F4:
         return f"F4({self.a},{self.b})"
 
 
-F4_ZERO = F4(0)
-F4_ONE = F4(1)
-F4_OMEGA = F4(0, 1)
 F4_ELEMENTS = (F4(0, 0), F4(1, 0), F4(0, 1), F4(1, 1))
 F2_ELEMENTS = (Fp(2, 0), Fp(2, 1))
 

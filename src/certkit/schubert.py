@@ -29,8 +29,19 @@ def partition_is_valid(lam: Partition2, n: int) -> bool:
     return 0 <= b <= a <= n - 2
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; ValueError unless it is an int or a Fraction, where
+    Fraction() would turn 0.1 into a 55-bit binary fraction or True into 1."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise ValueError(f"coefficient must be an int or a Fraction: {c!r}")
+
+
 class SchubertElement:
-    """Rational linear combination of two-row Schubert classes on Gr(2,n)."""
+    """Rational linear combination of two-row Schubert classes on Gr(2,n).
+    Partition entries must be ints and coefficients ints or Fractions."""
 
     __slots__ = ("n", "coeffs")
 
@@ -39,11 +50,14 @@ class SchubertElement:
         clean = {}
         if coeffs:
             for lam, c in coeffs.items():
-                lam = (int(lam[0]), int(lam[1]))
+                lam = tuple(lam)
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in lam):
+                    raise ValueError(f"partition entries must be integers: {lam!r}")
                 if not partition_is_valid(lam, n):
                     raise ValueError("invalid partition")
+                c = _exact(c)
                 if c:
-                    clean[lam] = clean.get(lam, Fraction(0)) + Fraction(c)
+                    clean[lam] = clean.get(lam, Fraction(0)) + c
         self.coeffs = {k: v for k, v in clean.items() if v}
 
     @classmethod
@@ -83,7 +97,7 @@ class SchubertElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SchubertElement":
-        c = Fraction(c)
+        c = _exact(c)
         return SchubertElement(self.n, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -438,8 +452,9 @@ V5Report = namedtuple("V5Report", [
 
 
 def v5_separability_details() -> V5Report:
-    """Full pipeline for the degree certificate of the twisted cotangent
-    bundle restricted to a codimension-3 linear section of Gr(2,5)."""
+    """Full pipeline for the degree certificate of the cotangent bundle of
+    Gr(2,5) twisted by O(2) (so c1 = -5 + 6*2 = 7), restricted to the
+    codimension-3 linear section V5 cut out by three hyperplanes."""
     ch_sub = chern_to_character(tautological_sub_chern())
     ch_qd = chern_to_character(tautological_quotient_dual_chern())
     ch_cot = character_mul(ch_sub, ch_qd)

@@ -202,15 +202,15 @@ QuotientRow = namedtuple("QuotientRow", ["degree", "quotient_dim",
                                          "claimed_dim", "equal"])
 
 
-def quotient_hilbert_comparison(degree_bound: int) -> tuple:
+def quotient_hilbert_comparison(kernel_rows) -> tuple:
     """Degreewise Hilbert function of the quotient by the two proposed
     generators, against the claimed splitting into a polynomial ring in
-    three variables plus multiples of the extra coordinate over two."""
-    gens = proposed_kernel_generators()
+    three variables plus multiples of the extra coordinate over two.  The
+    dimensions are read off kernel_rows, the rows of degrees 1, 2, ... of
+    projection_kernel_certificate; degree 0 is the constants, C(3,3) = 1."""
+    dims = [(0, math.comb(3, 3))] + [(r.degree, r.ring_dim - r.ideal_dim) for r in kernel_rows]
     rows = []
-    for d in range(0, degree_bound + 1):
-        ring_dim = math.comb(d + 3, 3)
-        quotient = ring_dim - (ideal_graded_dimension(gens, d) if d >= 2 else 0)
+    for d, quotient in dims:
         claimed = math.comb(d + 2, 2) + d
         rows.append(QuotientRow(d, quotient, claimed, quotient == claimed))
     return tuple(rows)

@@ -138,12 +138,29 @@ def test_run_suite_rejects_unknown_name():
 
 
 def test_run_suite_rejects_duplicate_ids(monkeypatch):
-    def twice(config):
-        c = cli.make_certificate("dup-id", "d", "trivial", 1, 1)
-        return [c, c]
-    monkeypatch.setitem(cli._SUITE_BUILDERS, "numerology", twice)
+    claims = cli._CLAIMS["numerology"]
+    monkeypatch.setitem(cli._CLAIMS, "numerology", claims + claims[:1])
     with pytest.raises(ValueError, match="duplicate certificate id"):
         cli.run_suite("numerology")
+
+
+@pytest.mark.parametrize("suite", ["numerology", "all"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_run_suite_rejects_values_that_differ_from_the_claims(monkeypatch, suite, change):
+    real = cli._COMPUTE["numerology"]
+
+    def compute(config):
+        values = real(config)
+        if change == "missing":
+            del values["scroll-degree"]
+        else:
+            values["scroll-degree-six"] = 6
+        return values
+
+    cert_id = "scroll-degree" if change == "missing" else "scroll-degree-six"
+    monkeypatch.setitem(cli._COMPUTE, "numerology", compute)
+    with pytest.raises(ValueError, match=f"suite numerology: .* id: {cert_id}$"):
+        cli.run_suite(suite)
 
 
 def test_pinned_published_discrepancy(all_report):
@@ -524,6 +541,14 @@ def test_degree_10_report_matches_recorded_sha256():
     assert expect["argv"] == argv
     out = _certify_subprocess(argv, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == expect["sha256"]
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_run_all_other_seeds_change_only_the_seed_line(seed):
+    committed = (DATA / "report_all_seed0.json").read_text(encoding="utf-8")
+    expected = committed.replace('\n  "seed": "0",\n', f'\n  "seed": "{seed}",\n')
+    assert expected.count(f'"seed": "{seed}"') == 1
+    assert cli.render_json(cli.run_suite("all", cli.RunConfig(seed=seed))) == expected
 
 
 def test_run_all_matches_committed_report():

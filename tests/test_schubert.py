@@ -152,6 +152,49 @@ def test_mul_commutative_and_associative_seeded():
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
+@pytest.mark.parametrize("coeffs", [
+    {(1.5, 0): 1}, {(True, 0): 1}, {(1, 0.0): 1}, {(1, False): 1},
+    {(Fraction(1), 0): 1},
+    {(1, 0): 0.1}, {(1, 0): 1.0}, {(1, 0): 0.0}, {(1, 0): True}, {(1, 0): False},
+])
+def test_element_rejects_float_and_bool_inputs(coeffs):
+    # int() read (1.5, 0) and (True, 0) as (1, 0), and Fraction(0.1) is a
+    # 55-bit binary fraction, not 1/10
+    with pytest.raises(ValueError):
+        SchubertElement(5, coeffs)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, True, False])
+def test_scale_rejects_float_and_bool(c):
+    with pytest.raises(ValueError):
+        sig(5, 1).scale(c)
+    with pytest.raises(ValueError):
+        sig(5, 1) * c
+
+
+def test_int_and_fraction_inputs_unchanged():
+    # the old constructor summed Fraction(c) per partition and dropped zeros
+    rng = random.Random("schubert-exact-inputs")
+    for _ in range(200):
+        n = rng.choice((5, 6))
+        coeffs = {}
+        for _ in range(rng.randrange(4)):
+            a = rng.randrange(n - 1)
+            lam = (a, rng.randrange(a + 1))
+            coeffs[lam] = rng.choice((rng.randrange(-3, 4),
+                                      Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))))
+        x = SchubertElement(n, coeffs)
+        assert x.coeffs == {lam: Fraction(c) for lam, c in coeffs.items() if c}
+        assert all(type(v) is Fraction for v in x.coeffs.values())
+        as_fractions = SchubertElement(n, {lam: Fraction(c) for lam, c in coeffs.items()})
+        assert x == as_fractions
+        assert mul(x, sig(n, 1)) == mul(as_fractions, sig(n, 1))
+        k = rng.randrange(-3, 4)
+        assert x.scale(k) == x.scale(Fraction(k)) == k * x
+        assert x.scale(Fraction(1, 2)).coeffs == {lam: v / 2 for lam, v in x.coeffs.items()}
+    assert sig(5, 2, 1).scale(Fraction(3, 4)) == SchubertElement(5, {(2, 1): Fraction(3, 4)})
+
+
 # ---------------------------------------------------------------------------
 # chern classes and characters
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ QUOTIENT_ROWS = (
 
 
 def test_quotient_hilbert_rows():
-    rows = quotient_hilbert_comparison(6)
+    rows = quotient_hilbert_comparison(projection_kernel_certificate(6).rows)
     assert tuple(tuple(r) for r in rows) == QUOTIENT_ROWS
     for r in rows:
         assert r.claimed_dim == (r.degree + 2) * (r.degree + 1) // 2 + r.degree
@@ -202,7 +202,7 @@ def test_kernel_dimensions_follow_closed_forms_through_degree_12():
         d = r.degree
         assert r.ideal_dim == math.comb(d + 1, 3)
         assert r.image_dim == (d + 1) ** 2
-    quotient = quotient_hilbert_comparison(12)
+    quotient = quotient_hilbert_comparison(pair)
     assert [r.degree for r in quotient] == list(range(13))
     for r in quotient:
         assert r.quotient_dim == (4 * r.degree if r.degree else 1)
