@@ -716,9 +716,10 @@ def _minors_match_generators() -> bool:
 def _compute_veronese(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:veronese")
     bound = max(config.degree_bound, 2)
-    kernel_cfg = veronese.projection_kernel_certificate(bound)
-    # rows are computed per degree: a longer run's first six are the bound-6 rows
-    rows6 = (kernel_cfg if bound >= 6 else veronese.projection_kernel_certificate(6)).rows[:6]
+    # rows are computed per degree, so one run to max(bound, 6) gives both the
+    # identity claim up to the bound and the six reported rows
+    kernel_cfg = veronese.projection_kernel_certificate(max(bound, 6))
+    rows6 = kernel_cfg.rows[:6]
     principal_cfg = veronese.projection_kernel_principal_certificate(bound)
     quotient6 = veronese.quotient_hilbert_comparison(rows6)
     choices = sorted(veronese.QUADRIC_CHOICES)
@@ -754,7 +755,7 @@ def _compute_veronese(config: RunConfig) -> dict:
                               for name, rf in veronese.projection_images().items()},
         "projection-member-st-uz": kernel_cfg.memberships[1][1],
         "projection-member-s2-tu": kernel_cfg.memberships[0][1],
-        "projection-identity-claim": kernel_cfg.identity_all,
+        "projection-identity-claim": all(r.identity_holds for r in kernel_cfg.rows[:bound]),
         "projection-degree-rows": [list(r) for r in rows6],
         "projection-image-dimension-d2": rows6[1].image_dim,
         "projection-principal-member": principal_cfg.membership_all,
@@ -1083,8 +1084,12 @@ def main(argv=None) -> int:
         report = run_suite(args.suite, config)
         rendered = render_json(report) if args.fmt == "json" else render_text(report)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(rendered)
         return 0 if report.counts()["fail"] == 0 else 1

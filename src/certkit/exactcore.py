@@ -626,87 +626,12 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
     carried along.  Entries may be Fraction, Fp, or F4; plain ints are
-    promoted to Fraction.  A matrix whose entries are all F4, or all
-    Fp(2, .), is reduced on bit-packed rows and decoded to the same shape.
+    promoted to Fraction.
     """
     mat = list(mat)
-    ncols = len(mat[0]) if mat else 0
     if limit is None:
-        limit = ncols
-    if ncols and type(mat[0][0]) in _PACKED_TYPES:
-        packed = _pack_gf4(mat)
-        if packed is not None:
-            return _rref_gf4(*packed, ncols, limit)
+        limit = len(mat[0]) if mat else 0
     return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
-
-
-# Bit-packed GF(4) rows, as in M4RIE (Albrecht, ISSAC 2012): a row is the pair
-# (lo, hi) of bitmasks whose bit j holds the two bits of the code in column j.
-# Adding rows is XOR; multiplying by w sends (lo, hi) to (hi, lo ^ hi).
-_PACKED_TYPES = frozenset((F4, Fp))
-
-
-def _pack_gf4(mat):
-    """(packed rows, element table), or None unless every entry has the
-    type of the first, F4 or Fp(2, .)."""
-    kind = type(mat[0][0])
-    rows = []
-    for r in mat:
-        lo = hi = 0
-        bit = 1
-        for x in r:
-            if type(x) is not kind:
-                return None
-            if kind is F4:
-                if x.a:
-                    lo |= bit
-                if x.b:
-                    hi |= bit
-            elif x.p != 2:
-                return None
-            elif x.v:
-                lo |= bit
-            bit <<= 1
-        rows.append((lo, hi))
-    return rows, F4_ELEMENTS if kind is F4 else F2_ELEMENTS
-
-
-def _scale_gf4(lo: int, hi: int, code: int):
-    if code == 1:
-        return lo, hi
-    if code == 2:              # w
-        return hi, lo ^ hi
-    return lo ^ hi, lo         # w^2 = w + 1
-
-
-def _rref_gf4(rows, elements, ncols, limit):
-    """_rref on packed rows; the result is decoded through `elements`."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(limit):
-        for i in range(r, nrows):
-            lo, hi = rows[i]
-            if (lo | hi) >> c & 1:
-                break
-        else:
-            continue
-        rows[i] = rows[r]
-        lo, hi = _scale_gf4(lo, hi, GF4_INV[(lo >> c & 1) | (hi >> c & 1) << 1])
-        rows[r] = (lo, hi)
-        for i in range(nrows):
-            other_lo, other_hi = rows[i]
-            f = (other_lo >> c & 1) | (other_hi >> c & 1) << 1
-            if f and i != r:
-                add_lo, add_hi = _scale_gf4(lo, hi, f)
-                rows[i] = (other_lo ^ add_lo, other_hi ^ add_hi)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    decoded = [{j: elements[(lo >> j & 1) | (hi >> j & 1) << 1]
-                for j in range(ncols) if (lo | hi) >> j & 1} for lo, hi in rows]
-    return decoded, pivots
 
 
 def solve(columns: Sequence[Sequence[object]], target: Sequence[object]):

@@ -534,18 +534,25 @@ def _swap_vars(vec, i, j):
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
 
 
-def exhaustive_smooth_conic(subspace: ConicSubspace, field):
-    """Oracle: scan every member of the subspace for a smooth conic."""
-    codes, elements = _field_codes(field)
-    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
+def _first_smooth(basis, codes):
+    """(combo, form) of the first nonzero combination of the basis, in
+    itertools.product order over codes, whose form is smooth; None if the
+    span has no smooth member."""
     points = _PLANE_POINTS[len(codes)]
     for combo in itertools.product(codes, repeat=len(basis)):
         if not any(combo):
             continue
         form = _combine(combo, basis)
         if any(form) and _smooth(form, points):
-            return QuadraticForm3(_decode(form, elements))
+            return combo, form
     return None
+
+
+def exhaustive_smooth_conic(subspace: ConicSubspace, field):
+    """Oracle: scan every member of the subspace for a smooth conic."""
+    codes, elements = _field_codes(field)
+    found = _first_smooth([_encode(q.coeffs, elements) for q in subspace.basis], codes)
+    return None if found is None else QuadraticForm3(_decode(found[1], elements))
 
 
 def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResult:
@@ -574,17 +581,12 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
                                  _decode(combo, elements))
 
     def fallback():
-        for combo in itertools.product(codes, repeat=n):
-            if not any(combo):
-                continue
-            res = result_from_combo(combo, "exhaustive-fallback")
-            if res is not None:
-                return res
-        return ConicSearchResult(None, "exhausted-none", None)
-
-    def solve_codes(columns, target):
-        x = solve([_decode(c, elements) for c in columns], _decode(target, elements))
-        return None if x is None else _encode(x, elements)
+        found = _first_smooth(basis, codes)
+        if found is None:
+            return ConicSearchResult(None, "exhausted-none", None)
+        combo, form = found
+        return ConicSearchResult(QuadraticForm3(_decode(form, elements)),
+                                 "exhaustive-fallback", _decode(combo, elements))
 
     # transformed copies of the basis; combos always refer to the original
     rows = basis
@@ -618,28 +620,22 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
         res = result_from_combo(f_combo, "normalized-member-smooth")
         return res if res is not None else fallback()
 
-    squares = [
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0),
-    ]
-
-    # case one: all three squares belong to the system
-    sq_combos = [solve_codes(rows, sq) for sq in squares]
-    if all(s is not None for s in sq_combos):
-        # xy + z^2 = f + A x^2 + B y^2 + z^2 with A, B from f
-        combo = f_combo
-        combo = _add(combo, sq_combos[0], f_vec[0])
-        combo = _add(combo, sq_combos[1], f_vec[1])
-        combo = _add(combo, sq_combos[2], 1)
-        res = result_from_combo(combo, "case-all-squares")
+    # case one: all three squares belong to the system, so it holds
+    # xy + z^2 = f + A x^2 + B y^2 + z^2 (A, B from f); the rows are
+    # independent, so its combination is the unique solution
+    squares = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
+    field_rows = [_decode(r, elements) for r in rows]
+    if matrix_rank(field_rows + [_decode(sq, elements) for sq in squares]) == n:
+        x = solve(field_rows, _decode((0, 0, 1, 0, 0, 1), elements))
+        res = None if x is None else result_from_combo(_encode(x, elements),
+                                                        "case-all-squares")
         return res if res is not None else fallback()
 
-    # case two: take a member outside (squares + f) and normalize its yz term
-    span_rows = squares + [f_vec]
+    # case two: take a member outside (squares + f) and normalize its yz term;
+    # f = A x^2 + B y^2 + xy, so those are the members with a yz or zx term
     g_vec = g_combo = None
     for i, r in enumerate(rows):
-        if solve_codes(span_rows, r) is None:
+        if r[3] or r[4]:
             g_vec = r
             g_combo = unit(i)
             break

@@ -345,6 +345,33 @@ def test_main_out_writes_file(tmp_path, capsys):
     assert data["summary"]["total"] == "13"
 
 
+def test_main_out_unwritable_exits_two(tmp_path, capsys):
+    """Exit 1 means a certificate failed; a report that cannot be written is
+    a usage error, reported like a fan file that cannot be read."""
+    target = tmp_path / "no_such_dir" / "report.json"
+    assert cli.main(["run", "numerology", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not target.exists()
+
+
+def test_low_degree_bound_computes_each_kernel_dimension_once(monkeypatch):
+    """Below bound 6 one kernel run to degree 6 serves both the identity
+    claim and the six reported rows; only the principal run adds calls."""
+    calls = []
+    real = cli.veronese.ideal_graded_dimension
+
+    def counting(generators, d):
+        calls.append((tuple(repr(g) for g in generators), d))
+        return real(generators, d)
+
+    monkeypatch.setattr(cli.veronese, "ideal_graded_dimension", counting)
+    cli.run_suite("veronese", cli.RunConfig(trials=0, degree_bound=2))
+    assert len(calls) == 8
+    assert len(set(calls)) == len(calls)
+
+
 def test_main_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "mystery"])

@@ -328,7 +328,7 @@ def test_solve_recovers_coefficients(case):
 
 
 # ---------------------------------------------------------------------------
-# bit-packed F2 / F4 elimination
+# F2 / F4 elimination: the same sparse `_echelon` that reduces rationals
 # ---------------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from certkit import veronese
+from certkit import exactcore, veronese
 from certkit.exactcore import (
     Polynomial,
     poly_from_string_exps,
@@ -357,6 +357,28 @@ def test_full_f2_sweep_is_constructive():
         assert _combo_matches(res, sub)
     assert count == 651
     assert histogram == EXPECTED_HISTOGRAM
+
+
+def test_f2_sweep_solves_only_in_case_all_squares(monkeypatch):
+    """The search eliminates once per subspace: one solve for the
+    case-all-squares combination, none on any other path."""
+    calls = []
+    real = veronese.solve
+
+    def counting(columns, target):
+        calls.append(1)
+        return real(columns, target)
+
+    monkeypatch.setattr(veronese, "solve", counting)
+    monkeypatch.setattr(exactcore, "solve", counting)
+    paths = {}
+    for rows in _f2_subspaces():
+        sub = ConicSubspace([form(r) for r in rows])
+        before = len(calls)
+        res = find_smooth_conic_details(sub, F2_FIELD)
+        assert len(calls) - before == (res.path == "case-all-squares")
+        paths[res.path] = paths.get(res.path, 0) + 1
+    assert len(calls) == paths["case-all-squares"] == 6
 
 
 def _random_subspace(rng, field, dim=4):
