@@ -494,12 +494,17 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
 
     Raises ValueError("unmapped variable") when p uses a variable with no
     image, and ValueError when there are no images to give the target
-    variables.  The result is combined over common denominators, exactly.
+    variables.  The result is exact, over the one common denominator
+    prod_j den_j^D_j, where D_j is the top exponent of variable j in p: the
+    term c * prod_j x_j^e_j becomes c * prod_j num_j^e_j * den_j^(D_j - e_j).
     """
-    used = [v for j, v in enumerate(p.variables) if any(e[j] for e in p.terms)]
-    for v in used:
-        if v not in images:
-            raise ValueError("unmapped variable")
+    tops = {}
+    for j, v in enumerate(p.variables):
+        top = max((e[j] for e in p.terms), default=0)
+        if top:
+            if v not in images:
+                raise ValueError("unmapped variable")
+            tops[j] = top
     if not images:
         raise ValueError("no images: the target variables are unknown")
     target_vars = next(iter(images.values())).num.variables
@@ -507,16 +512,23 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
         if img.num.variables != target_vars:
             raise ValueError("images over different variable lists")
     one = Polynomial.constant(target_vars, Fraction(1))
-    total = RationalFunction(Polynomial.zero(target_vars), one)
+    # nums[j][k] = num_j^k and dens[j][k] = den_j^k for k = 0 .. D_j
+    nums, dens = {}, {}
+    for j, top in tops.items():
+        img = images[p.variables[j]]
+        nums[j], dens[j] = [one], [one]
+        for _ in range(top):
+            nums[j].append(nums[j][-1] * img.num)
+            dens[j].append(dens[j][-1] * img.den)
+    num, den = Polynomial.zero(target_vars), one
     for e, c in p.terms.items():
-        term = RationalFunction(Polynomial.constant(target_vars, c), one)
-        for j, exp in enumerate(e):
-            if exp:
-                img = images[p.variables[j]]
-                for _ in range(exp):
-                    term = term * img
-        total = total + term
-    return total
+        term = Polynomial.constant(target_vars, c)
+        for j, top in tops.items():
+            term = term * nums[j][e[j]] * dens[j][top - e[j]]
+        num = num + term
+    for j, top in tops.items():
+        den = den * dens[j][top]
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,11 @@ class CIData:
 
     def __init__(self, ambient_dim: int, degrees: Sequence[int]):
         degrees = tuple(degrees)
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
-        if any((not isinstance(d, int)) or d < 1 for d in degrees):
-            raise ValueError("degrees must be positive integers")
+        # booleans are ints to Python, but not a dimension or a degree
+        if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int) or ambient_dim < 1:
+            raise ValueError(f"ambient dimension must be a positive integer: {ambient_dim!r}")
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in degrees):
+            raise ValueError(f"degrees must be positive integers: {degrees!r}")
         if len(degrees) >= ambient_dim:
             raise ValueError("too many hypersurfaces")
         object.__setattr__(self, "ambient_dim", ambient_dim)

@@ -14,17 +14,34 @@ from typing import Iterable, Set, Tuple
 class DeltaGenusInput:
     """A polarized variety reduced to the three numbers the delta-genus
     formula needs: dimension, top self-intersection of the polarization,
-    and the dimension of its space of sections."""
+    and the dimension of its space of sections.  The dimension must be an
+    int, the other two ints or Fractions; anything else is a ValueError."""
     dim: int
     top_self_intersection: object
     h0: object
 
     def __init__(self, dim: int, top_self_intersection, h0):
+        if not _is_int(dim):
+            raise ValueError(f"dimension must be an integer: {dim!r}")
         if dim < 1:
             raise ValueError("dimension must be positive")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "top_self_intersection", Fraction(top_self_intersection))
-        object.__setattr__(self, "h0", Fraction(h0))
+        object.__setattr__(self, "top_self_intersection", _exact(top_self_intersection))
+        object.__setattr__(self, "h0", _exact(h0))
+
+
+def _is_int(x) -> bool:
+    """A plain integer; booleans are ints to Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; ValueError unless it is an int or a Fraction, where
+    Fraction() would turn 0.1 into a 55-bit binary fraction, parse the
+    string '5' or read True as 1."""
+    if isinstance(x, Fraction) or _is_int(x):
+        return Fraction(x)
+    raise ValueError(f"value must be an int or a Fraction: {x!r}")
 
 
 def delta_genus(data: DeltaGenusInput) -> Fraction:

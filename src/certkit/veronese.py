@@ -123,20 +123,18 @@ def secant_stratum(point: Sequence) -> SecantStratum:
 # projection kernel
 # ---------------------------------------------------------------------------
 
-# chart images of the four surviving coordinates: all share the same
+# chart images of the four surviving coordinates, as (t, u) exponents of
+# their numerators: Z -> t^2, S -> tu, T -> t, U -> u.  All share the same
 # denominator 1 - u^2, so numerators alone decide linear independence
-_CHART_NUMERATORS = {"Z": {"t^2": 1}, "S": {"t*u": 1}, "T": {"t": 1}, "U": {"u": 1}}
+_CHART_EXPONENTS = {"Z": (2, 0), "S": (1, 1), "T": (1, 0), "U": (0, 1)}
 
 
 def projection_images() -> dict:
     one = Polynomial.constant(CHART_VARS, Fraction(1))
     u = Polynomial.variable("u", CHART_VARS)
     den = one - u * u
-    out = {}
-    for name, terms in _CHART_NUMERATORS.items():
-        num = poly_from_string_exps(CHART_VARS, {k: Fraction(v) for k, v in terms.items()})
-        out[name] = RationalFunction(num, den)
-    return out
+    return {name: RationalFunction(Polynomial(CHART_VARS, {exps: Fraction(1)}), den)
+            for name, exps in _CHART_EXPONENTS.items()}
 
 
 def proposed_kernel_generators() -> list:
@@ -147,16 +145,18 @@ def proposed_kernel_generators() -> list:
 
 
 def principal_kernel_generator() -> Polynomial:
-    """The single quadric that the chart computation actually annihilates."""
-    return poly_from_string_exps(KERNEL_VARS, {"S*T": Fraction(1), "U*Z": Fraction(-1)})
+    """The single quadric that the chart computation actually annihilates:
+    the second proposed generator, ST - UZ."""
+    return proposed_kernel_generators()[1]
 
 
 def _monomial_image_numerator(exps: tuple) -> Polynomial:
     """Numerator of the image of Z^a S^b T^c U^e over the common denominator."""
-    a, b, c, e = exps
-    # Z -> t^2, S -> tu, T -> t, U -> u
-    t_exp = 2 * a + b + c
-    u_exp = b + e
+    t_exp = u_exp = 0
+    for v, e in zip(KERNEL_VARS, exps):
+        t, u = _CHART_EXPONENTS[v]
+        t_exp += e * t
+        u_exp += e * u
     return Polynomial(CHART_VARS, {(t_exp, u_exp): Fraction(1)})
 
 
@@ -555,58 +555,30 @@ def exhaustive_smooth_conic(subspace: ConicSubspace, field):
     return None if found is None else QuadraticForm3(_decode(found[1], elements))
 
 
-def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResult:
-    """Constructive search for a smooth conic in a linear system of
-    dimension at least four over a field of characteristic two.
+def _case_split(rows, elements):
+    """The source's four-way case split, on the code rows of a basis of a
+    system of dimension at least four: (combo, path) naming one member by
+    its coordinates on the rows, or None where a step has nothing to work
+    with.  Smoothness of the member is left to the caller.
 
-    Normalizes one basis member to the shape (squares + xy), then walks the
-    four-way case split on what else the system contains.  Every branch
-    produces a member whose distinguished square coefficient is nonzero,
-    which is exactly smoothness after the normalization.  If any step fails
-    to deliver (it should not, at any field size), an exhaustive scan of
-    the finite subspace is used instead and reported as the path.
-    """
-    codes, elements = _field_codes(field)
-    if subspace.dimension < 4:
-        raise ValueError("subspace dimension below four")
-    n = subspace.dimension
-    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
-    points = _PLANE_POINTS[len(codes)]
-
-    def result_from_combo(combo, path):
-        form = _combine(combo, basis)
-        if not any(form) or not _smooth(form, points):
-            return None
-        return ConicSearchResult(QuadraticForm3(_decode(form, elements)), path,
-                                 _decode(combo, elements))
-
-    def fallback():
-        found = _first_smooth(basis, codes)
-        if found is None:
-            return ConicSearchResult(None, "exhausted-none", None)
-        combo, form = found
-        return ConicSearchResult(QuadraticForm3(_decode(form, elements)),
-                                 "exhaustive-fallback", _decode(combo, elements))
-
-    # transformed copies of the basis; combos always refer to the original
-    rows = basis
-    unit = lambda i: [int(j == i) for j in range(n)]
+    One member is normalized to f = A x^2 + B y^2 + xy, and every branch
+    names a member whose distinguished square coefficient is nonzero,
+    which is exactly smoothness after the normalization.  The combos always
+    refer to the original rows; the coordinate changes act on copies."""
+    n = len(rows)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
 
     # pick a member with an off-diagonal term and rotate it into the xy slot
-    pick = None
-    for i, r in enumerate(rows):
-        if r[3] or r[4] or r[5]:
-            pick = i
-            break
+    pick = next((i for i, r in enumerate(rows) if r[3] or r[4] or r[5]), None)
     if pick is None:
-        return fallback()
+        return None
     if not rows[pick][5]:
         # zx-term: swap y and z brings it to xy; yz-term: swap x and z
         swap = (1, 2) if rows[pick][4] else (0, 2)
         rows = [_swap_vars(r, swap[0], swap[1]) for r in rows]
     scale = GF4_INV[rows[pick][5]]
     f_vec = _scale(rows[pick], scale)
-    f_combo = _scale(unit(pick), scale)
+    f_combo = _scale(unit[pick], scale)
 
     # absorb the remaining off-diagonal terms of f into a coordinate change
     alpha, beta = f_vec[3], f_vec[4]
@@ -615,10 +587,9 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
         rows = [_substitute_linear(r, sub) for r in rows]
         f_vec = _substitute_linear(f_vec, sub)
     if f_vec[3] or f_vec[4] or f_vec[5] != 1:
-        return fallback()
+        return None
     if f_vec[2]:
-        res = result_from_combo(f_combo, "normalized-member-smooth")
-        return res if res is not None else fallback()
+        return f_combo, "normalized-member-smooth"
 
     # case one: all three squares belong to the system, so it holds
     # xy + z^2 = f + A x^2 + B y^2 + z^2 (A, B from f); the rows are
@@ -627,26 +598,19 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     field_rows = [_decode(r, elements) for r in rows]
     if matrix_rank(field_rows + [_decode(sq, elements) for sq in squares]) == n:
         x = solve(field_rows, _decode((0, 0, 1, 0, 0, 1), elements))
-        res = None if x is None else result_from_combo(_encode(x, elements),
-                                                        "case-all-squares")
-        return res if res is not None else fallback()
+        return None if x is None else (_encode(x, elements), "case-all-squares")
 
     # case two: take a member outside (squares + f) and normalize its yz term;
     # f = A x^2 + B y^2 + xy, so those are the members with a yz or zx term
-    g_vec = g_combo = None
-    for i, r in enumerate(rows):
-        if r[3] or r[4]:
-            g_vec = r
-            g_combo = unit(i)
-            break
-    if g_vec is None:
-        return fallback()
+    pick = next((i for i, r in enumerate(rows) if r[3] or r[4]), None)
+    if pick is None:
+        return None
     # subtraction is addition in characteristic two
-    g_combo = _add(g_combo, f_combo, g_vec[5])
-    g_vec = _add(g_vec, f_vec, g_vec[5])
+    c = rows[pick][5]
+    g_vec, g_combo = _add(rows[pick], f_vec, c), _add(unit[pick], f_combo, c)
     if not g_vec[3]:
         if not g_vec[4]:
-            return fallback()
+            return None
         rows = [_swap_vars(r, 0, 1) for r in rows]
         f_vec = _swap_vars(f_vec, 0, 1)
         g_vec = _swap_vars(g_vec, 0, 1)
@@ -654,8 +618,7 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     g_vec = _scale(g_vec, scale)
     g_combo = _scale(g_combo, scale)
     if g_vec[4]:
-        b = g_vec[4]
-        sub = ((1, 0, 0), (b, 1, 0), (0, 0, 1))
+        sub = ((1, 0, 0), (g_vec[4], 1, 0), (0, 0, 1))
         rows = [_substitute_linear(r, sub) for r in rows]
         f_vec = _substitute_linear(f_vec, sub)
         g_vec = _substitute_linear(g_vec, sub)
@@ -663,76 +626,76 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
         f_vec = _scale(f_vec, scale)
         f_combo = _scale(f_combo, scale)
     if g_vec[0]:
-        res = result_from_combo(g_combo, "yz-member-smooth")
-        return res if res is not None else fallback()
+        return g_combo, "yz-member-smooth"
 
-    def reduce_mod_fg(vec, combo):
-        combo = _add(combo, f_combo, vec[5])
-        vec = _add(vec, f_vec, vec[5])
-        combo = _add(combo, g_combo, vec[3])
-        vec = _add(vec, g_vec, vec[3])
-        return vec, combo
+    # each row modulo f and g, once: the residues have no xy and no yz term
+    residues = []
+    for vec, combo in zip(rows, unit):
+        c = vec[5]
+        vec, combo = _add(vec, f_vec, c), _add(combo, f_combo, c)
+        c = vec[3]
+        residues.append((_add(vec, g_vec, c), _add(combo, g_combo, c)))
 
-    # case three: some member retains a zx term after reduction
-    h_vec = h_combo = None
-    for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(r, unit(i))
-        if vec[4]:
-            scale = GF4_INV[vec[4]]
-            h_vec = _scale(vec, scale)
-            h_combo = _scale(combo, scale)
-            break
-    if h_vec is not None:
-        if h_vec[1]:
-            res = result_from_combo(h_combo, "zx-member-smooth")
-            return res if res is not None else fallback()
-        # diagonal residue outside (f, g, h)
-        for i, r in enumerate(rows):
-            vec, combo = reduce_mod_fg(r, unit(i))
-            combo = _add(combo, h_combo, vec[4])
-            vec = _add(vec, h_vec, vec[4])
-            if not any(vec):
-                continue
-            if vec[2]:
-                res = result_from_combo(_add(combo, f_combo, 1), "diagonal-plus-xy")
-            elif vec[0]:
-                res = result_from_combo(_add(combo, g_combo, 1), "diagonal-plus-yz")
-            else:
-                res = result_from_combo(_add(combo, h_combo, 1), "diagonal-plus-zx")
-            return res if res is not None else fallback()
-        return fallback()
-
-    # case four: all reductions are diagonal
-    h_vec = h_combo = None
-    for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(r, unit(i))
-        if any(vec):
-            h_vec, h_combo = vec, combo
-            break
-    if h_vec is None:
-        return fallback()
-    if h_vec[2]:
-        res = result_from_combo(_add(h_combo, f_combo, 1), "diagonal-plus-xy")
-        return res if res is not None else fallback()
-    if h_vec[0]:
-        res = result_from_combo(_add(h_combo, g_combo, 1), "diagonal-plus-yz")
-        return res if res is not None else fallback()
-    # h is a pure y^2 residue; look one element further
-    scale = GF4_INV[h_vec[1]]
-    h_vec = _scale(h_vec, scale)
-    h_combo = _scale(h_combo, scale)
-    for i, r in enumerate(rows):
-        vec, combo = reduce_mod_fg(r, unit(i))
-        combo = _add(combo, h_combo, vec[1])
-        vec = _add(vec, h_vec, vec[1])
+    # case three: some residue keeps a zx term, and h clears slot k = zx;
+    # case four: every residue is diagonal, and the first nonzero one names
+    # the member unless it is a pure y^2, in which case h clears k = y^2
+    k = 4
+    h = next((r for r in residues if r[0][4]), None)
+    if h is None:
+        k = 1
+        h = next((r for r in residues if any(r[0])), None)
+        if h is None:
+            return None
+        if h[0][2]:
+            return _add(h[1], f_combo, 1), "diagonal-plus-xy"
+        if h[0][0]:
+            return _add(h[1], g_combo, 1), "diagonal-plus-yz"
+    scale = GF4_INV[h[0][k]]
+    h_vec, h_combo = _scale(h[0], scale), _scale(h[1], scale)
+    if k == 4 and h_vec[1]:
+        return h_combo, "zx-member-smooth"
+    # a diagonal residue outside (f, g, h); in case four it has no y^2, so
+    # when it has no z^2 it has an x^2 and the last line is case three's
+    for vec, combo in residues:
+        c = vec[k]
+        vec, combo = _add(vec, h_vec, c), _add(combo, h_combo, c)
         if not any(vec):
             continue
         if vec[2]:
-            res = result_from_combo(_add(combo, f_combo, 1), "diagonal-plus-xy")
-        else:
-            res = result_from_combo(_add(combo, g_combo, 1), "diagonal-plus-yz")
-        return res if res is not None else fallback()
-    return fallback()
+            return _add(combo, f_combo, 1), "diagonal-plus-xy"
+        if vec[0]:
+            return _add(combo, g_combo, 1), "diagonal-plus-yz"
+        return _add(combo, h_combo, 1), "diagonal-plus-zx"
+    return None
+
+
+def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResult:
+    """Constructive search for a smooth conic in a linear system of
+    dimension at least four over a field of characteristic two.
+
+    Takes the member that _case_split names and checks that it is smooth.
+    If the split names none, or a singular one (it should not, at any field
+    size), an exhaustive scan of the finite subspace is used instead and
+    reported as the path.
+    """
+    codes, elements = _field_codes(field)
+    if subspace.dimension < 4:
+        raise ValueError("subspace dimension below four")
+    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
+    found = None
+    split = _case_split(basis, elements)
+    if split is not None:
+        combo, path = split
+        form = _combine(combo, basis)
+        if any(form) and _smooth(form, _PLANE_POINTS[len(codes)]):
+            found = combo, form
+    if found is None:
+        found, path = _first_smooth(basis, codes), "exhaustive-fallback"
+        if found is None:
+            return ConicSearchResult(None, "exhausted-none", None)
+    combo, form = found
+    return ConicSearchResult(QuadraticForm3(_decode(form, elements)), path,
+                             _decode(combo, elements))
 
 
 def find_smooth_conic(subspace: ConicSubspace, field):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certkit import hodge
+from certkit import certify_cli, hodge
 from certkit.exactcore import Polynomial, poly_from_string_exps
 from certkit.hodge import (
     CIData,
@@ -157,6 +157,27 @@ def test_cidata_validation():
         CIData(4, (0,))
     with pytest.raises(ValueError, match="too many hypersurfaces"):
         CIData(3, (2, 2, 2))
+
+
+@pytest.mark.parametrize("ambient_dim, degrees", [
+    (4, (True,)),
+    (4.0, (2,)),
+    (True, ()),
+    ("4", (2,)),
+    (4, (2.0,)),
+    (5, (2, Fraction(3))),
+])
+def test_cidata_rejects_float_bool_and_string_inputs(ambient_dim, degrees):
+    with pytest.raises(ValueError, match="must be a positive integer|must be positive integers"):
+        CIData(ambient_dim, degrees)
+
+
+def test_cidata_report_inputs_unchanged():
+    for name, n, degrees in certify_cli._FANO_CIS:
+        ci = CIData(n, degrees)
+        assert (ci.ambient_dim, ci.degrees, ci.dim) == (n, degrees, n - len(degrees))
+        assert type(ci.ambient_dim) is int and all(type(d) is int for d in ci.degrees)
+    assert CIData(4, [2]) == CIData(4, (2,))
 
 
 def test_ci_chi_twist_structure_sheaf():

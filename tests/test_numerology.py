@@ -32,6 +32,32 @@ def test_delta_genus_rejects_nonpositive_dimension():
         DeltaGenusInput(0, 1, 1)
 
 
+@pytest.mark.parametrize("args", [
+    (3, 0.1, 8),
+    (3, 5, 8.0),
+    (3, "5", 8),
+    (3, 5, True),
+    (True, 5, 8),
+    (3.0, 5, 8),
+    ("3", 5, 8),
+])
+def test_delta_genus_input_rejects_float_string_and_bool(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        DeltaGenusInput(*args)
+
+
+def test_delta_genus_input_int_and_fraction_unchanged():
+    """The inputs of the delta-genus certificates and the exact-fraction
+    case are stored as before: the dimension as given, the rest as Fraction."""
+    for dim, top, h0, delta in [(3, 5, 8, 0), (2, 4, 6, 0), (3, 5, 7, 1),
+                                (2, Fraction(9, 2), 5, Fraction(3, 2))]:
+        data = DeltaGenusInput(dim, top, h0)
+        assert (data.dim, data.top_self_intersection, data.h0) == (dim, top, h0)
+        assert type(data.dim) is int
+        assert type(data.top_self_intersection) is Fraction and type(data.h0) is Fraction
+        assert delta_genus(data) == delta and type(delta_genus(data)) is Fraction
+
+
 @given(st.integers(1, 6), st.integers(-20, 20), st.integers(-20, 20))
 def test_delta_genus_h0_slope(dim, deg, h0):
     base = delta_genus(DeltaGenusInput(dim, deg, h0))

@@ -312,18 +312,24 @@ def test_conic_subspace_validation():
         ConicSubspace([a, a])
 
 
-def _f2_subspaces():
-    """Reduced-row-echelon bases of all 4-dimensional coefficient subspaces."""
-    for pivots in itertools.combinations(range(6), 4):
+def _rref_bases(k, q):
+    """Reduced-row-echelon bases, as GF(4) codes, of all k-dimensional
+    coefficient subspaces over the field of order q (2 or 4)."""
+    for pivots in itertools.combinations(range(6), k):
         nonpivots = [j for j in range(6) if j not in pivots]
-        free = [(i, j) for i in range(4) for j in nonpivots if j > pivots[i]]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            rows = [[0] * 6 for _ in range(4)]
+        free = [(i, j) for i in range(k) for j in nonpivots if j > pivots[i]]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * 6 for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = 1
-            for (i, j), bit in zip(free, bits):
-                rows[i][j] = bit
+            for (i, j), c in zip(free, values):
+                rows[i][j] = c
             yield rows
+
+
+def _f2_subspaces():
+    """Reduced-row-echelon bases of all 4-dimensional coefficient subspaces."""
+    return _rref_bases(4, 2)
 
 
 def _combo_matches(result, subspace):
@@ -379,6 +385,50 @@ def test_f2_sweep_solves_only_in_case_all_squares(monkeypatch):
         assert len(calls) - before == (res.path == "case-all-squares")
         paths[res.path] = paths.get(res.path, 0) + 1
     assert len(calls) == paths["case-all-squares"] == 6
+
+
+EXPECTED_F4_HISTOGRAMS = {
+    5: {
+        "yz-member-smooth": 720,
+        "diagonal-plus-yz": 205,
+        "normalized-member-smooth": 144,
+        "zx-member-smooth": 144,
+        "diagonal-plus-xy": 83,
+        "diagonal-plus-zx": 48,
+        "case-all-squares": 21,
+    },
+    6: {"case-all-squares": 1},
+}
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_full_f4_sweep_is_constructive(dim):
+    """Every F4 subspace of dimension 5 (1,365) and 6 (one): the search
+    takes every path and never falls back to the exhaustive scan."""
+    histogram = {}
+    for rows in _rref_bases(dim, 4):
+        sub = ConicSubspace([QuadraticForm3(F4_FIELD[c] for c in r) for r in rows])
+        res = find_smooth_conic_details(sub, F4_FIELD)
+        histogram[res.path] = histogram.get(res.path, 0) + 1
+        assert res.form is not None
+        assert is_smooth_conic(res.form, F4_FIELD)
+        assert _combo_matches(res, sub)
+    assert histogram == EXPECTED_F4_HISTOGRAMS[dim]
+
+
+def test_search_falls_back_when_the_split_names_no_smooth_member(monkeypatch):
+    """The search's single tail: a split that names nothing, a singular
+    member or the zero member hands over to the exhaustive scan."""
+    sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
+    oracle = exhaustive_smooth_conic(sub, F2_FIELD)
+    for split in (None, ([1, 0, 0, 0], "normalized-member-smooth"),
+                  ([0, 0, 0, 0], "case-all-squares")):
+        monkeypatch.setattr(veronese, "_case_split", lambda rows, elements: split)
+        res = find_smooth_conic_details(sub, F2_FIELD)
+        assert res.path == "exhaustive-fallback"
+        assert res.form == oracle and _combo_matches(res, sub)
+    monkeypatch.setattr(veronese, "_first_smooth", lambda basis, codes: None)
+    assert find_smooth_conic_details(sub, F2_FIELD) == (None, "exhausted-none", None)
 
 
 def _random_subspace(rng, field, dim=4):
