@@ -10,6 +10,10 @@ All ideal questions are answered degree by degree with linear algebra:
 polynomial spans are eliminated on sparse rows keyed by monomial, by the
 same Gauss-Jordan routine that reduces matrices, whose rows are keyed by
 column.  There is deliberately no Groebner machinery here.
+
+It also owns the exact-input rule, which every module applies through
+`_is_int`, `_exact_ints` and `_exact_rational`: an integer is a plain int,
+never a bool; a rational is an int or a Fraction; all else is a ValueError.
 """
 
 from __future__ import annotations
@@ -18,6 +22,36 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+
+# ---------------------------------------------------------------------------
+# exact inputs
+# ---------------------------------------------------------------------------
+
+
+def _is_int(x) -> bool:
+    """A plain int: of type int exactly, so a bool (an int to Python) is not."""
+    return type(x) is int
+
+
+def _exact_ints(values, what: str) -> tuple:
+    """The values as a tuple; ValueError if one is not a plain integer,
+    where int() would truncate 1.5 or read True as 1."""
+    values = tuple(values)
+    if not all(_is_int(x) for x in values):
+        raise ValueError(f"{what} must be integers: {list(values)}")
+    return values
+
+
+def _exact_rational(x, what: str) -> Fraction:
+    """x as a Fraction, a Fraction input as is; ValueError unless it is an
+    int or a Fraction, where Fraction() would turn 0.1 into a 55-bit binary
+    fraction, parse the string '5' or read True as 1."""
+    if isinstance(x, Fraction):
+        return x
+    if _is_int(x):
+        return Fraction(x)
+    raise ValueError(f"{what} must be an int or a Fraction: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +263,11 @@ class Polynomial:
         return cls(variables, {(0,) * n: c} if c else {})
 
     @classmethod
-    def variable(cls, name: str, variables: Sequence[str], one=Fraction(1)) -> "Polynomial":
+    def variable(cls, name: str, variables: Sequence[str]) -> "Polynomial":
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: one})
+        return cls(variables, {exps: Fraction(1)})
 
     # -- ring structure ------------------------------------------------------
 
@@ -449,8 +483,8 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def from_polynomial(cls, p: Polynomial, one=Fraction(1)) -> "RationalFunction":
-        return cls(p, Polynomial.constant(p.variables, one))
+    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
+        return cls(p, Polynomial.constant(p.variables, Fraction(1)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -545,7 +579,7 @@ def int_determinant(rows: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     m = [list(r) for r in rows]
-    if not all(type(x) is int for r in m for x in r):
+    if not all(_is_int(x) for r in m for x in r):
         raise TypeError("integer matrix entries must be ints")
     sign = 1
     prev = 1
@@ -589,10 +623,16 @@ def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FIELD_TYPES = frozenset((Fraction, Fp, F4))
+
+
 def _promote(items) -> dict:
-    """Sparse row {key: entry} of the nonzero entries; plain ints become
-    Fraction, so that division stays exact."""
-    return {k: Fraction(x) if isinstance(x, int) else x for k, x in items if x}
+    """Sparse row {key: entry} of the nonzero entries.  Fraction, Fp and F4
+    entries are kept; any other goes through _exact_rational, so a plain int
+    becomes a Fraction, which keeps division exact, and a float, a bool or a
+    string raises ValueError."""
+    return {k: x if type(x) in _FIELD_TYPES else _exact_rational(x, "an entry not in Fp or F4")
+            for k, x in items if x}
 
 
 def _echelon(rows: list, order: Iterable) -> tuple:
@@ -638,7 +678,7 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
     carried along.  Entries may be Fraction, Fp, or F4; plain ints are
-    promoted to Fraction.
+    promoted to Fraction, and anything else raises ValueError.
     """
     mat = list(mat)
     if limit is None:

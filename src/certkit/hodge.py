@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .exactcore import (
     Polynomial,
+    _is_int,
     kernel_dimension,
     matrix_rank,
     monomials_of_degree,
@@ -45,10 +46,9 @@ class CIData:
 
     def __init__(self, ambient_dim: int, degrees: Sequence[int]):
         degrees = tuple(degrees)
-        # booleans are ints to Python, but not a dimension or a degree
-        if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int) or ambient_dim < 1:
+        if not _is_int(ambient_dim) or ambient_dim < 1:
             raise ValueError(f"ambient dimension must be a positive integer: {ambient_dim!r}")
-        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in degrees):
+        if not all(_is_int(d) and d >= 1 for d in degrees):
             raise ValueError(f"degrees must be positive integers: {degrees!r}")
         if len(degrees) >= ambient_dim:
             raise ValueError("too many hypersurfaces")

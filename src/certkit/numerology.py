@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Set, Tuple
 
+from .exactcore import _exact_rational, _is_int
+
 
 @dataclass(frozen=True)
 class DeltaGenusInput:
@@ -26,22 +28,9 @@ class DeltaGenusInput:
         if dim < 1:
             raise ValueError("dimension must be positive")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "top_self_intersection", _exact(top_self_intersection))
-        object.__setattr__(self, "h0", _exact(h0))
-
-
-def _is_int(x) -> bool:
-    """A plain integer; booleans are ints to Python but not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; ValueError unless it is an int or a Fraction, where
-    Fraction() would turn 0.1 into a 55-bit binary fraction, parse the
-    string '5' or read True as 1."""
-    if isinstance(x, Fraction) or _is_int(x):
-        return Fraction(x)
-    raise ValueError(f"value must be an int or a Fraction: {x!r}")
+        object.__setattr__(self, "top_self_intersection",
+                           _exact_rational(top_self_intersection, "top self-intersection"))
+        object.__setattr__(self, "h0", _exact_rational(h0, "h0"))
 
 
 def delta_genus(data: DeltaGenusInput) -> Fraction:

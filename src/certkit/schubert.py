@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
 
-from .exactcore import Polynomial
+from .exactcore import Polynomial, _exact_ints, _exact_rational
 
 Partition2 = tuple  # (a, b) with a >= b >= 0
 
@@ -27,16 +27,6 @@ Partition2 = tuple  # (a, b) with a >= b >= 0
 def partition_is_valid(lam: Partition2, n: int) -> bool:
     a, b = lam
     return 0 <= b <= a <= n - 2
-
-
-def _exact(c) -> Fraction:
-    """c as a Fraction; ValueError unless it is an int or a Fraction, where
-    Fraction() would turn 0.1 into a 55-bit binary fraction or True into 1."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
-    raise ValueError(f"coefficient must be an int or a Fraction: {c!r}")
 
 
 class SchubertElement:
@@ -50,12 +40,10 @@ class SchubertElement:
         clean = {}
         if coeffs:
             for lam, c in coeffs.items():
-                lam = tuple(lam)
-                if any(isinstance(x, bool) or not isinstance(x, int) for x in lam):
-                    raise ValueError(f"partition entries must be integers: {lam!r}")
+                lam = _exact_ints(lam, "partition entries")
                 if not partition_is_valid(lam, n):
                     raise ValueError("invalid partition")
-                c = _exact(c)
+                c = _exact_rational(c, "coefficient")
                 if c:
                     clean[lam] = clean.get(lam, Fraction(0)) + c
         self.coeffs = {k: v for k, v in clean.items() if v}
@@ -97,7 +85,7 @@ class SchubertElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SchubertElement":
-        c = _exact(c)
+        c = _exact_rational(c, "coefficient")
         return SchubertElement(self.n, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -342,7 +330,7 @@ class ChernCharacter:
         for i, p in enumerate((ch1, ch2, ch3), start=1):
             if not p.is_zero() and _weights(p) != {i}:
                 raise ValueError(f"ch{i} not homogeneous of weight {i}")
-        self.rank = Fraction(rank)
+        self.rank = _exact_rational(rank, "rank")
         self.ch1 = ch1
         self.ch2 = ch2
         self.ch3 = ch3
@@ -388,7 +376,7 @@ def character_to_chern(ch: ChernCharacter, rank) -> ChernVector:
 
 def line_character(m) -> ChernCharacter:
     """Character of a line class m*s1: exp expansion through weight 3."""
-    m = Fraction(m)
+    m = _exact_rational(m, "twist")
     return ChernCharacter(1,
                           S1.scale(m),
                           (S1 * S1).scale(m * m / 2),

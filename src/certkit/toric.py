@@ -26,25 +26,11 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exactcore import gcd_of_maximal_minors
-
-
-def _is_int(x) -> bool:
-    """A plain integer; booleans are ints to Python but not to a fan."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _int_tuple(values, what: str) -> tuple:
-    """The values as a tuple; ValueError if one is not a plain integer,
-    where int() would truncate 1.5 or read True as 1."""
-    values = tuple(values)
-    if not all(_is_int(x) for x in values):
-        raise ValueError(f"{what} must be integers: {list(values)}")
-    return values
+from .exactcore import _exact_ints, _is_int, gcd_of_maximal_minors
 
 
 def _normalize_ray(v: Sequence[int]) -> tuple:
-    v = _int_tuple(v, "ray entries")
+    v = _exact_ints(v, "ray entries")
     g = math.gcd(*v) if v else 0
     if g == 0:
         raise ValueError("zero ray")
@@ -58,7 +44,7 @@ class TorusDivisor:
 
     def __init__(self, coefficients):
         object.__setattr__(self, "coefficients",
-                           _int_tuple(coefficients, "divisor coefficients"))
+                           _exact_ints(coefficients, "divisor coefficients"))
 
     def __iter__(self):
         return iter(self.coefficients)
@@ -193,7 +179,7 @@ class Fan:
             raise ValueError("duplicate ray")
         cones = []
         for c in maximal_cones:
-            c = tuple(sorted(set(_int_tuple(c, "cone indices"))))
+            c = tuple(sorted(set(_exact_ints(c, "cone indices"))))
             if any(i < 0 or i >= len(rays) for i in c):
                 raise ValueError("cone index out of range")
             if len(c) < 2:
@@ -307,7 +293,7 @@ def fan_is_smooth(fan: Fan) -> bool:
 def principal_divisor(fan: Fan, m: Sequence[int]) -> TorusDivisor:
     """Divisor of the character with exponent covector m: coefficient at
     each ray is the pairing <m, ray>."""
-    m = _int_tuple(m, "covector entries")
+    m = _exact_ints(m, "covector entries")
     if len(m) != fan.dim:
         raise ValueError("covector length does not match dimension")
     return TorusDivisor(_dot(m, r) for r in fan.rays)
@@ -455,7 +441,7 @@ def build_p1_bundle_fan(base: Fan, a) -> Fan:
         raise ValueError("base fan not 2-dimensional")
     if not fan_is_complete(base):
         raise ValueError("base fan not complete")
-    coeffs = _int_tuple(a, "bundle coefficients")
+    coeffs = _exact_ints(a, "bundle coefficients")
     if len(coeffs) != len(base.rays):
         raise ValueError("coefficient count does not match rays")
     nb = len(base.rays)
@@ -581,8 +567,6 @@ def fan_from_dict(data: dict) -> Fan:
         if (not isinstance(r, list) or len(r) != dim
                 or not all(_is_int(x) for x in r)):
             raise ValueError("each ray must be a list of integers of length dim")
-        if all(x == 0 for x in r):
-            raise ValueError("zero ray")
         if _normalize_ray(r) != tuple(r):
             raise ValueError(f"ray not primitive: {list(r)}")
     cones = data["cones"]

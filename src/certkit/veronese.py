@@ -28,6 +28,7 @@ from .exactcore import (
     Fp,
     Polynomial,
     RationalFunction,
+    _exact_rational,
     ideal_graded_dimension,
     ideal_piece,
     matrix_rank,
@@ -93,7 +94,7 @@ def secant_cubic_matches_determinant() -> bool:
 
 def veronese_map(point: Sequence) -> tuple:
     """Degree-two embedding of P^2: (X,Y,Z) -> (X^2, Y^2, Z^2, YZ, ZX, XY)."""
-    X, Y, Z = (Fraction(c) for c in point)
+    X, Y, Z = (_exact_rational(c, "coordinate") for c in point)
     if X == Y == Z == 0:
         raise ValueError("zero point")
     return (X * X, Y * Y, Z * Z, Y * Z, Z * X, X * Y)
@@ -108,7 +109,7 @@ class SecantStratum(enum.Enum):
 def secant_stratum(point: Sequence) -> SecantStratum:
     """Position of a rational point of P^5 relative to the Veronese surface
     and its secant cubic, read off the rank of the symmetric matrix."""
-    x, y, z, s, t, u = (Fraction(c) for c in point)
+    x, y, z, s, t, u = (_exact_rational(c, "coordinate") for c in point)
     if not any((x, y, z, s, t, u)):
         raise ValueError("zero point")
     rank = matrix_rank([[x, u, t], [u, y, s], [t, s, z]])
@@ -125,7 +126,8 @@ def secant_stratum(point: Sequence) -> SecantStratum:
 
 # chart images of the four surviving coordinates, as (t, u) exponents of
 # their numerators: Z -> t^2, S -> tu, T -> t, U -> u.  All share the same
-# denominator 1 - u^2, so numerators alone decide linear independence
+# denominator 1 - u^2, so numerators alone decide linear independence and
+# kernel membership
 _CHART_EXPONENTS = {"Z": (2, 0), "S": (1, 1), "T": (1, 0), "U": (0, 1)}
 
 
@@ -150,14 +152,16 @@ def principal_kernel_generator() -> Polynomial:
     return proposed_kernel_generators()[1]
 
 
-def _monomial_image_numerator(exps: tuple) -> Polynomial:
-    """Numerator of the image of Z^a S^b T^c U^e over the common denominator."""
-    t_exp = u_exp = 0
-    for v, e in zip(KERNEL_VARS, exps):
-        t, u = _CHART_EXPONENTS[v]
-        t_exp += e * t
-        u_exp += e * u
-    return Polynomial(CHART_VARS, {(t_exp, u_exp): Fraction(1)})
+def _image_numerator(p: Polynomial) -> Polynomial:
+    """Numerator of the chart image of p, homogeneous of degree d in
+    (Z, S, T, U), over the common denominator (1 - u^2)^d; so p maps to
+    zero exactly when this numerator is zero."""
+    terms = {}
+    for exps, c in p.terms.items():
+        t = sum(e * _CHART_EXPONENTS[v][0] for v, e in zip(KERNEL_VARS, exps))
+        u = sum(e * _CHART_EXPONENTS[v][1] for v, e in zip(KERNEL_VARS, exps))
+        terms[t, u] = terms.get((t, u), 0) + c
+    return Polynomial(CHART_VARS, terms)
 
 
 DegreeRow = namedtuple("DegreeRow", ["degree", "ideal_dim", "image_dim",
@@ -169,16 +173,15 @@ KernelVerdict = namedtuple("KernelVerdict", ["memberships", "rows",
 def _kernel_certificate(generators: list, degree_bound: int) -> KernelVerdict:
     if degree_bound < 2:
         raise ValueError("degree bound below two")
-    images = projection_images()
-    memberships = []
-    for g in generators:
-        residual = poly_substitute(g, images)
-        memberships.append((repr(g), residual.is_zero()))
+    # the numerators decide membership only for homogeneous generators;
+    # ideal_graded_dimension raises on any other before a verdict is made
+    memberships = [(repr(g), _image_numerator(g).is_zero()) for g in generators]
     rows = []
     for d in range(1, degree_bound + 1):
         ideal_dim = ideal_graded_dimension(generators, d)
         monos = monomials_of_degree(len(KERNEL_VARS), d)
-        image_dim = span_dimension([_monomial_image_numerator(e) for e in monos])
+        image_dim = span_dimension([_image_numerator(Polynomial(KERNEL_VARS, {e: 1}))
+                                    for e in monos])
         ring_dim = math.comb(d + 3, 3)
         rows.append(DegreeRow(d, ideal_dim, image_dim, ring_dim,
                               ideal_dim + image_dim == ring_dim))
@@ -234,34 +237,18 @@ def pencil_form() -> Polynomial:
     })
 
 
-def _evaluate_coords(p: Polynomial, values: dict) -> Polynomial:
-    """Substitute numbers for some variables, keeping the rest symbolic."""
-    terms: dict = {}
-    idx = {v: i for i, v in enumerate(p.variables)}
-    for e, c in p.terms.items():
-        coeff = c
-        ne = list(e)
-        for name, val in values.items():
-            i = idx[name]
-            if e[i]:
-                coeff = coeff * (Fraction(val) ** e[i])
-            ne[i] = 0
-        if coeff:
-            key = tuple(ne)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(p.variables, terms)
-
-
 def quadric_pencil_singularity_certificate() -> PencilVerdict:
     """Checks that the base point of the projection is singular on every
     member of the quadric pencil, identically in the pencil parameters."""
     F = pencil_form()
-    point = {"y": 1, "z": 0, "s": 0, "t": 0, "u": 0}
-    partials = []
-    for v in PENCIL_POINT_COORDS:
-        dv = F.derivative(v)
-        partials.append((v, _evaluate_coords(dv, point).is_zero()))
-    value_zero = _evaluate_coords(F, point).is_zero()
+    # the point y = 1, z = s = t = u = 0, with alpha and beta kept symbolic
+    images = {v: Polynomial.variable(v, PENCIL_VARS) for v in ("alpha", "beta")}
+    images["y"] = Polynomial.constant(PENCIL_VARS, Fraction(1))
+    zero = Polynomial.zero(PENCIL_VARS)
+    point = {v: RationalFunction.from_polynomial(images.get(v, zero)) for v in PENCIL_VARS}
+    partials = [(v, poly_substitute(F.derivative(v), point).is_zero())
+                for v in PENCIL_POINT_COORDS]
+    value_zero = poly_substitute(F, point).is_zero()
     ok = value_zero and all(z for _, z in partials)
     return PencilVerdict(tuple(partials), value_zero, ok)
 
@@ -412,12 +399,6 @@ class QuadraticForm3:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def evaluate(self, point):
-        x, y, z = point
-        a, b, c, d, e, f = self.coeffs
-        return (a * x * x + b * y * y + c * z * z
-                + d * y * z + e * z * x + f * x * y)
 
     def __add__(self, other):
         if isinstance(other, QuadraticForm3):

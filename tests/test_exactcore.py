@@ -32,7 +32,7 @@ from certkit.exactcore import (
     span_dimension,
     spans_contain,
 )
-from certkit import veronese
+from certkit import schubert, veronese
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +435,58 @@ def test_mixed_f4_and_f2_entries_raise_type_error():
 # ---------------------------------------------------------------------------
 # graded pieces
 # ---------------------------------------------------------------------------
+
+
+# every entry point into the elimination, and every module that reads
+# coordinates, twists or ranks, applies exactcore's one exact-input rule
+_TWO_BY_TWO = {"float": [[0.5, 1], [1, 2]], "bool": [[True, 0], [0, 1]],
+               "str": [["1", 0], [0, 1]]}
+_INEXACT_CALLS = [
+    *(pytest.param(lambda m=m: matrix_rank(m), id=f"matrix_rank-{k}")
+      for k, m in _TWO_BY_TWO.items()),
+    *(pytest.param(lambda m=m: solve(m, [1, 0]), id=f"solve-{k}")
+      for k, m in _TWO_BY_TWO.items()),
+    *(pytest.param(lambda m=m: kernel_dimension(m), id=f"kernel_dimension-{k}")
+      for k, m in _TWO_BY_TWO.items()),
+    *(pytest.param(lambda c=c: span_dimension([Polynomial(XY, {(1, 0): c, (0, 1): 1})]),
+                   id=f"span_dimension-{type(c).__name__}")
+      for c in (0.5, True, "1")),
+    pytest.param(lambda: solve([[0.1, 0.2]], [0.3, 0.6]), id="solve-float-system"),
+    pytest.param(lambda: veronese.veronese_map((0.1, "2", True)), id="veronese_map"),
+    pytest.param(lambda: veronese.secant_stratum((0.5, 1, 1, "1", 0, True)),
+                 id="secant_stratum"),
+    pytest.param(lambda: schubert.line_character(0.1), id="line_character"),
+    pytest.param(lambda: schubert.ChernCharacter(1.0, schubert.ZERO, schubert.ZERO,
+                                                 schubert.ZERO), id="ChernCharacter"),
+]
+
+
+@pytest.mark.parametrize("call", _INEXACT_CALLS)
+def test_inexact_inputs_raise_value_error(call):
+    # a float, a bool or a string was coerced or passed on to the arithmetic
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
+def test_exact_matrices_keep_their_ranks():
+    w = F4(0, 1)
+    cases = [
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 2),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], 1),
+        ([[1, Fraction(1, 2)], [0, Fraction(-2, 3)]], 2),
+        ([[Fp(5, 1), Fp(5, 2)], [Fp(5, 3), Fp(5, 1)]], 1),
+        ([[Fp(2, 1), Fp(2, 1), Fp(2, 0)], [Fp(2, 0), Fp(2, 1), Fp(2, 1)],
+          [Fp(2, 1), Fp(2, 0), Fp(2, 1)]], 2),
+        ([[F4(1), w], [w, w * w]], 1),
+        ([[F4(1), w, F4(0)], [F4(0), F4(1), w], [w, F4(0), F4(1)]], 2),
+        ([[F4(1), w, F4(0)], [F4(0), F4(1), w], [F4(1), F4(0), F4(1)]], 3),
+        ([[0, 0], [0, 0]], 0),
+    ]
+    assert [matrix_rank(m) for m, _ in cases] == [r for _, r in cases]
+    assert solve([[1, 2], [Fraction(1, 2), 1]], [2, 4]) is None
+    assert solve([[1, 0], [0, 1]], [3, Fraction(1, 2)]) == [3, Fraction(1, 2)]
+    assert span_dimension([Polynomial(XY, {(1, 0): 2, (0, 1): Fraction(1, 3)}),
+                           Polynomial(XY, {(1, 0): 6, (0, 1): 1})]) == 1
 
 
 def test_monomials_of_degree_count():

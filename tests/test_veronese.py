@@ -169,6 +169,36 @@ def test_principal_kernel_certificate_is_clean():
                                       {"S*T": Fraction(1), "U*Z": Fraction(-1)})
 
 
+def test_numerator_memberships_match_substitution():
+    # every chart image has the denominator 1 - u^2, so a homogeneous
+    # generator maps to zero exactly when its numerator is zero
+    K = veronese.KERNEL_VARS
+    images = projection_images()
+    linear = poly_from_string_exps(K, {"S": 3, "U": -1})
+    gens = proposed_kernel_generators() + [
+        linear, principal_kernel_generator() * linear,
+        poly_from_string_exps(K, {"S*T*U": 1, "Z*U^2": -1}),
+        poly_from_string_exps(K, {"Z*U^2": 1, "S^2*T": -1}),
+        poly_from_string_exps(K, {"Z*U": 1, "S*T": -1, "T*U": 2})]
+    for g in gens:
+        by_numerator = veronese._image_numerator(g).is_zero()
+        assert by_numerator == exactcore.poly_substitute(g, images).is_zero()
+        cert = veronese._kernel_certificate([g], 2)
+        assert cert.memberships == ((repr(g), by_numerator),)
+    assert [veronese._image_numerator(g).is_zero() for g in gens] == \
+        [False, True, False, True, True, False, False]
+
+
+def test_kernel_certificate_rejects_inhomogeneous_generator():
+    # Z - T^2 has the zero numerator t^2 - t^2, but its image
+    # t^2 / (1 - u^2) - t^2 / (1 - u^2)^2 is not zero
+    g = poly_from_string_exps(veronese.KERNEL_VARS, {"Z": 1, "T^2": -1})
+    assert veronese._image_numerator(g).is_zero()
+    assert not exactcore.poly_substitute(g, projection_images()).is_zero()
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        veronese._kernel_certificate([g], 2)
+
+
 QUOTIENT_ROWS = (
     (0, 1, 1, True),
     (1, 4, 4, True),
