@@ -14,6 +14,8 @@ column.  There is deliberately no Groebner machinery here.
 It also owns the exact-input rule, which every module applies through
 `_is_int`, `_exact_ints` and `_exact_rational`: an integer is a plain int,
 never a bool; a rational is an int or a Fraction; all else is a ValueError.
+Polynomial coefficients and matrix entries may also be Fp or F4 elements
+(`_EXACT_TYPES`), zero or not.
 """
 
 from __future__ import annotations
@@ -220,6 +222,12 @@ GF4_MUL = (
 )
 GF4_INV = (None,) + tuple(row.index(1) for row in GF4_MUL[1:])
 
+# the exact element types: field entries keep their type, and a plain int
+# is exact too (a bool is not, since type(True) is bool)
+_FIELD_TYPES = frozenset((Fraction, Fp, F4))
+_EXACT_TYPES = _FIELD_TYPES | {int}
+_EXACT_MESSAGE = "must be an int, a Fraction, an Fp or an F4"
+
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials
@@ -243,6 +251,8 @@ class Polynomial:
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent vector length mismatch")
+                if type(coeff) not in _EXACT_TYPES:
+                    raise ValueError(f"coefficient {_EXACT_MESSAGE}: {coeff!r}")
                 key = tuple(exps)
                 if key in clean:
                     clean[key] = clean[key] + coeff
@@ -260,7 +270,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Sequence[str], c) -> "Polynomial":
         n = len(variables)
-        return cls(variables, {(0,) * n: c} if c else {})
+        return cls(variables, {(0,) * n: c})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "Polynomial":
@@ -331,6 +341,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
+        if type(c) not in _EXACT_TYPES:
+            raise ValueError(f"scalar {_EXACT_MESSAGE}: {c!r}")
         out = Polynomial.__new__(Polynomial)
         out.variables = self.variables
         out.terms = {}
@@ -623,16 +635,13 @@ def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-_FIELD_TYPES = frozenset((Fraction, Fp, F4))
-
-
 def _promote(items) -> dict:
     """Sparse row {key: entry} of the nonzero entries.  Fraction, Fp and F4
     entries are kept; any other goes through _exact_rational, so a plain int
     becomes a Fraction, which keeps division exact, and a float, a bool or a
-    string raises ValueError."""
+    string raises ValueError, zero or not."""
     return {k: x if type(x) in _FIELD_TYPES else _exact_rational(x, "an entry not in Fp or F4")
-            for k, x in items if x}
+            for k, x in items if x or type(x) not in _EXACT_TYPES}
 
 
 def _echelon(rows: list, order: Iterable) -> tuple:

@@ -1,9 +1,12 @@
 """Schubert calculus on Gr(2,n), two-row partitions only.
 
 Basis classes are sigma_(a,b) with n-2 >= a >= b >= 0.  Products use the
-Littlewood-Richardson rule; for two-row shapes the lattice-word enumeration
-is tiny, and every coefficient is 0 or 1.  An independent product route via
-iterated Pieri steps is kept for cross-checking.
+Littlewood-Richardson rule, which for two-row shapes is the GL_2
+Clebsch-Gordan rule: sigma_(a,b) * sigma_(c,d) is the sum of
+sigma_(a+c-k, b+d+k) over 0 <= k <= min(a-b, c-d), clipped to the
+2 x (n-2) box, so every coefficient is 0 or 1 (Fulton, Young Tableaux, sec. 5).
+An independent product route via iterated Pieri steps is kept for
+cross-checking.
 
 Chern-class bookkeeping happens in the formal weighted ring Q[s1,s11,s2,s3]
 (weights 1,2,2,3), whose elements are exactcore Polynomials over
@@ -14,7 +17,6 @@ symbolic and are only paired against the ambient Grassmannian at the very end.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
@@ -150,70 +152,21 @@ def dual_pieri(lam: Partition2, n: int) -> SchubertElement:
     return SchubertElement(n, {(a + 1, b + 1): Fraction(1)})
 
 
-def _lr_coefficient(lam: Partition2, mu: Partition2, nu: Partition2) -> int:
-    """Littlewood-Richardson coefficient for two-row shapes by direct
-    enumeration of lattice-word fillings of nu/lam with content mu."""
-    if nu[0] < lam[0] or nu[1] < lam[1]:
-        return 0
-    if nu[0] + nu[1] != lam[0] + lam[1] + mu[0] + mu[1]:
-        return 0
-    row1 = [(0, j) for j in range(lam[0], nu[0])]
-    row2 = [(1, j) for j in range(lam[1], nu[1])]
-    cells = row1 + row2
-    count = 0
-    for filling in itertools.product((1, 2), repeat=len(cells)):
-        val = dict(zip(cells, filling))
-        # content
-        if filling.count(1) != mu[0] or filling.count(2) != mu[1]:
-            continue
-        # rows weakly increase
-        ok = all(val[(r, j)] <= val[(r, j + 1)]
-                 for (r, j) in cells if (r, j + 1) in val)
-        if not ok:
-            continue
-        # columns strictly increase
-        ok = all(val[(0, j)] < val[(1, j)]
-                 for (r, j) in cells if r == 1 and (0, j) in val)
-        if not ok:
-            continue
-        # reverse reading word is a lattice word
-        word = [val[(0, j)] for j in range(nu[0] - 1, lam[0] - 1, -1)]
-        word += [val[(1, j)] for j in range(nu[1] - 1, lam[1] - 1, -1)]
-        ones = twos = 0
-        good = True
-        for w in word:
-            if w == 1:
-                ones += 1
-            else:
-                twos += 1
-            if twos > ones:
-                good = False
-                break
-        if good:
-            count += 1
-    return count
-
-
 def mul(x: SchubertElement, y: SchubertElement) -> SchubertElement:
-    """Chow-ring product via the Littlewood-Richardson rule."""
+    """Chow-ring product by the two-row Littlewood-Richardson rule, which is
+    the GL_2 Clebsch-Gordan rule: sigma_(a,b) * sigma_(c,d) is the sum of
+    sigma_(a+c-k, b+d+k) over 0 <= k <= min(a-b, c-d), each with coefficient
+    1, dropping the terms with a+c-k > n-2 that leave the 2 x (n-2) box."""
     if x.n != y.n:
         raise ValueError("ambient mismatch")
     n = x.n
     out: dict = {}
-    for lam, cx in x.coeffs.items():
-        for mu, cy in y.coeffs.items():
-            total = lam[0] + lam[1] + mu[0] + mu[1]
-            c = cx * cy
-            # candidate nu run over two-row partitions of the right size
-            lo = max(lam[1], mu[1], total - (n - 2))
-            for b2 in range(lo, total // 2 + 1):
-                a2 = total - b2
-                if a2 > n - 2 or a2 < b2:
-                    continue
-                m = _lr_coefficient(lam, mu, (a2, b2))
-                if m:
-                    key = (a2, b2)
-                    out[key] = out.get(key, Fraction(0)) + c * m
+    for (a, b), cx in x.coeffs.items():
+        for (c, d), cy in y.coeffs.items():
+            cxy = cx * cy
+            for k in range(max(0, a + c - (n - 2)), min(a - b, c - d) + 1):
+                nu = (a + c - k, b + d + k)
+                out[nu] = out.get(nu, 0) + cxy
     return SchubertElement(n, out)
 
 
@@ -299,7 +252,7 @@ class ChernVector:
 
     __slots__ = ("rank", "classes")
 
-    def __init__(self, rank: int, classes):
+    def __init__(self, rank, classes):
         classes = list(classes)
         if len(classes) != 4:
             raise ValueError("expected classes c0..c3")
@@ -308,7 +261,7 @@ class ChernVector:
         for i, c in enumerate(classes):
             if not c.is_zero() and _weights(c) != {i}:
                 raise ValueError(f"c{i} not homogeneous of weight {i}")
-        self.rank = rank
+        self.rank = _exact_rational(rank, "rank")
         self.classes = classes
 
     def __eq__(self, other):
@@ -366,7 +319,7 @@ def character_mul(a: ChernCharacter, b: ChernCharacter) -> ChernCharacter:
 
 def character_to_chern(ch: ChernCharacter, rank) -> ChernVector:
     """Invert chern_to_character degree by degree."""
-    if ch.rank != Fraction(rank):
+    if ch.rank != _exact_rational(rank, "rank"):
         raise ValueError("rank mismatch")
     c1 = ch.ch1
     c2 = (c1 * c1).scale(Fraction(1, 2)) - ch.ch2

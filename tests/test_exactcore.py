@@ -489,6 +489,64 @@ def test_exact_matrices_keep_their_ranks():
                            Polynomial(XY, {(1, 0): 6, (0, 1): 1})]) == 1
 
 
+# zero entries, polynomial coefficients and Chern ranks that slipped past
+# the rule: a falsy float, bool or string entry was dropped unchecked, a
+# polynomial kept 0.5 as a coefficient, and a rank of '1' was stored as given
+_UNCHECKED_CALLS = [
+    pytest.param(lambda: matrix_rank([[0.0, False], ["", 0]]), id="matrix_rank-zeros"),
+    pytest.param(lambda: kernel_dimension([[0.0, 0.0]]), id="kernel_dimension-zeros"),
+    pytest.param(lambda: Polynomial(XY, {(1, 0): 0.5, (0, 1): 1}), id="Polynomial-float"),
+    pytest.param(lambda: Polynomial(XY, {(1, 0): 0.0}), id="Polynomial-zero-float"),
+    pytest.param(lambda: Polynomial(XY, {(1, 0): True}), id="Polynomial-bool"),
+    pytest.param(lambda: Polynomial.constant(XY, 0.0), id="Polynomial.constant-zero-float"),
+    pytest.param(lambda: Polynomial.variable("x", XY).scale(0.5), id="scale-float"),
+    pytest.param(lambda: Polynomial.variable("x", XY).scale(0.0), id="scale-zero-float"),
+    pytest.param(lambda: Polynomial.variable("x", XY) * 0.5, id="mul-float"),
+    pytest.param(lambda: schubert.character_to_chern(schubert.line_character(1), "1"),
+                 id="character_to_chern-str"),
+    pytest.param(lambda: schubert.character_to_chern(schubert.line_character(1), True),
+                 id="character_to_chern-bool"),
+    pytest.param(lambda: schubert.ChernVector(1.5, [schubert.ONE, schubert.ZERO,
+                                                    schubert.ZERO, schubert.ZERO]),
+                 id="ChernVector-float"),
+]
+
+
+@pytest.mark.parametrize("call", _UNCHECKED_CALLS)
+def test_zeros_coefficients_and_ranks_obey_the_exact_input_rule(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
+def test_exact_zeros_coefficients_and_ranks_unchanged():
+    # int, Fraction, Fp and F4 zeros are still dropped without a check
+    assert matrix_rank([[0, Fraction(0)], [0, 1]]) == 1
+    assert kernel_dimension([[0, 0]]) == (2, [[1, 0], [0, 1]])
+    assert kernel_dimension([[Fraction(0), 1]]) == (1, [[1, 0]])
+    assert matrix_rank([[Fp(5, 0), Fp(5, 3)], [Fp(5, 0), Fp(5, 1)]]) == 1
+    assert kernel_dimension([[F4(0), F4(0)]]) == (2, [[F4(1), F4(0)], [F4(0), F4(1)]])
+    p = Polynomial(XY, {(1, 0): 2, (0, 1): Fraction(0), (1, 1): Fraction(1, 3)})
+    assert p.terms == {(1, 0): 2, (1, 1): Fraction(1, 3)}
+    assert p == Polynomial(XY, {(1, 0): Fraction(2), (1, 1): Fraction(1, 3)})
+    assert Polynomial(XY, {(1, 0): Fp(2, 0), (0, 1): F4(0)}).is_zero()
+    assert Polynomial.constant(XY, 0).is_zero()
+    assert Polynomial.constant(XY, Fraction(0)).is_zero()
+    assert p.scale(0).is_zero() and p.scale(Fraction(0)).is_zero()
+    assert p.scale(3) == p.scale(Fraction(3)) == 3 * p
+    assert p.scale(Fraction(1, 2)).terms == {(1, 0): 1, (1, 1): Fraction(1, 6)}
+    assert Polynomial(XY, {(1, 0): Fp(5, 2)}).scale(Fp(5, 3)).terms == {(1, 0): Fp(5, 1)}
+    line = schubert.line_character(1)
+    for rank in (1, Fraction(1)):
+        c = schubert.character_to_chern(line, rank)
+        assert c.rank == 1
+        assert c == schubert.character_to_chern(line, 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        schubert.character_to_chern(line, 2)
+    trivial = [schubert.ONE, schubert.ZERO, schubert.ZERO, schubert.ZERO]
+    assert schubert.ChernVector(2, trivial) == schubert.ChernVector(Fraction(2), trivial)
+    assert schubert.ChernVector(Fraction(3, 2), trivial).rank == Fraction(3, 2)
+
+
 def test_monomials_of_degree_count():
     assert len(monomials_of_degree(4, 2)) == 10
     assert monomials_of_degree(2, 1) == [(1, 0), (0, 1)]

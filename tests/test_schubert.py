@@ -117,6 +117,30 @@ def test_mul_agrees_with_pieri_exhaustively():
             assert mul(x, y) == mul_via_pieri(x, y)
 
 
+def _basis(n):
+    return [sig(n, a, b) for a in range(n - 1) for b in range(a + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mul_agrees_with_pieri_on_every_basis_pair(n):
+    basis = _basis(n)
+    for x in basis:
+        for y in basis:
+            assert mul(x, y) == mul_via_pieri(x, y)
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_mul_commutative_and_associative_on_every_basis_triple(n):
+    # the product is bilinear, so basis pairs and triples decide both axioms
+    basis = _basis(n)
+    for x in basis:
+        for y in basis:
+            xy = mul(x, y)
+            assert xy == mul(y, x)
+            for z in basis:
+                assert mul(xy, z) == mul(x, mul(y, z))
+
+
 def test_duality_pairing_is_one():
     for a in range(4):
         for b in range(a + 1):
