@@ -138,27 +138,41 @@ class Fp:
         return f"Fp({self.p},{self.v})"
 
 
-class F4:
-    """Element a + b*w of F_4 = F_2[w]/(w^2 + w + 1), coordinates (a, b) in F_2."""
+# GF(4) codes: F4(a, b) is the int a | b << 1 and Fp(2, v) is v, so each
+# element tuple below is indexed by code.  Codes add by XOR; they multiply
+# by this table (w^2 = w + 1), whose rows also give the inverses.
+GF4_MUL = (
+    (0, 0, 0, 0),
+    (0, 1, 2, 3),
+    (0, 2, 3, 1),
+    (0, 3, 1, 2),
+)
+GF4_INV = (None,) + tuple(row.index(1) for row in GF4_MUL[1:])
 
-    __slots__ = ("a", "b")
+
+def _f4_code(x):
+    """The code of an F4, or of an int read as F4(x); None for any other."""
+    if isinstance(x, F4):
+        return x.c
+    if isinstance(x, int):
+        return x & 1
+    return None
+
+
+class F4:
+    """Element a + b*w of F_4 = F_2[w]/(w^2 + w + 1), held as its code a | b << 1;
+    each result is one of F4_ELEMENTS, read from XOR, GF4_MUL or GF4_INV."""
+
+    __slots__ = ("c",)
 
     def __init__(self, a: int, b: int = 0):
-        self.a = a & 1
-        self.b = b & 1
-
-    def _coerce(self, other):
-        if isinstance(other, F4):
-            return other
-        if isinstance(other, int):
-            return F4(other)
-        return NotImplemented
+        self.c = a & 1 | (b & 1) << 1
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _f4_code(other)
+        if o is None:
             return NotImplemented
-        return F4(self.a ^ other.a, self.b ^ other.b)
+        return F4_ELEMENTS[self.c ^ o]
 
     __radd__ = __add__
     __sub__ = __add__          # characteristic two
@@ -168,59 +182,45 @@ class F4:
         return self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _f4_code(other)
+        if o is None:
             return NotImplemented
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = w + 1
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return F4((a1 & a2) ^ (b1 & b2), (a1 & b2) ^ (b1 & a2) ^ (b1 & b2))
+        return F4_ELEMENTS[GF4_MUL[self.c][o]]
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        if not self.c:
             raise ZeroDivisionError("inverse of zero in F_4")
-        # x^3 = 1 for x != 0, so x^-1 = x^2
-        return self * self
+        return F4_ELEMENTS[GF4_INV[self.c]]
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _f4_code(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * F4_ELEMENTS[o].inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _f4_code(other)
+        if o is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.c == o
 
     def __bool__(self):
-        return bool(self.a | self.b)
+        return self.c != 0
 
     def __hash__(self):
-        return hash(("F4", self.a, self.b))
+        return hash(("F4", self.c & 1, self.c >> 1))
 
     def __repr__(self):
-        return f"F4({self.a},{self.b})"
+        return f"F4({self.c & 1},{self.c >> 1})"
 
 
 F4_ELEMENTS = (F4(0, 0), F4(1, 0), F4(0, 1), F4(1, 1))
 F2_ELEMENTS = (Fp(2, 0), Fp(2, 1))
-
-# GF(4) codes: F4(a, b) is the int a | b << 1 and Fp(2, v) is v, so each
-# element tuple above is indexed by code.  Codes add by XOR; they multiply
-# by this table (w^2 = w + 1), whose rows also give the inverses.
-GF4_MUL = (
-    (0, 0, 0, 0),
-    (0, 1, 2, 3),
-    (0, 2, 3, 1),
-    (0, 3, 1, 2),
-)
-GF4_INV = (None,) + tuple(row.index(1) for row in GF4_MUL[1:])
 
 # the exact element types: field entries keep their type, and a plain int
 # is exact too (a bool is not, since type(True) is bool)
@@ -353,6 +353,8 @@ class Polynomial:
         return out
 
     def __pow__(self, k: int) -> "Polynomial":
+        if not _is_int(k):
+            raise ValueError(f"power of a polynomial must be an integer: {k!r}")
         if k < 0:
             raise ValueError("negative power of a polynomial")
         base = self
@@ -407,16 +409,20 @@ class Polynomial:
         return out
 
     def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a point; every variable must be given a value."""
+        """Evaluate at a point; every variable must be given an exact value."""
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise ValueError(f"unmapped variable: {missing[0]}")
+        point = [values[v] for v in self.variables]
+        for x in point:
+            if type(x) not in _EXACT_TYPES:
+                raise ValueError(f"point value {_EXACT_MESSAGE}: {x!r}")
         total = None
         for e, c in self.terms.items():
             term = c
-            for name, exp in zip(self.variables, e):
+            for x, exp in zip(point, e):
                 for _ in range(exp):
-                    term = term * values[name]
+                    term = term * x
             total = term if total is None else total + term
         if total is None:
             return 0

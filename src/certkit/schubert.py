@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
 
-from .exactcore import Polynomial, _exact_ints, _exact_rational
+from .exactcore import Polynomial, _exact_ints, _exact_rational, _is_int
 
 Partition2 = tuple  # (a, b) with a >= b >= 0
 
@@ -32,12 +32,14 @@ def partition_is_valid(lam: Partition2, n: int) -> bool:
 
 
 class SchubertElement:
-    """Rational linear combination of two-row Schubert classes on Gr(2,n).
-    Partition entries must be ints and coefficients ints or Fractions."""
+    """Rational linear combination of two-row Schubert classes on Gr(2,n), n an
+    int >= 2.  Partition entries must be ints and coefficients ints or Fractions."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[Partition2, object] | None = None):
+        if not _is_int(n) or n < 2:
+            raise ValueError(f"ambient n must be an integer at least 2: {n!r}")
         self.n = n
         clean = {}
         if coeffs:
@@ -98,6 +100,8 @@ class SchubertElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SchubertElement":
+        if not _is_int(k) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative integer: {k!r}")
         out = SchubertElement.unit(self.n)
         for _ in range(k):
             out = mul(out, self)

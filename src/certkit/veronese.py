@@ -359,7 +359,7 @@ def _encode(values, elements) -> list:
     for x in values:
         if type(x) is not kind or kind is Fp and x.p != 2:
             raise TypeError(f"{x!r} is not an element of {elements}")
-        out.append(x.v if kind is Fp else x.a | x.b << 1)
+        out.append(x.v if kind is Fp else x.c)
     return out
 
 
@@ -486,7 +486,7 @@ class ConicSubspace:
 
 
 def _substitute_linear(vec, sub):
-    """Apply the linear substitution x_i -> sum_j sub[i][j] * x_j to a form."""
+    """x_i -> sum_j sub[i][j] * x_j on the six form codes of a code row."""
     out = [0] * 6
     for slot, (v1, v2) in enumerate(_SLOT_VARS):
         coeff = vec[slot]
@@ -500,7 +500,7 @@ def _substitute_linear(vec, sub):
             m = GF4_MUL[l1[i]]
             for j in range(3):
                 out[_PAIR_SLOT[i][j]] ^= m[l2[j]]
-    return out
+    return out + vec[6:]
 
 
 def _swap_vars(vec, i, j):
@@ -509,7 +509,7 @@ def _swap_vars(vec, i, j):
     out = [0] * 6
     for slot, (v1, v2) in enumerate(_SLOT_VARS):
         out[_PAIR_SLOT[perm[v1]][perm[v2]]] = vec[slot]
-    return out
+    return out + vec[6:]
 
 
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
@@ -544,10 +544,10 @@ def _case_split(rows, elements):
 
     One member is normalized to f = A x^2 + B y^2 + xy, and every branch
     names a member whose distinguished square coefficient is nonzero,
-    which is exactly smoothness after the normalization.  The combos always
-    refer to the original rows; the coordinate changes act on copies."""
+    which is exactly smoothness after the normalization.  A member is one
+    row [six form codes | combo], as in [A | I]; coordinate changes act on the form."""
     n = len(rows)
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
 
     # pick a member with an off-diagonal term and rotate it into the xy slot
     pick = next((i for i, r in enumerate(rows) if r[3] or r[4] or r[5]), None)
@@ -557,26 +557,24 @@ def _case_split(rows, elements):
         # zx-term: swap y and z brings it to xy; yz-term: swap x and z
         swap = (1, 2) if rows[pick][4] else (0, 2)
         rows = [_swap_vars(r, swap[0], swap[1]) for r in rows]
-    scale = GF4_INV[rows[pick][5]]
-    f_vec = _scale(rows[pick], scale)
-    f_combo = _scale(unit[pick], scale)
+    f = _scale(rows[pick], GF4_INV[rows[pick][5]])
 
     # absorb the remaining off-diagonal terms of f into a coordinate change
-    alpha, beta = f_vec[3], f_vec[4]
+    alpha, beta = f[3], f[4]
     if alpha or beta:
         sub = ((1, 0, alpha), (0, 1, beta), (0, 0, 1))
         rows = [_substitute_linear(r, sub) for r in rows]
-        f_vec = _substitute_linear(f_vec, sub)
-    if f_vec[3] or f_vec[4] or f_vec[5] != 1:
+        f = _substitute_linear(f, sub)
+    if f[3] or f[4] or f[5] != 1:
         return None
-    if f_vec[2]:
-        return f_combo, "normalized-member-smooth"
+    if f[2]:
+        return f[6:], "normalized-member-smooth"
 
     # case one: all three squares belong to the system, so it holds
     # xy + z^2 = f + A x^2 + B y^2 + z^2 (A, B from f); the rows are
     # independent, so its combination is the unique solution
     squares = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
-    field_rows = [_decode(r, elements) for r in rows]
+    field_rows = [_decode(r[:6], elements) for r in rows]
     if matrix_rank(field_rows + [_decode(sq, elements) for sq in squares]) == n:
         x = solve(field_rows, _decode((0, 0, 1, 0, 0, 1), elements))
         return None if x is None else (_encode(x, elements), "case-all-squares")
@@ -587,66 +585,56 @@ def _case_split(rows, elements):
     if pick is None:
         return None
     # subtraction is addition in characteristic two
-    c = rows[pick][5]
-    g_vec, g_combo = _add(rows[pick], f_vec, c), _add(unit[pick], f_combo, c)
-    if not g_vec[3]:
-        if not g_vec[4]:
+    g = _add(rows[pick], f, rows[pick][5])
+    if not g[3]:
+        if not g[4]:
             return None
         rows = [_swap_vars(r, 0, 1) for r in rows]
-        f_vec = _swap_vars(f_vec, 0, 1)
-        g_vec = _swap_vars(g_vec, 0, 1)
-    scale = GF4_INV[g_vec[3]]
-    g_vec = _scale(g_vec, scale)
-    g_combo = _scale(g_combo, scale)
-    if g_vec[4]:
-        sub = ((1, 0, 0), (g_vec[4], 1, 0), (0, 0, 1))
+        f = _swap_vars(f, 0, 1)
+        g = _swap_vars(g, 0, 1)
+    g = _scale(g, GF4_INV[g[3]])
+    if g[4]:
+        sub = ((1, 0, 0), (g[4], 1, 0), (0, 0, 1))
         rows = [_substitute_linear(r, sub) for r in rows]
-        f_vec = _substitute_linear(f_vec, sub)
-        g_vec = _substitute_linear(g_vec, sub)
-        scale = GF4_INV[f_vec[5]]
-        f_vec = _scale(f_vec, scale)
-        f_combo = _scale(f_combo, scale)
-    if g_vec[0]:
-        return g_combo, "yz-member-smooth"
+        f = _substitute_linear(f, sub)
+        g = _substitute_linear(g, sub)
+    if g[0]:
+        return g[6:], "yz-member-smooth"
 
     # each row modulo f and g, once: the residues have no xy and no yz term
     residues = []
-    for vec, combo in zip(rows, unit):
-        c = vec[5]
-        vec, combo = _add(vec, f_vec, c), _add(combo, f_combo, c)
-        c = vec[3]
-        residues.append((_add(vec, g_vec, c), _add(combo, g_combo, c)))
+    for r in rows:
+        r = _add(r, f, r[5])
+        residues.append(_add(r, g, r[3]))
 
     # case three: some residue keeps a zx term, and h clears slot k = zx;
     # case four: every residue is diagonal, and the first nonzero one names
     # the member unless it is a pure y^2, in which case h clears k = y^2
     k = 4
-    h = next((r for r in residues if r[0][4]), None)
+    h = next((r for r in residues if r[4]), None)
     if h is None:
         k = 1
-        h = next((r for r in residues if any(r[0])), None)
+        h = next((r for r in residues if any(r[:6])), None)
         if h is None:
             return None
-        if h[0][2]:
-            return _add(h[1], f_combo, 1), "diagonal-plus-xy"
-        if h[0][0]:
-            return _add(h[1], g_combo, 1), "diagonal-plus-yz"
-    scale = GF4_INV[h[0][k]]
-    h_vec, h_combo = _scale(h[0], scale), _scale(h[1], scale)
-    if k == 4 and h_vec[1]:
-        return h_combo, "zx-member-smooth"
+        if h[2]:
+            return _add(h, f, 1)[6:], "diagonal-plus-xy"
+        if h[0]:
+            return _add(h, g, 1)[6:], "diagonal-plus-yz"
+    h = _scale(h, GF4_INV[h[k]])
+    if k == 4 and h[1]:
+        return h[6:], "zx-member-smooth"
     # a diagonal residue outside (f, g, h); in case four it has no y^2, so
     # when it has no z^2 it has an x^2 and the last line is case three's
-    for vec, combo in residues:
-        c = vec[k]
-        vec, combo = _add(vec, h_vec, c), _add(combo, h_combo, c)
-        if not any(vec):
+    for r in residues:
+        r = _add(r, h, r[k])
+        if not any(r[:6]):
             continue
-        if vec[2]:
-            return _add(combo, f_combo, 1), "diagonal-plus-xy"
-        if vec[0]:
-            return _add(combo, g_combo, 1), "diagonal-plus-yz"
-        return _add(combo, h_combo, 1), "diagonal-plus-zx"
+        if r[2]:
+            return _add(r, f, 1)[6:], "diagonal-plus-xy"
+        if r[0]:
+            return _add(r, g, 1)[6:], "diagonal-plus-yz"
+        return _add(r, h, 1)[6:], "diagonal-plus-zx"
     return None
 
 

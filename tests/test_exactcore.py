@@ -75,6 +75,68 @@ def test_f4_axioms_exhaustive():
     assert one + one == F4(0)
 
 
+def _f4_bits_mul(x, y):
+    """(a1 + b1 w)(a2 + b2 w) with w^2 = w + 1, on coordinate bits: the
+    reference the GF(4) code tables are checked against."""
+    (a1, b1), (a2, b2) = x, y
+    return (a1 & a2) ^ (b1 & b2), (a1 & b2) ^ (b1 & a2) ^ (b1 & b2)
+
+
+def test_f4_matches_the_bit_formula_on_every_pair():
+    bits = [(a, b) for b in (0, 1) for a in (0, 1)]
+
+    def expect(result, ab):
+        # compared by repr, so F4's own == is not trusted; every result is
+        # one of the four shared elements
+        assert repr(result) == "F4({},{})".format(*ab)
+        assert any(result is e for e in F4_ELEMENTS)
+
+    for x in bits:
+        fx = F4(*x)
+        assert repr(fx) == "F4({},{})".format(*x)
+        assert hash(fx) == hash(("F4", *x))
+        assert bool(fx) == (x != (0, 0))
+        assert repr(-fx) == repr(fx)
+        for y in bits:
+            fy = F4(*y)
+            total = (x[0] ^ y[0], x[1] ^ y[1])
+            expect(fx + fy, total)
+            expect(fx - fy, total)
+            expect(fx * fy, _f4_bits_mul(x, y))
+            assert (fx == fy) == (x == y) and (fx != fy) == (x != y)
+            if y == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    fx / fy
+            else:
+                expect(fx / fy, next(z for z in bits if _f4_bits_mul(z, y) == x))
+        if x == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                fx.inverse()
+        else:
+            expect(fx.inverse(), next(z for z in bits if _f4_bits_mul(z, x) == (1, 0)))
+        # an int k is read as F4(k), the bit k & 1, on either side
+        for k in (-3, -1, 0, 1, 2, 5, True):
+            kb = (k & 1, 0)
+            total = (x[0] ^ kb[0], x[1])
+            for result in (fx + k, k + fx, fx - k, k - fx):
+                expect(result, total)
+            expect(fx * k, _f4_bits_mul(x, kb))
+            expect(k * fx, _f4_bits_mul(kb, x))
+            assert (fx == k) == (k == fx) == (x == kb)
+            if kb[0]:
+                expect(fx / k, x)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    fx / k
+            if x != (0, 0):
+                expect(k / fx, next(z for z in bits if _f4_bits_mul(z, x) == kb))
+        for other in (Fp(2, 1), Fraction(1), 1.0):
+            for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
+                with pytest.raises(TypeError):
+                    op(fx, other)
+        assert fx != Fp(2, 1) and fx != Fraction(1)
+
+
 @given(st.fractions(max_denominator=40), st.fractions(max_denominator=40),
        st.fractions(max_denominator=40))
 def test_rational_associativity(a, b, c):
@@ -545,6 +607,55 @@ def test_exact_zeros_coefficients_and_ranks_unchanged():
     trivial = [schubert.ONE, schubert.ZERO, schubert.ZERO, schubert.ZERO]
     assert schubert.ChernVector(2, trivial) == schubert.ChernVector(Fraction(2), trivial)
     assert schubert.ChernVector(Fraction(3, 2), trivial).rank == Fraction(3, 2)
+
+
+# ambients, exponents and evaluation points that slipped past the rule: a
+# Schubert class on Gr(2,5.5) was built and multiplied, sigma_1 ** -1 gave
+# the unit, p ** True gave p, and evaluate returned the float 0.1
+_SIGMA1 = schubert.SchubertElement.sigma(5, 1)
+_X = Polynomial.variable("x", XY)
+_UNCHECKED_AMBIENTS_POWERS_POINTS = [
+    pytest.param(lambda: schubert.SchubertElement(5.5, {(1, 0): 1}), id="ambient-float"),
+    pytest.param(lambda: schubert.SchubertElement(True, {}), id="ambient-bool"),
+    pytest.param(lambda: schubert.SchubertElement(1, {}), id="ambient-1"),
+    pytest.param(lambda: schubert.SchubertElement(0, {}), id="ambient-0"),
+    pytest.param(lambda: schubert.SchubertElement("5", {(1, 0): 1}), id="ambient-str"),
+    pytest.param(lambda: _SIGMA1 ** -1, id="schubert-pow-negative"),
+    pytest.param(lambda: _SIGMA1 ** True, id="schubert-pow-bool"),
+    pytest.param(lambda: _SIGMA1 ** 1.5, id="schubert-pow-float"),
+    pytest.param(lambda: _X ** True, id="polynomial-pow-bool"),
+    pytest.param(lambda: _X ** 1.5, id="polynomial-pow-float"),
+    pytest.param(lambda: _X.evaluate({"x": 0.1, "y": "2"}), id="evaluate-float-str"),
+    pytest.param(lambda: _X.evaluate({"x": 1, "y": "2"}), id="evaluate-unused-str"),
+    pytest.param(lambda: Polynomial.zero(XY).evaluate({"x": 0.1, "y": 1}), id="evaluate-zero"),
+]
+
+
+@pytest.mark.parametrize("call", _UNCHECKED_AMBIENTS_POWERS_POINTS)
+def test_ambients_powers_and_points_obey_the_exact_input_rule(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_exact_ambients_powers_and_points_unchanged():
+    S = schubert.SchubertElement
+    assert repr(S(2, {})) == "0 (Gr(2,2))"
+    assert S(2, {(0, 0): 1}) == S.unit(2)
+    assert _SIGMA1 ** 0 == S.unit(5)
+    assert _SIGMA1 ** 2 == S(5, {(2, 0): 1, (1, 1): 1})
+    assert _SIGMA1 ** 6 == S(5, {(3, 3): 5})
+    x, y = _X, Polynomial.variable("y", XY)
+    assert x ** 0 == Polynomial.constant(XY, 1)
+    assert (x + y) ** 2 == x * x + 2 * x * y + y * y
+    with pytest.raises(ValueError, match="negative power of a polynomial"):
+        x ** -1
+    p = 3 * x * x * y + Fraction(1, 2) * y
+    assert p.evaluate({"x": 2, "y": Fraction(1, 3)}) == Fraction(4) + Fraction(1, 6)
+    assert p.evaluate({"x": Fraction(-1), "y": 0}) == 0
+    assert Polynomial.zero(XY).evaluate({"x": 1, "y": Fraction(2)}) == 0
+    assert Polynomial(XY, {(1, 1): F4(1)}).evaluate({"x": F4(0, 1), "y": F4(0, 1)}) == F4(1, 1)
+    with pytest.raises(ValueError, match="unmapped variable: y"):
+        x.evaluate({"x": 1})
 
 
 def test_monomials_of_degree_count():
