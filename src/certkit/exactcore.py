@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -201,7 +202,10 @@ class F4:
         return self * F4_ELEMENTS[o].inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        o = _f4_code(other)
+        if o is None:
+            return NotImplemented
+        return F4_ELEMENTS[o] * self.inverse()
 
     def __eq__(self, other):
         o = _f4_code(other)
@@ -650,11 +654,40 @@ def _promote(items) -> dict:
             for k, x in items if x or type(x) not in _EXACT_TYPES}
 
 
-def _echelon(rows: list, order: Iterable) -> tuple:
+def _axpy_objects(row: dict, f, pivot_row: dict):
+    for k, b in pivot_row.items():
+        x = row.get(k, 0) - f * b
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _axpy_codes(row: dict, f: int, pivot_row: dict):
+    mul = GF4_MUL[f]
+    for k, b in pivot_row.items():
+        x = row.get(k, 0) ^ mul[b]
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+# A field as `_echelon` uses it: (axpy, scale), two whole-row operations, so
+# no call is made per entry.  axpy(row, f, pivot_row) subtracts f * pivot_row
+# from row in place; scale(row, pv) returns row / pv.  _OBJECTS works on
+# Fraction, Fp and F4 entries with their own operators, _CODES on GF(4) codes.
+_OBJECTS = (_axpy_objects, lambda row, pv: {k: x / pv for k, x in row.items()})
+_CODES = (_axpy_codes, lambda row, pv: {k: GF4_MUL[GF4_INV[pv]][x] for k, x in row.items()})
+
+
+def _echelon(rows: list, order: Iterable, field: tuple = _OBJECTS) -> tuple:
     """Gauss-Jordan elimination, in place, on sparse rows {key: nonzero
-    entry}, trying the keys in `order` as pivots.  Returns (rows, pivots):
+    entry} with the row operations of `field`, trying the keys in `order`
+    as pivots.  Returns (rows, pivots):
     rows[i] is the reduced row of pivots[i], with a unit at its pivot and no
     other pivot key; the remaining rows keep only keys outside `order`."""
+    axpy, scale = field
     nrows = len(rows)
     pivots = []
     r = 0
@@ -670,18 +703,12 @@ def _echelon(rows: list, order: Iterable) -> tuple:
         rows[i] = rows[r]
         pv = pivot_row[c]
         if pv != 1:
-            pivot_row = {k: x / pv for k, x in pivot_row.items()}
+            pivot_row = scale(pivot_row, pv)
         rows[r] = pivot_row
         for i, row in enumerate(rows):
             f = row.get(c)
-            if f is None or i == r:
-                continue
-            for k, b in pivot_row.items():
-                x = row.get(k, 0) - f * b
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
+            if f is not None and i != r:
+                axpy(row, f, pivot_row)
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -693,12 +720,23 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
     carried along.  Entries may be Fraction, Fp, or F4; plain ints are
-    promoted to Fraction, and anything else raises ValueError.
+    promoted to Fraction, and anything else raises ValueError.  A matrix all
+    over F4, or all over F2 (GF(2) inside GF(4) on the same tables), is
+    eliminated on its GF(4) codes and its rows are decoded to elements.
     """
     mat = list(mat)
     if limit is None:
         limit = len(mat[0]) if mat else 0
-    return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
+    types = {type(x) for r in mat for x in r}
+    if types == {F4}:
+        code, elements = attrgetter("c"), F4_ELEMENTS
+    elif types == {Fp} and {x.p for r in mat for x in r} == {2}:
+        code, elements = attrgetter("v"), F2_ELEMENTS
+    else:
+        return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
+    rows = [{k: c for k, c in enumerate(map(code, r)) if c} for r in mat]
+    rows, pivots = _echelon(rows, range(limit), _CODES)
+    return [{k: elements[c] for k, c in row.items()} for row in rows], pivots
 
 
 def solve(columns: Sequence[Sequence[object]], target: Sequence[object]):

@@ -9,6 +9,7 @@ computed from the Euler contraction, block by block over monomial weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -83,7 +84,8 @@ def h0_omega_p(p: int, d: int, N: int) -> int:
     Realized inside the d-twisted p-th wedge of the dual tautological
     quotient as the kernel of the Euler contraction.  The contraction
     preserves the total monomial weight, so the kernel is computed one
-    weight block at a time.
+    weight block at a time.  A block depends only on the size of its
+    weight's support, so each support size's block is eliminated once.
     """
     if N < 1:
         raise ValueError("ambient dimension must be positive")
@@ -93,22 +95,26 @@ def h0_omega_p(p: int, d: int, N: int) -> int:
         return math.comb(d + N, N) if d >= 0 else 0
     if d < p:
         return 0
-    total = 0
-    for w in monomials_of_degree(N + 1, d):
-        supp = tuple(i for i in range(N + 1) if w[i] > 0)
-        if len(supp) < p:
-            continue
-        cols = list(itertools.combinations(supp, p))
-        rows = list(itertools.combinations(supp, p - 1))
-        row_pos = {J: r for r, J in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ci, I in enumerate(cols):
-            for j, ij in enumerate(I):
-                J = tuple(v for v in I if v != ij)
-                mat[row_pos[J]][ci] += (-1) ** j
-        dim, _ = kernel_dimension(mat)
-        total += dim
-    return total
+    sizes = (sum(1 for e in w if e) for w in monomials_of_degree(N + 1, d))
+    return sum(_block_nullity(size, p) for size in sizes if size >= p)
+
+
+@functools.cache
+def _block_nullity(size: int, p: int) -> int:
+    """Nullity of the Euler-contraction block of a weight supported on
+    `size` variables, from p-forms to (p-1)-forms on that support.  Rows and
+    columns are the (p-1)- and p-subsets of the support, and each entry is
+    a sign fixed by positions, so the block is the same for every support
+    of this size."""
+    cols = list(itertools.combinations(range(size), p))
+    rows = list(itertools.combinations(range(size), p - 1))
+    row_pos = {J: r for r, J in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for ci, I in enumerate(cols):
+        for j in range(p):
+            mat[row_pos[I[:j] + I[j + 1:]]][ci] += (-1) ** j
+    dim, _ = kernel_dimension(mat)
+    return dim
 
 
 def bott_h0(p: int, d: int, N: int) -> int:
@@ -187,8 +193,8 @@ def omega2_p3_certificate() -> Omega2Certificate:
             bumped = list(m)
             bumped[var] += 1
             mat[row_pos[(other, tuple(bumped))]][cidx] += sign
-    rank = matrix_rank(mat)
-    kdim, kbasis = kernel_dimension(mat)
+    kdim, _ = kernel_dimension(mat)
+    rank = len(cols) - kdim
 
     basis = omega2_p3_basis()
     vecs = [_wedge_vector(e) for e in basis]

@@ -32,7 +32,7 @@ from certkit.exactcore import (
     span_dimension,
     spans_contain,
 )
-from certkit import schubert, veronese
+from certkit import exactcore, schubert, veronese
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,9 @@ def test_f4_matches_the_bit_formula_on_every_pair():
             for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
                 with pytest.raises(TypeError):
                     op(fx, other)
+            # a foreign dividend is refused before the divisor is inverted
+            with pytest.raises(TypeError, match="for /:"):
+                other / fx
         assert fx != Fp(2, 1) and fx != Fraction(1)
 
 
@@ -482,6 +485,38 @@ def test_packed_path_is_not_capped_at_64_columns():
           [F2_ELEMENTS[int(j in (64, 66))] for j in range(ncols)]]
     assert matrix_rank(f2) == 2
     assert kernel_dimension(f2)[0] == ncols - 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(5, 6))
+def test_code_record_matches_the_object_record(case):
+    elements, mat = case
+    codes = [{k: elements.index(x) for k, x in enumerate(r) if x} for r in mat]
+    objects = [{k: x for k, x in enumerate(r) if x} for r in mat]
+    order = range(len(mat[0]))
+    code_rows, code_pivots = exactcore._echelon(codes, order, exactcore._CODES)
+    object_rows, object_pivots = exactcore._echelon(objects, order, exactcore._OBJECTS)
+    assert code_pivots == object_pivots
+    decoded = [{k: repr(elements[c]) for k, c in row.items()} for row in code_rows]
+    assert decoded == [{k: repr(x) for k, x in row.items()} for row in object_rows]
+
+
+def test_fp3_matrices_stay_on_the_object_record(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eliminated on GF(4) codes")
+
+    monkeypatch.setattr(exactcore, "_CODES", (refuse, refuse))
+    mat = [[Fp(3, v) for v in r] for r in ((1, 2, 0, 1), (2, 1, 0, 2), (0, 0, 1, 1))]
+    assert matrix_rank(mat) == 2
+    dim, basis = kernel_dimension(mat)
+    assert dim == 2
+    for v in basis:
+        assert all(type(x) is Fp and x.p == 3 for x in v)
+        assert all(_dot(row, v, Fp(3, 0)) == Fp(3, 0) for row in mat)
+    assert solve([mat[0][:2], mat[2][2:]], [Fp(3, 0), Fp(3, 2)]) == [Fp(3, 2), Fp(3, 1)]
+    # an all-F2 matrix does reach the code record
+    with pytest.raises(AssertionError, match="GF"):
+        matrix_rank([[F2_ELEMENTS[1], F2_ELEMENTS[1]], [F2_ELEMENTS[1], F2_ELEMENTS[0]]])
 
 
 def test_mixed_f4_and_f2_entries_raise_type_error():

@@ -2,6 +2,8 @@
 for two-forms, Bott-formula agreement, and complete-intersection Hodge
 diamonds."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certkit import certify_cli, hodge
-from certkit.exactcore import Polynomial, poly_from_string_exps
+from certkit.exactcore import (
+    Polynomial,
+    kernel_dimension,
+    monomials_of_degree,
+    poly_from_string_exps,
+)
 from certkit.hodge import (
     CIData,
     bott_h0,
@@ -76,6 +83,50 @@ def test_bott_oracle_agrees_on_full_grid():
         for p in range(n + 1):
             for d in range(-6, 7):
                 assert h0_omega_p(p, d, n) == bott_h0(p, d, n)
+
+
+def _h0_omega_p_per_weight(p, d, N):
+    """The section count with one Euler-contraction block built and
+    eliminated for every weight, on the weight's own support variables."""
+    if p == 0:
+        return math.comb(d + N, N) if d >= 0 else 0
+    if d < p:
+        return 0
+    total = 0
+    for w in monomials_of_degree(N + 1, d):
+        supp = tuple(i for i in range(N + 1) if w[i] > 0)
+        if len(supp) < p:
+            continue
+        cols = list(itertools.combinations(supp, p))
+        rows = list(itertools.combinations(supp, p - 1))
+        row_pos = {J: r for r, J in enumerate(rows)}
+        mat = [[0] * len(cols) for _ in rows]
+        for ci, I in enumerate(cols):
+            for j, ij in enumerate(I):
+                mat[row_pos[tuple(v for v in I if v != ij)]][ci] += (-1) ** j
+        total += kernel_dimension(mat)[0]
+    return total
+
+
+def test_h0_omega_matches_the_per_weight_blocks():
+    for n in range(1, 6):
+        for p in range(n + 1):
+            for d in range(-2, 7):
+                assert h0_omega_p(p, d, n) == _h0_omega_p_per_weight(p, d, n), (p, d, n)
+
+
+def test_bott_grid_eliminates_each_block_once(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append((len(mat), len(mat[0])))
+        return kernel_dimension(mat)
+
+    hodge._block_nullity.cache_clear()
+    monkeypatch.setattr(hodge, "kernel_dimension", counting)
+    assert certify_cli._bott_grid_ok()
+    # one block per (support size, p): sizes p..5 for p = 1..4
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_bott_vanishing_range():
