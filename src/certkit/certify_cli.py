@@ -618,26 +618,28 @@ def _f2_form(bits) -> QuadraticForm3:
     return QuadraticForm3(tuple(veronese.F2_FIELD[b] for b in bits))
 
 
-def _f2_subspaces():
-    """Every four-dimensional subspace of ternary quadratic forms over the
-    two-element field, spanned by its reduced-row-echelon basis."""
-    for pivots in itertools.combinations(range(6), 4):
+def _rref_bases(k: int, q: int):
+    """The reduced-row-echelon basis of every k-dimensional subspace of
+    ternary quadratic forms over the field of order q (2 or 4), as rows of
+    six GF(4) codes."""
+    for pivots in itertools.combinations(range(6), k):
         nonpivots = [j for j in range(6) if j not in pivots]
-        free = [(i, j) for i in range(4) for j in nonpivots if j > pivots[i]]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            rows = [[0] * 6 for _ in range(4)]
+        free = [(i, j) for i in range(k) for j in nonpivots if j > pivots[i]]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * 6 for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = 1
-            for (i, j), bit in zip(free, bits):
-                rows[i][j] = bit
-            yield ConicSubspace([_f2_form(r) for r in rows])
+            for (i, j), c in zip(free, values):
+                rows[i][j] = c
+            yield rows
 
 
 def _combo_matches(result, subspace) -> bool:
-    acc = subspace.basis[0].scale(result.combo[0])
-    for mu, basis_form in zip(result.combo[1:], subspace.basis[1:]):
-        acc = acc + basis_form.scale(mu)
-    return acc == result.form
+    """The search's witness, checked in field elements: coefficient by
+    coefficient, the combination of the basis forms is the returned form."""
+    columns = zip(*(form.coeffs for form in subspace.basis))
+    return all(sum(mu * c for mu, c in zip(result.combo, column)) == coeff
+               for column, coeff in zip(columns, result.form.coeffs))
 
 
 def _conic_sweep_f2():
@@ -645,7 +647,8 @@ def _conic_sweep_f2():
     histogram = {}
     constructive = True
     witnesses_ok = True
-    for sub in _f2_subspaces():
+    for rows in _rref_bases(4, 2):
+        sub = ConicSubspace([_f2_form(r) for r in rows])
         searched += 1
         res = veronese.find_smooth_conic_details(sub, veronese.F2_FIELD)
         histogram[res.path] = histogram.get(res.path, 0) + 1

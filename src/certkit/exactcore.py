@@ -9,7 +9,10 @@ compare by cross-multiplication, so no polynomial GCD is ever needed.
 All ideal questions are answered degree by degree with linear algebra:
 polynomial spans are eliminated on sparse rows keyed by monomial, by the
 same Gauss-Jordan routine that reduces matrices, whose rows are keyed by
-column.  There is deliberately no Groebner machinery here.
+column.  The public matrix functions eliminate every matrix, over Q, F_p or
+F4, with its entries' own operators; the routine also runs on GF(4) codes
+for a caller that holds codes, which is the conic layer.  There is
+deliberately no Groebner machinery here.
 
 It also owns the exact-input rule, which every module applies through
 `_is_int`, `_exact_ints` and `_exact_rational`: an integer is a plain int,
@@ -23,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -676,7 +678,9 @@ def _axpy_codes(row: dict, f: int, pivot_row: dict):
 # A field as `_echelon` uses it: (axpy, scale), two whole-row operations, so
 # no call is made per entry.  axpy(row, f, pivot_row) subtracts f * pivot_row
 # from row in place; scale(row, pv) returns row / pv.  _OBJECTS works on
-# Fraction, Fp and F4 entries with their own operators, _CODES on GF(4) codes.
+# Fraction, Fp and F4 entries with their own operators, and is the one record
+# of the public matrix functions; _CODES works on GF(4) codes, for callers
+# that keep their rows as codes (the conic layer in veronese).
 _OBJECTS = (_axpy_objects, lambda row, pv: {k: x / pv for k, x in row.items()})
 _CODES = (_axpy_codes, lambda row, pv: {k: GF4_MUL[GF4_INV[pv]][x] for k, x in row.items()})
 
@@ -719,24 +723,14 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
 
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
-    carried along.  Entries may be Fraction, Fp, or F4; plain ints are
-    promoted to Fraction, and anything else raises ValueError.  A matrix all
-    over F4, or all over F2 (GF(2) inside GF(4) on the same tables), is
-    eliminated on its GF(4) codes and its rows are decoded to elements.
+    carried along.  Entries may be Fraction, Fp, or F4, all eliminated on
+    the object record with their own operators; plain ints are promoted to
+    Fraction, and anything else raises ValueError.
     """
     mat = list(mat)
     if limit is None:
         limit = len(mat[0]) if mat else 0
-    types = {type(x) for r in mat for x in r}
-    if types == {F4}:
-        code, elements = attrgetter("c"), F4_ELEMENTS
-    elif types == {Fp} and {x.p for r in mat for x in r} == {2}:
-        code, elements = attrgetter("v"), F2_ELEMENTS
-    else:
-        return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
-    rows = [{k: c for k, c in enumerate(map(code, r)) if c} for r in mat]
-    rows, pivots = _echelon(rows, range(limit), _CODES)
-    return [{k: elements[c] for k, c in row.items()} for row in rows], pivots
+    return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
 
 
 def solve(columns: Sequence[Sequence[object]], target: Sequence[object]):

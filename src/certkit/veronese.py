@@ -28,6 +28,8 @@ from .exactcore import (
     Fp,
     Polynomial,
     RationalFunction,
+    _CODES,
+    _echelon,
     _exact_rational,
     ideal_graded_dimension,
     ideal_piece,
@@ -35,7 +37,6 @@ from .exactcore import (
     monomials_of_degree,
     poly_from_string_exps,
     poly_substitute,
-    solve,
     span_dimension,
     spans_contain,
 )
@@ -334,37 +335,31 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
 
 # The conic layer computes on GF(4) codes (see exactcore.GF4_MUL): F2 is the
 # codes {0, 1}, F4 the codes 0..3, a form is its six coefficient codes and a
-# combination of basis members is a list of codes.  Codes add by XOR.  Field
-# elements appear only at the public boundary.
+# combination of basis members is a list of codes.  Codes add by XOR.  The
+# field is read once from the entries, by _encode, and field elements appear
+# only at the public boundary.
+
+_FIELDS = {2: F2_FIELD, 4: F4_FIELD}
 
 
-def _field_codes(field):
-    """The codes of the field's elements, in the caller's order, and the
-    element tuple that decodes a code.  The field must be all of F2 or F4."""
-    field = tuple(field)
-    elements = F4_FIELD if field and type(field[0]) is F4 else F2_FIELD
-    try:
-        codes = _encode(field, elements)
-    except TypeError:
-        raise ValueError("field not of characteristic two") from None
-    if sorted(codes) not in ([0, 1], [0, 1, 2, 3]):
-        raise ValueError("field is not all of F2 or F4")
-    return codes, elements
+def _encode(values) -> tuple:
+    """(q, codes) of field elements that are all F4 (q = 4) or all Fp(2, .)
+    (q = 2); ValueError for any other entries or mix of them."""
+    values = tuple(values)
+    kinds = {type(x) for x in values}
+    if kinds == {F4}:
+        return 4, [x.c for x in values]
+    if kinds == {Fp} and all(x.p == 2 for x in values):
+        return 2, [x.v for x in values]
+    raise ValueError("entries are not all in F2 or all in F4")
 
 
-def _encode(values, elements) -> list:
-    """Codes of field elements of the same type as `elements`."""
-    kind = type(elements[0])
-    out = []
-    for x in values:
-        if type(x) is not kind or kind is Fp and x.p != 2:
-            raise TypeError(f"{x!r} is not an element of {elements}")
-        out.append(x.v if kind is Fp else x.c)
-    return out
-
-
-def _decode(codes, elements) -> tuple:
-    return tuple(elements[c] for c in codes)
+def _require_field(field, q: int):
+    """ValueError unless `field` lists every element of the field of order q,
+    the field of the forms it is used with."""
+    order, codes = _encode(field)
+    if order != q or sorted(codes) != list(range(q)):
+        raise ValueError(f"field is not the field of order {q} of the forms")
 
 
 def _add(u, v, c) -> list:
@@ -396,17 +391,6 @@ class QuadraticForm3:
         if len(coeffs) != 6:
             raise ValueError("expected six coefficients")
         self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, QuadraticForm3):
-            return QuadraticForm3(tuple(p + q for p, q in zip(self.coeffs, other.coeffs)))
-        return NotImplemented
-
-    def scale(self, c):
-        return QuadraticForm3(tuple(v * c for v in self.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, QuadraticForm3):
@@ -450,10 +434,11 @@ def is_smooth_conic(q: QuadraticForm3, field) -> bool:
     """Smoothness of the conic in characteristic two, decided literally:
     enumerate the projective points where all three partials vanish and
     demand the form be nonzero at each of them."""
-    codes, elements = _field_codes(field)
-    if q.is_zero():
+    order, codes = _encode(q.coeffs)
+    _require_field(field, order)
+    if not any(codes):
         raise ValueError("zero form")
-    return _smooth(_encode(q.coeffs, elements), _PLANE_POINTS[len(codes)])
+    return _smooth(codes, _PLANE_POINTS[order])
 
 
 def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
@@ -468,17 +453,22 @@ def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
 
 @dataclass(frozen=True)
 class ConicSubspace:
-    """A linear system of ternary quadratic forms over a fixed field."""
+    """A linear system of ternary quadratic forms over F2 or F4.  The field
+    is read from the entries here, once: `q` is its order, and `rows` holds
+    the basis forms as GF(4) code rows, which the search computes on."""
     basis: tuple
 
     def __init__(self, basis):
         basis = tuple(basis)
         if not basis:
             raise ValueError("empty basis")
-        rows = [list(q.coeffs) for q in basis]
-        if matrix_rank(rows) != len(basis):
+        q, codes = _encode(c for form in basis for c in form.coeffs)
+        if matrix_rank([list(form.coeffs) for form in basis]) != len(basis):
             raise ValueError("basis not linearly independent")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rows", tuple(tuple(codes[i:i + 6])
+                                               for i in range(0, len(codes), 6)))
 
     @property
     def dimension(self) -> int:
@@ -515,12 +505,12 @@ def _swap_vars(vec, i, j):
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
 
 
-def _first_smooth(basis, codes):
-    """(combo, form) of the first nonzero combination of the basis, in
-    itertools.product order over codes, whose form is smooth; None if the
-    span has no smooth member."""
-    points = _PLANE_POINTS[len(codes)]
-    for combo in itertools.product(codes, repeat=len(basis)):
+def _first_smooth(basis, q: int):
+    """(combo, form) of the first nonzero combination of the code rows of a
+    basis over the field of order q, in itertools.product order over the
+    codes, whose form is smooth; None if the span has no smooth member."""
+    points = _PLANE_POINTS[q]
+    for combo in itertools.product(range(q), repeat=len(basis)):
         if not any(combo):
             continue
         form = _combine(combo, basis)
@@ -531,12 +521,12 @@ def _first_smooth(basis, codes):
 
 def exhaustive_smooth_conic(subspace: ConicSubspace, field):
     """Oracle: scan every member of the subspace for a smooth conic."""
-    codes, elements = _field_codes(field)
-    found = _first_smooth([_encode(q.coeffs, elements) for q in subspace.basis], codes)
-    return None if found is None else QuadraticForm3(_decode(found[1], elements))
+    _require_field(field, subspace.q)
+    found = _first_smooth(subspace.rows, subspace.q)
+    return None if found is None else QuadraticForm3(_FIELDS[subspace.q][c] for c in found[1])
 
 
-def _case_split(rows, elements):
+def _case_split(rows):
     """The source's four-way case split, on the code rows of a basis of a
     system of dimension at least four: (combo, path) naming one member by
     its coordinates on the rows, or None where a step has nothing to work
@@ -571,13 +561,17 @@ def _case_split(rows, elements):
         return f[6:], "normalized-member-smooth"
 
     # case one: all three squares belong to the system, so it holds
-    # xy + z^2 = f + A x^2 + B y^2 + z^2 (A, B from f); the rows are
-    # independent, so its combination is the unique solution
-    squares = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
-    field_rows = [_decode(r[:6], elements) for r in rows]
-    if matrix_rank(field_rows + [_decode(sq, elements) for sq in squares]) == n:
-        x = solve(field_rows, _decode((0, 0, 1, 0, 0, 1), elements))
-        return None if x is None else (_encode(x, elements), "case-all-squares")
+    # xy + z^2 = f + A x^2 + B y^2 + z^2 (A, B from f).  Since
+    # (sum a_i x_i)^2 = sum a_i^2 x_i^2, the coordinate changes keep the span
+    # of the squares, so the test can run here.  Gauss-Jordan on the form
+    # slots, carrying the combinations: the squares lie in the span exactly
+    # when the first three reduced rows are x^2, y^2 and z^2 alone.
+    reduced = _echelon([{k: c for k, c in enumerate(r) if c} for r in rows], range(6), _CODES)[0]
+    if all(reduced[i].keys() & range(6) == {i} for i in range(3)):
+        member = f
+        for i, c in enumerate((f[0], f[1], 1)):
+            member = _add(member, [reduced[i].get(k, 0) for k in range(6 + n)], c)
+        return member[6:], "case-all-squares"
 
     # case two: take a member outside (squares + f) and normalize its yz term;
     # f = A x^2 + B y^2 + xy, so those are the members with a yz or zx term
@@ -647,24 +641,25 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     size), an exhaustive scan of the finite subspace is used instead and
     reported as the path.
     """
-    codes, elements = _field_codes(field)
+    q, basis = subspace.q, subspace.rows
+    _require_field(field, q)
     if subspace.dimension < 4:
         raise ValueError("subspace dimension below four")
-    basis = [_encode(q.coeffs, elements) for q in subspace.basis]
     found = None
-    split = _case_split(basis, elements)
+    split = _case_split(basis)
     if split is not None:
         combo, path = split
         form = _combine(combo, basis)
-        if any(form) and _smooth(form, _PLANE_POINTS[len(codes)]):
+        if any(form) and _smooth(form, _PLANE_POINTS[q]):
             found = combo, form
     if found is None:
-        found, path = _first_smooth(basis, codes), "exhaustive-fallback"
+        found, path = _first_smooth(basis, q), "exhaustive-fallback"
         if found is None:
             return ConicSearchResult(None, "exhausted-none", None)
     combo, form = found
-    return ConicSearchResult(QuadraticForm3(_decode(form, elements)), path,
-                             _decode(combo, elements))
+    elements = _FIELDS[q]
+    return ConicSearchResult(QuadraticForm3(elements[c] for c in form), path,
+                             tuple(elements[c] for c in combo))
 
 
 def find_smooth_conic(subspace: ConicSubspace, field):

@@ -225,13 +225,6 @@ def test_criterion_05_projection_kernel():
 # ---------------------------------------------------------------------------
 
 
-def _in_span(result, subspace):
-    acc = subspace.basis[0].scale(result.combo[0])
-    for mu, basis_form in zip(result.combo[1:], subspace.basis[1:]):
-        acc = acc + basis_form.scale(mu)
-    return acc == result.form
-
-
 def test_criterion_06_conic_search_oracle():
     start = time.perf_counter()
     for field_name, field in (("f2", veronese.F2_FIELD),
@@ -253,7 +246,7 @@ def test_criterion_06_conic_search_oracle():
             assert (res.form is None) == (oracle is None)
             if res.form is not None:
                 assert veronese.is_smooth_conic(res.form, field)
-                assert _in_span(res, sub)
+                assert cli._combo_matches(res, sub)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
 

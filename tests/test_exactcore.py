@@ -514,9 +514,16 @@ def test_fp3_matrices_stay_on_the_object_record(monkeypatch):
         assert all(type(x) is Fp and x.p == 3 for x in v)
         assert all(_dot(row, v, Fp(3, 0)) == Fp(3, 0) for row in mat)
     assert solve([mat[0][:2], mat[2][2:]], [Fp(3, 0), Fp(3, 2)]) == [Fp(3, 2), Fp(3, 1)]
-    # an all-F2 matrix does reach the code record
-    with pytest.raises(AssertionError, match="GF"):
-        matrix_rank([[F2_ELEMENTS[1], F2_ELEMENTS[1]], [F2_ELEMENTS[1], F2_ELEMENTS[0]]])
+    # all-F2 and all-F4 matrices stay on the object record too
+    zero, one, w, w2 = F4_ELEMENTS
+    f2 = [[F2_ELEMENTS[1], F2_ELEMENTS[1]], [F2_ELEMENTS[1], F2_ELEMENTS[0]]]
+    assert matrix_rank(f2) == 2
+    assert kernel_dimension([f2[0]]) == (1, [[F2_ELEMENTS[1], F2_ELEMENTS[1]]])
+    assert solve(f2, [F2_ELEMENTS[0], F2_ELEMENTS[1]]) == [F2_ELEMENTS[1], F2_ELEMENTS[1]]
+    f4 = [[one, w, zero], [w, w2, one]]
+    assert matrix_rank(f4) == 2
+    assert kernel_dimension(f4) == (1, [[w, one, zero]])
+    assert solve([[one, w], [zero, one]], [one, zero]) == [one, w]
 
 
 def test_mixed_f4_and_f2_entries_raise_type_error():

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from certkit import exactcore, veronese
+from certkit.certify_cli import _combo_matches, _rref_bases
 from certkit.exactcore import (
+    Fp,
     Polynomial,
     poly_from_string_exps,
     span_dimension,
@@ -342,31 +344,9 @@ def test_conic_subspace_validation():
         ConicSubspace([a, a])
 
 
-def _rref_bases(k, q):
-    """Reduced-row-echelon bases, as GF(4) codes, of all k-dimensional
-    coefficient subspaces over the field of order q (2 or 4)."""
-    for pivots in itertools.combinations(range(6), k):
-        nonpivots = [j for j in range(6) if j not in pivots]
-        free = [(i, j) for i in range(k) for j in nonpivots if j > pivots[i]]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * 6 for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), c in zip(free, values):
-                rows[i][j] = c
-            yield rows
-
-
 def _f2_subspaces():
     """Reduced-row-echelon bases of all 4-dimensional coefficient subspaces."""
     return _rref_bases(4, 2)
-
-
-def _combo_matches(result, subspace):
-    acc = subspace.basis[0].scale(result.combo[0])
-    for mu, b in zip(result.combo[1:], subspace.basis[1:]):
-        acc = acc + b.scale(mu)
-    return acc == result.form
 
 
 EXPECTED_HISTOGRAM = {
@@ -395,26 +375,34 @@ def test_full_f2_sweep_is_constructive():
     assert histogram == EXPECTED_HISTOGRAM
 
 
-def test_f2_sweep_solves_only_in_case_all_squares(monkeypatch):
-    """The search eliminates once per subspace: one solve for the
-    case-all-squares combination, none on any other path."""
+def test_f2_sweep_eliminates_once_past_the_normalized_member(monkeypatch):
+    """The search eliminates on codes at most once per subspace: one
+    `_echelon` call on every path past the normalized member, none on
+    `normalized-member-smooth`, and no public matrix_rank or solve call."""
     calls = []
-    real = veronese.solve
+    real = veronese._echelon
 
-    def counting(columns, target):
+    def counting(rows, order, field):
+        assert field is exactcore._CODES
         calls.append(1)
-        return real(columns, target)
+        return real(rows, order, field)
 
-    monkeypatch.setattr(veronese, "solve", counting)
-    monkeypatch.setattr(exactcore, "solve", counting)
+    def forbidden(*args):
+        raise AssertionError("the search called a public elimination")
+
+    subspaces = [ConicSubspace([form(r) for r in rows]) for rows in _f2_subspaces()]
+    monkeypatch.setattr(veronese, "_echelon", counting)
+    for module in (veronese, exactcore):
+        monkeypatch.setattr(module, "matrix_rank", forbidden)
+    monkeypatch.setattr(exactcore, "solve", forbidden)
     paths = {}
-    for rows in _f2_subspaces():
-        sub = ConicSubspace([form(r) for r in rows])
+    for sub in subspaces:
         before = len(calls)
         res = find_smooth_conic_details(sub, F2_FIELD)
-        assert len(calls) - before == (res.path == "case-all-squares")
+        assert len(calls) - before == (res.path != "normalized-member-smooth")
         paths[res.path] = paths.get(res.path, 0) + 1
-    assert len(calls) == paths["case-all-squares"] == 6
+    assert paths == EXPECTED_HISTOGRAM
+    assert len(calls) == 651 - paths["normalized-member-smooth"] == 438
 
 
 EXPECTED_F4_HISTOGRAMS = {
@@ -453,11 +441,11 @@ def test_search_falls_back_when_the_split_names_no_smooth_member(monkeypatch):
     oracle = exhaustive_smooth_conic(sub, F2_FIELD)
     for split in (None, ([1, 0, 0, 0], "normalized-member-smooth"),
                   ([0, 0, 0, 0], "case-all-squares")):
-        monkeypatch.setattr(veronese, "_case_split", lambda rows, elements: split)
+        monkeypatch.setattr(veronese, "_case_split", lambda rows: split)
         res = find_smooth_conic_details(sub, F2_FIELD)
         assert res.path == "exhaustive-fallback"
         assert res.form == oracle and _combo_matches(res, sub)
-    monkeypatch.setattr(veronese, "_first_smooth", lambda basis, codes: None)
+    monkeypatch.setattr(veronese, "_first_smooth", lambda basis, q: None)
     assert find_smooth_conic_details(sub, F2_FIELD) == (None, "exhausted-none", None)
 
 
@@ -529,6 +517,28 @@ def test_search_reproduces_recorded_witnesses():
         assert res.path == e["path"]
         assert _codes(res.combo, field) == e["combo"]
         assert _codes(res.form.coeffs, field) == e["form"]
+
+
+F2_FORM = (1, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ConicSubspace([QuadraticForm3(map(Fraction, F2_FORM))]), id="fraction"),
+    pytest.param(lambda: ConicSubspace([QuadraticForm3(Fp(3, b) for b in F2_FORM)]), id="fp3"),
+    pytest.param(lambda: ConicSubspace([form(F2_FORM), form(F2_FORM[::-1], F4_FIELD)]),
+                 id="mixed-f2-f4"),
+    pytest.param(lambda: ConicSubspace([QuadraticForm3(F2_FORM)]), id="plain-int"),
+    pytest.param(lambda: find_smooth_conic_details(
+        ConicSubspace([form(r) for r in next(_f2_subspaces())]), F4_FIELD), id="search-f4"),
+    pytest.param(lambda: exhaustive_smooth_conic(
+        ConicSubspace([form(r) for r in next(_f2_subspaces())]), F4_FIELD), id="oracle-f4"),
+    pytest.param(lambda: is_smooth_conic(form((0, 0, 1, 0, 0, 1)), F4_FIELD), id="smooth-f4"),
+])
+def test_field_mismatches_raise_value_error(call):
+    """The field is read from the forms' entries: anything but all of F2 or
+    all of F4, and a field argument that is not the forms' own, is refused."""
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_char_two_guard():
