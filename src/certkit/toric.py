@@ -11,9 +11,10 @@ strong convexity are decided on integers alone: by Caratheodory's theorem a
 point lies in a cone exactly when it is a nonnegative combination of some
 basis of the rays' span, and each basis is tested by the signs of its
 integer Cramer numerators, never by division or floating point.  A cone's
-bases and cofactors are built once and reused for every point tested
-against it.  Independence of simplicial rays is the nonvanishing of a
-maximal minor.
+cofactor rows are read off the adjugate once, lifted to all d coordinates;
+validation tests a cone's foreign rays in one pass, and since cones of one
+size nest only when equal, compares each cone with larger ones only.
+Independence of simplicial rays is the nonvanishing of a maximal minor.
 """
 
 from __future__ import annotations
@@ -56,26 +57,51 @@ class TorusDivisor:
         return self.coefficients[i]
 
 
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
 def _det(m) -> int:
-    """Determinant of a small square integer matrix by expansion along the
-    first row; the empty matrix has determinant 1."""
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    """Determinant of a small square integer matrix: the triple product at
+    3 x 3, else expansion along the first row; the empty matrix gives 1."""
+    if len(m) == 3:
+        return _dot(m[0], _cross3(m[1], m[2]))
+    if not m:
+        return 1
     return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j, a in enumerate(m[0]) if a)
+
+
+def _cofactor_rows(m) -> list:
+    """Cofactor rows of a square integer matrix, the adjugate's columns: for
+    three rows, row i is the cross product of the other two in cyclic order;
+    for two, the other row turned a quarter, with its sign."""
+    if len(m) == 3:
+        return [_cross3(m[1], m[2]), _cross3(m[2], m[0]), _cross3(m[0], m[1])]
+    if len(m) == 2:
+        return [(m[1][1], -m[1][0]), (-m[0][1], m[0][0])]
+    return [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:]
+                                     for t, row in enumerate(m) if t != i])
+             for j in range(len(m))] for i in range(len(m))]
 
 
 class _Cone:
     """Membership test for the cone on the given integer rays.
 
     Holds, for each basis B of span(rays), a coordinate set J on which the
-    minor D = det(B_J) is nonzero, made positive, and the cofactor rows of
-    B_J.  For a point x the Cramer numerators N_i = cof_i . x_J are
-    integers with x_J = sum (N_i / D) B_J[i]; x is a nonnegative combination
-    of B iff every N_i >= 0 and D x_j = sum N_i B[i][j] at the coordinates
-    outside J.  By Caratheodory, x lies in the cone iff one basis accepts."""
+    minor D = det(B_J) is nonzero, made positive, and integer rows on all d
+    coordinates: the cofactor rows of B_J, lifted with zeros outside J, so
+    that the Cramer numerators N_i = cof_i . x satisfy x_J = sum (N_i / D)
+    B_J[i], and for each j outside J the row D e_j - sum_i B[i][j] cof_i,
+    whose product with x is D x_j - sum N_i B[i][j].  x is a nonnegative
+    combination of B iff the first products are >= 0 and the others 0.  By
+    Caratheodory, x lies in the cone iff one basis accepts."""
 
     __slots__ = ("rank", "bases")
 
@@ -88,27 +114,32 @@ class _Cone:
             for basis in itertools.combinations(rays, k):
                 for cols in itertools.combinations(range(d), k):
                     m = [[b[j] for j in cols] for b in basis]
-                    det = _det(m)
+                    cof = _cofactor_rows(m)
+                    det = _dot(cof[0], m[0]) if m else 1
                     if det:
-                        sign = 1 if det > 0 else -1
-                        cof = [[sign * (-1) ** (i + j) * _det(
-                                    [row[:j] + row[j + 1:]
-                                     for t, row in enumerate(m) if t != i])
-                                for j in range(k)] for i in range(k)]
-                        rest = [j for j in range(d) if j not in cols]
-                        bases.append((cols, sign * det, cof, rest, basis))
+                        sign, det = (1, det) if det > 0 else (-1, -det)
+                        cof = [[sign * row[cols.index(j)] if j in cols else 0
+                                for j in range(d)] for row in cof]
+                        outside = [[(det if t == j else 0) - sum(
+                                        b[j] * row[t] for b, row in zip(basis, cof))
+                                    for t in range(d)]
+                                   for j in range(d) if j not in cols]
+                        bases.append((cof, outside))
                         break
             if bases:
                 self.rank, self.bases = k, bases
                 return
 
-    def contains(self, x: Sequence[int]) -> bool:
-        for cols, det, cof, rest, basis in self.bases:
-            xc = [x[j] for j in cols]
-            num = [sum(map(mul, row, xc)) for row in cof]
-            if min(num, default=0) >= 0 and all(
-                    det * x[j] == sum(n * b[j] for n, b in zip(num, basis))
-                    for j in rest):
+    def holds_any(self, points: Sequence[Sequence[int]]) -> bool:
+        """Whether some of the points lies in the cone: each basis filters
+        them one cofactor row at a time, then the outside rows."""
+        for cof, outside in self.bases:
+            left = points
+            for row in cof:
+                left = [x for x in left if sum(map(mul, row, x)) >= 0]
+            for row in outside:
+                left = [x for x in left if not sum(map(mul, row, x))]
+            if left:
                 return True
         return False
 
@@ -119,7 +150,7 @@ def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
     x = tuple(x)
     if any(len(r) != len(x) for r in rays):
         raise ValueError("ray length does not match the point")
-    return _Cone(rays, len(x)).contains(x)
+    return _Cone(rays, len(x)).holds_any([x])
 
 
 def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
@@ -130,16 +161,6 @@ def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
     # infeasibility of  sum l_i (r_i, 1) = (0, 1),  l >= 0
     d = len(rays[0])
     return not cone_contains([tuple(r) + (1,) for r in rays], (0,) * d + (1,))
-
-
-def _cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def classify_cone_pairs(rays: Sequence[tuple]):
@@ -214,16 +235,19 @@ class Fan:
                     if cone_contains(others, rays[k]):
                         raise ValueError("non-extremal ray in cone")
             tests.append(test)
-        # no cone swallowed by another, no foreign ray inside a cone
-        cone_sets = [set(c) for c in self.maximal_cones]
-        for a, sa in enumerate(cone_sets):
-            for b, sb in enumerate(cone_sets):
-                if a != b and sa <= sb:
-                    raise ValueError("cone contained in another")
-        for sc, test in zip(cone_sets, tests):
-            for i, r in enumerate(self.rays):
-                if i not in sc and test.contains(r):
-                    raise ValueError("ray inside another cone")
+        # no cone swallowed by another: cones of one size nest only when
+        # equal, so look for a repeat, then test cones against larger ones
+        cones, by_size = self.maximal_cones, {}
+        for c in cones:
+            by_size.setdefault(len(c), []).append(set(c))
+        if len(set(cones)) < len(cones) or any(
+                a < b for s in by_size for t in by_size if s < t
+                for a in by_size[s] for b in by_size[t]):
+            raise ValueError("cone contained in another")
+        # no foreign ray inside a cone, one call per cone
+        for c, test in zip(cones, tests):
+            if test.holds_any([r for i, r in enumerate(self.rays) if i not in c]):
+                raise ValueError("ray inside another cone")
 
     def cone_rays(self, cone) -> list:
         return [self.rays[i] for i in cone]
@@ -584,7 +608,7 @@ def load_fan(path: str) -> Fan:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"fan file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ValueError("fan file must contain a JSON object")

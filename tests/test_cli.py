@@ -445,6 +445,18 @@ def test_fan_check_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fan_check_over_nested_json_exits_two(tmp_path, capsys):
+    """JSON nested deeper than the decoder's recursion limit is an unreadable
+    fan file: exit 2 and one error line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["fan", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: fan file is not valid JSON")
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
     """One process, one parser, mixed commands: every call answers as a fresh
     process would, and one call's options never reach the next."""

@@ -81,6 +81,17 @@ def test_fan_rejects_dependent_simplicial_cone():
     # a two-ray cone of a 3-D fan spans a plane holding the ray (1, 1, 0)
     (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), ((0, 1), (2, 3)),
      "ray inside another cone"),
+    # (1, 1) and (1, 1, 1) lie inside the full-dimensional cone on the e_i
+    (2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2)), "ray inside another cone"),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((0, 1, 2), (0, 1, 3)),
+     "ray inside another cone"),
+    # a cone listed twice, in another order, and a face listed as a cone
+    (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2), (1, 0)),
+     "cone contained in another"),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2), (2, 1, 0)),
+     "cone contained in another"),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2), (0, 1)),
+     "cone contained in another"),
 ])
 def test_fan_validation_errors(dim, rays, cones, message):
     with pytest.raises(ValueError, match=message):
@@ -100,6 +111,135 @@ def test_fan_rejects_non_integer_input(rays, cones):
     # int() would read 3/2 and 1.5 as 1 and build the plane's fan
     with pytest.raises(ValueError, match="must be integers"):
         Fan(2, rays, cones)
+
+
+def _reference_det(m):
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum((-1) ** j * a * _reference_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+class _ReferenceCone:
+    """The cone membership test as it stood before the cofactor rows were
+    read off the adjugate: Laplace minors, one point per call."""
+
+    def __init__(self, rays, d):
+        for k in range(min(len(rays), d), -1, -1):
+            bases = []
+            for basis in itertools.combinations(rays, k):
+                for cols in itertools.combinations(range(d), k):
+                    m = [[b[j] for j in cols] for b in basis]
+                    det = _reference_det(m)
+                    if det:
+                        sign = 1 if det > 0 else -1
+                        cof = [[sign * (-1) ** (i + j) * _reference_det(
+                                    [row[:j] + row[j + 1:]
+                                     for t, row in enumerate(m) if t != i])
+                                for j in range(k)] for i in range(k)]
+                        rest = [j for j in range(d) if j not in cols]
+                        bases.append((cols, sign * det, cof, rest, basis))
+                        break
+            if bases:
+                self.rank, self.bases = k, bases
+                return
+
+    def contains(self, x):
+        for cols, det, cof, rest, basis in self.bases:
+            xc = [x[j] for j in cols]
+            num = [sum(a * b for a, b in zip(row, xc)) for row in cof]
+            if min(num, default=0) >= 0 and all(
+                    det * x[j] == sum(n * b[j] for n, b in zip(num, basis))
+                    for j in rest):
+                return True
+        return False
+
+
+class _ReferenceFan(Fan):
+    """Fan whose axioms are checked by the validation as it stood before
+    one membership call per cone and size-bucketed containment."""
+
+    __slots__ = ()
+
+    def _validate(self):
+        used = {i for c in self.maximal_cones for i in c}
+        if used != set(range(len(self.rays))):
+            raise ValueError("unused ray")
+        tests = []
+        for c in self.maximal_cones:
+            rays = [self.rays[i] for i in c]
+            test = _ReferenceCone(rays, self.dim)
+            if len(c) <= self.dim:
+                if test.rank != len(c):
+                    raise ValueError("dependent rays in simplicial cone")
+            else:
+                if self.dim != 3:
+                    raise ValueError("overfull cone in dimension 2")
+                lifted = [r + (1,) for r in rays]
+                if _ReferenceCone(lifted, 4).contains((0, 0, 0, 1)):
+                    raise ValueError("not strongly convex")
+                for k in range(len(c)):
+                    others = [r for t, r in enumerate(rays) if t != k]
+                    if _ReferenceCone(others, 3).contains(rays[k]):
+                        raise ValueError("non-extremal ray in cone")
+            tests.append(test)
+        cone_sets = [set(c) for c in self.maximal_cones]
+        for a, sa in enumerate(cone_sets):
+            for b, sb in enumerate(cone_sets):
+                if a != b and sa <= sb:
+                    raise ValueError("cone contained in another")
+        for sc, test in zip(cone_sets, tests):
+            for i, r in enumerate(self.rays):
+                if i not in sc and test.contains(r):
+                    raise ValueError("ray inside another cone")
+
+
+@st.composite
+def _fan_cases(draw):
+    """Distinct nonzero rays in dimension 2 or 3 with entries in -3..3, and
+    1-7 cones of 2..d+2 of them.  Sometimes a cone is repeated, one of its
+    faces is added, or the sum of two of its rays is added in a cone of its
+    own.  Rays no cone uses are dropped, so validation reaches the cone
+    checks."""
+    d = draw(st.sampled_from((2, 3)))
+    vectors = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    rays = draw(st.lists(vectors, min_size=2, max_size=7, unique=True))
+    n = len(rays)
+    cones = [draw(st.lists(st.integers(0, n - 1), min_size=2,
+                           max_size=min(d + 2, n), unique=True))
+             for _ in range(draw(st.integers(1, 7)))]
+    extra = draw(st.sampled_from(("none", "repeat", "face", "sum")))
+    c = list(draw(st.sampled_from(cones)))
+    if extra == "sum":
+        w = tuple(a + b for a, b in zip(rays[c[0]], rays[c[1]]))
+        if any(w) and w not in rays:
+            rays.append(w)
+            cones.append([len(rays) - 1, draw(st.integers(0, n - 1))])
+    elif extra != "none":
+        if extra == "face" and len(c) > 2:
+            c.pop(draw(st.integers(0, len(c) - 1)))
+        cones.append(c[::-1])
+    used = sorted({i for c in cones for i in c})
+    new_index = {old: new for new, old in enumerate(used)}
+    return (d, [rays[i] for i in used],
+            [[new_index[i] for i in c] for c in cones])
+
+
+def _validation_outcome(cls, d, rays, cones):
+    try:
+        cls(d, rays, cones)
+    except ValueError as e:
+        return str(e)
+    return "valid"
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fan_cases())
+def test_fan_validation_matches_reference(case):
+    assert (_validation_outcome(Fan, *case)
+            == _validation_outcome(_ReferenceFan, *case))
 
 
 def _solve_cone_contains(rays, x):
