@@ -6,15 +6,19 @@ ray contraction, enumeration of small simplicial subdivisions, and the
 search for a covector inducing a fibration to the projective line.
 
 Rays are primitive integer vectors; construction normalizes by gcd, the
-file loader rejects non-primitive input instead.  Cone membership and
-strong convexity are decided on integers alone: by Caratheodory's theorem a
-point lies in a cone exactly when it is a nonnegative combination of some
-basis of the rays' span, and each basis is tested by the signs of its
-integer Cramer numerators, never by division or floating point.  A cone's
-cofactor rows are read off the adjugate once, lifted to all d coordinates;
-validation tests a cone's foreign rays in one pass, and since cones of one
-size nest only when equal, compares each cone with larger ones only.
-Independence of simplicial rays is the nonvanishing of a maximal minor.
+file loader rejects non-primitive input instead.  Cone membership is
+decided on integers alone: by Caratheodory's theorem a point lies in a cone
+exactly when it is a nonnegative combination of some basis of the rays'
+span, and each basis is tested by the signs of its integer Cramer
+numerators, never by division or floating point.  A cone's cofactor rows
+are read off the adjugate once, lifted to all d coordinates; validation
+tests a cone's foreign rays in one pass, and since cones of one size nest
+only when equal, compares each cone with larger ones only.  Strong
+convexity is the same membership test asked of the rays' negatives: a cone
+is strongly convex when no ray's negative lies in it.  Independence of
+simplicial rays is the nonvanishing of a maximal minor, and every integer
+determinant beyond the 2- and 3-row closed forms is
+`exactcore.int_determinant`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,17 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exactcore import _exact_ints, _is_int, gcd_of_maximal_minors
+from .exactcore import _exact_ints, _is_int, gcd_of_maximal_minors, int_determinant
+
+
+def _index(i, n: int, what: str) -> int:
+    """i when it is a plain int in range(n); else ValueError, where a bool
+    would read as 0 or 1 and a negative index would wrap around."""
+    if not _is_int(i):
+        raise ValueError(f"{what} must be an integer: {i!r}")
+    if not 0 <= i < n:
+        raise ValueError(f"{what} out of range: {i}")
+    return i
 
 
 def _normalize_ray(v: Sequence[int]) -> tuple:
@@ -67,27 +81,17 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _det(m) -> int:
-    """Determinant of a small square integer matrix: the triple product at
-    3 x 3, else expansion along the first row; the empty matrix gives 1."""
-    if len(m) == 3:
-        return _dot(m[0], _cross3(m[1], m[2]))
-    if not m:
-        return 1
-    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j, a in enumerate(m[0]) if a)
-
-
 def _cofactor_rows(m) -> list:
     """Cofactor rows of a square integer matrix, the adjugate's columns: for
     three rows, row i is the cross product of the other two in cyclic order;
-    for two, the other row turned a quarter, with its sign."""
+    for two, the other row turned a quarter, with its sign; otherwise signed
+    minors by `int_determinant`."""
     if len(m) == 3:
         return [_cross3(m[1], m[2]), _cross3(m[2], m[0]), _cross3(m[0], m[1])]
     if len(m) == 2:
         return [(m[1][1], -m[1][0]), (-m[0][1], m[0][0])]
-    return [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:]
-                                     for t, row in enumerate(m) if t != i])
+    return [[(-1) ** (i + j) * int_determinant(
+                 [row[:j] + row[j + 1:] for t, row in enumerate(m) if t != i])
              for j in range(len(m))] for i in range(len(m))]
 
 
@@ -146,21 +150,27 @@ class _Cone:
 
 def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
     """Exact membership of the integer point x in the cone generated by the
-    integer rays; a ray whose length differs from x's raises ValueError."""
-    x = tuple(x)
+    integer rays; a non-integer entry, or a ray whose length differs from
+    x's, raises ValueError."""
+    x = _exact_ints(x, "point entries")
+    rays = [_exact_ints(r, "ray entries") for r in rays]
     if any(len(r) != len(x) for r in rays):
         raise ValueError("ray length does not match the point")
     return _Cone(rays, len(x)).holds_any([x])
 
 
 def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
-    """No line through the origin: the only nonnegative combination of the
-    rays summing to zero is trivial."""
-    if not rays:
-        return True
-    # infeasibility of  sum l_i (r_i, 1) = (0, 1),  l >= 0
-    d = len(rays[0])
-    return not cone_contains([tuple(r) + (1,) for r in rays], (0,) * d + (1,))
+    """No line through the origin, decided as: no ray's negative lies in
+    the cone.  The two agree: a nontrivial sum l_i r_i = 0 with l >= 0 and
+    l_k > 0 puts -r_k = sum_{i != k} (l_i / l_k) r_i in the cone, and -r_k
+    in the cone is such a sum.  A zero ray, its own negative, makes the cone
+    not strongly convex; a non-integer entry or rays of unequal length raise
+    ValueError."""
+    rays = [_exact_ints(r, "ray entries") for r in rays]
+    d = len(rays[0]) if rays else 0
+    if any(len(r) != d for r in rays):
+        raise ValueError("rays of unequal length")
+    return not _Cone(rays, d).holds_any([tuple(-x for x in r) for r in rays])
 
 
 def classify_cone_pairs(rays: Sequence[tuple]):
@@ -228,7 +238,7 @@ class Fan:
             else:
                 if self.dim != 3:
                     raise ValueError("overfull cone in dimension 2")
-                if not cone_is_strongly_convex(rays):
+                if test.holds_any([tuple(-x for x in r) for r in rays]):
                     raise ValueError("not strongly convex")
                 for k in range(len(c)):
                     others = [r for t, r in enumerate(rays) if t != k]
@@ -295,7 +305,7 @@ def cone_is_smooth(fan: Fan, cone) -> tuple:
     """(smooth, multiplicity) for a simplicial cone: multiplicity is the gcd
     of the maximal minors of the ray matrix, 1 exactly when the rays extend
     to a lattice basis."""
-    cone = tuple(cone)
+    cone = tuple(_index(i, len(fan.rays), "cone index") for i in cone)
     if len(cone) > fan.dim:
         raise ValueError("not simplicial")
     # the rays are independent exactly when some maximal minor is nonzero
@@ -403,6 +413,8 @@ def surface_intersection(fan: Fan, i: int, j: int) -> int:
     toric surface: 1 when the rays span a cone, else 0."""
     if fan.dim != 2:
         raise ValueError("fan not 2-dimensional")
+    _index(i, len(fan.rays), "ray index")
+    _index(j, len(fan.rays), "ray index")
     if i == j:
         raise ValueError("equal indices: use surface_self_intersections")
     pair = tuple(sorted((i, j)))
@@ -412,6 +424,9 @@ def surface_intersection(fan: Fan, i: int, j: int) -> int:
 def divisor_dot(fan: Fan, div: TorusDivisor, j: int) -> int:
     """Pairing of a divisor with the j-th boundary divisor on a smooth
     complete toric surface."""
+    _index(j, len(fan.rays), "ray index")
+    if len(div) != len(fan.rays):
+        raise ValueError("divisor length does not match rays")
     selfs = surface_self_intersections(fan)
     total = 0
     for i, c in enumerate(div):
@@ -486,8 +501,7 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     cone in which the removed ray is redundant."""
     if fan.dim != 3:
         raise ValueError("contraction implemented for 3D fans only")
-    if not 0 <= ray_index < len(fan.rays):
-        raise ValueError("ray index out of range")
+    _index(ray_index, len(fan.rays), "ray index")
     star = [c for c in fan.maximal_cones if ray_index in c]
     if not star:
         raise ValueError("ray not in any maximal cone")
@@ -591,7 +605,10 @@ def fan_from_dict(data: dict) -> Fan:
         if (not isinstance(r, list) or len(r) != dim
                 or not all(_is_int(x) for x in r)):
             raise ValueError("each ray must be a list of integers of length dim")
-        if _normalize_ray(r) != tuple(r):
+        g = math.gcd(*r)
+        if g == 0:
+            raise ValueError("zero ray")
+        if g > 1:
             raise ValueError(f"ray not primitive: {list(r)}")
     cones = data["cones"]
     if not isinstance(cones, list) or not cones:

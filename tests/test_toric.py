@@ -312,6 +312,87 @@ def test_cone_is_strongly_convex():
     assert toric.cone_is_strongly_convex([])
 
 
+@pytest.mark.parametrize("rays, expected", [
+    # a zero ray is its own negative, so it lies in every cone
+    ([(0, 0), (1, 0)], False),
+    ([(0, 0, 0)], False),
+    ([(1, 0, 0), (0, 0, 0), (0, 1, 0)], False),
+    # three rays summing to zero with no two of them opposite
+    ([(1, 0), (0, 1), (-1, -1)], False),
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], False),
+    ([(1, 2, 0), (-2, 1, 1), (1, -3, -1)], False),
+    # two of the three, or the three lifted off the plane, are pointed
+    ([(1, 0), (0, 1)], True),
+    ([(1, 0, 1), (0, 1, 1), (-1, -1, 1)], True),
+])
+def test_strong_convexity_is_no_negated_ray_in_the_cone(rays, expected):
+    assert toric.cone_is_strongly_convex(rays) is expected
+
+
+def test_strong_convexity_rejects_mixed_ray_lengths():
+    with pytest.raises(ValueError):
+        toric.cone_is_strongly_convex([(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        toric.cone_is_strongly_convex([(1, 0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: toric.cone_contains([(1.5, 0), (0, 1)], (1, 1)),
+    lambda: toric.cone_contains([(1, 0), (0, 1)], (0.5, 0.25)),
+    lambda: toric.cone_contains([(True, 0), (0, 1)], (1, 1)),
+    lambda: toric.cone_contains([(1, 0), (0, 1)], (Fraction(1, 2), 0)),
+    lambda: toric.cone_contains([(1, 0), ("0", 1)], (1, 1)),
+    lambda: toric.cone_is_strongly_convex([(0.5, 0), (-1, 0)]),
+    lambda: toric.cone_is_strongly_convex([(1, 0), (0, False)]),
+    lambda: toric.cone_is_strongly_convex([(Fraction(1), 0), (0, 1)]),
+    lambda: toric.cone_is_strongly_convex([("1", 0), (0, 1)]),
+], ids=["contains-float-ray", "contains-float-point", "contains-bool-ray",
+        "contains-fraction-point", "contains-str-ray", "convex-float",
+        "convex-bool", "convex-fraction", "convex-str"])
+def test_cone_predicates_reject_non_integers(call):
+    # the float cases read True today: 1.5 e1 + e2 holds (1, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def _int_matrix(rng, n):
+    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+
+
+def test_cofactor_rows_invert_against_int_determinant():
+    """cof_i . m_j = det(m) [i = j] on every branch: the empty and 1 x 1
+    matrices, the quarter turn, the cross products and signed minors."""
+    rng = random.Random("cofactor-rows")
+    for n in range(6):
+        for trial in range(40):
+            m = _int_matrix(rng, n)
+            if trial % 4 == 0 and n >= 2:
+                m[-1] = [a - b for a, b in zip(m[0], m[1])]  # singular
+            det = exactcore.int_determinant(m)
+            cof = toric._cofactor_rows(m)
+            assert len(cof) == n
+            for i, j in itertools.product(range(n), repeat=2):
+                assert toric._dot(cof[i], m[j]) == (det if i == j else 0)
+
+
+def test_toric_paths_need_no_four_row_cofactors(monkeypatch, capsys):
+    sizes = []
+    cofactor_rows = toric._cofactor_rows
+
+    def counted(m):
+        sizes.append(len(m))
+        return cofactor_rows(m)
+
+    monkeypatch.setattr(toric, "_cofactor_rows", counted)
+    for bundle in (bundle_14(), bundle_23()):
+        contract_ray(bundle, 5)
+    with pytest.raises(ValueError, match="not strongly convex"):
+        contract_ray(bundle_14(), 4)
+    assert certify_cli.main(["run", "toric"]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) <= 3
+
+
 def test_fan_constructor_normalizes_rays():
     # construction divides by the gcd; only the file parser insists on
     # primitive input
@@ -417,6 +498,33 @@ def test_self_intersections_require_complete_smooth():
         surface_self_intersections(singular)
 
 
+@pytest.mark.parametrize("cone", [(0, -1), (0, 9), (True, 1), (0, 1.0)])
+def test_cone_is_smooth_rejects_bad_indices(cone):
+    # (0, -1) wrapped to (0, 3) and read as smooth; (0, 9) raised IndexError
+    with pytest.raises(ValueError, match="cone index"):
+        cone_is_smooth(S14, cone)
+
+
+@pytest.mark.parametrize("i, j", [(0, True), (False, 1), (0, 4), (-1, 0), (0, 1.0)])
+def test_surface_intersection_rejects_bad_indices(i, j):
+    # (0, True) read as the cone (0, 1) and gave 1
+    with pytest.raises(ValueError, match="ray index"):
+        surface_intersection(S14, i, j)
+
+
+@pytest.mark.parametrize("coefficients, j, match", [
+    ((1, 0, 0, 0), 7, "ray index"),
+    ((1, 0, 0, 0), -1, "ray index"),
+    ((1, 0, 0, 0), True, "ray index"),
+    ((0, 1, 0, 0, 0, 0), 0, "divisor length"),
+    ((1,), 1, "divisor length"),
+])
+def test_divisor_dot_rejects_bad_arguments(coefficients, j, match):
+    # j = 7 gave 0; the 6- and 1-coefficient divisors gave 1
+    with pytest.raises(ValueError, match=match):
+        divisor_dot(S14, toric.TorusDivisor(coefficients), j)
+
+
 def test_pairwise_surface_intersections():
     assert surface_intersection(S14, 0, 1) == 1
     assert surface_intersection(S14, 0, 2) == 0
@@ -519,6 +627,13 @@ def test_contract_ray_argument_errors():
         contract_ray(P2, 0)
     with pytest.raises(ValueError, match="out of range"):
         contract_ray(bundle_14(), 9)
+
+
+@pytest.mark.parametrize("index", [True, -1, 5.0])
+def test_contract_ray_rejects_non_int_or_negative_index(index):
+    # True contracted ray 1 and 5.0 ray 5
+    with pytest.raises(ValueError, match="ray index"):
+        contract_ray(bundle_14(), index)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +806,21 @@ def test_fan_from_dict_errors():
     with pytest.raises(ValueError, match=r"cone lists a ray index twice: \[0, 1, 1\]"):
         fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
                        "cones": [[0, 1, 1], [1, 2], [2, 0]]})
+
+
+def test_load_fan_normalizes_each_ray_once(monkeypatch):
+    calls = []
+    normalize = toric._normalize_ray
+
+    def counted(v):
+        calls.append(tuple(v))
+        return normalize(v)
+
+    monkeypatch.setattr(toric, "_normalize_ray", counted)
+    fan = load_fan("tests/data/bundle_fan_s14.json")
+    assert calls == list(fan.rays)
+    with pytest.raises(ValueError, match="zero ray"):
+        fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 0]], "cones": [[0, 1]]})
 
 
 def test_load_fan_reports_parse_position(tmp_path):
