@@ -1,8 +1,8 @@
 """certkit: exact-arithmetic certificates for small algebraic-geometry computations.
 
 Everything in this package computes over exact domains (arbitrary-precision
-rationals, small prime fields, one quadratic extension of F2).  There is no
-floating point anywhere.
+rationals, the two-element field F2 and its quadratic extension F4).  There is
+no floating point anywhere.
 """
 
 __version__ = "0.1.0"

@@ -3,13 +3,14 @@
 Rationals are `fractions.Fraction` (always lowest terms, positive
 denominator).  Multivariate polynomials are dictionaries from exponent
 vectors to nonzero coefficients; the coefficient domain can be Fraction,
-int, a prime field Fp, or the four-element field F4.  Rational functions
-compare by cross-multiplication, so no polynomial GCD is ever needed.
+int, the two-element field F2 (`Fp(2, v)`), or the four-element field F4.
+Rational functions compare by cross-multiplication, so no polynomial GCD is
+ever needed.
 
 All ideal questions are answered degree by degree with linear algebra:
 polynomial spans are eliminated on sparse rows keyed by monomial, by the
 same Gauss-Jordan routine that reduces matrices, whose rows are keyed by
-column.  The public matrix functions eliminate every matrix, over Q, F_p or
+column.  The public matrix functions eliminate every matrix, over Q, F2 or
 F4, with its entries' own operators; the routine also runs on GF(4) codes
 for a caller that holds codes, which is the conic layer.  There is
 deliberately no Groebner machinery here.
@@ -17,8 +18,9 @@ deliberately no Groebner machinery here.
 It also owns the exact-input rule, which every module applies through
 `_is_int`, `_exact_ints` and `_exact_rational`: an integer is a plain int,
 never a bool; a rational is an int or a Fraction; all else is a ValueError.
-Polynomial coefficients and matrix entries may also be Fp or F4 elements
-(`_EXACT_TYPES`), zero or not.
+Polynomial coefficients and matrix entries may also be F2 (`Fp`) or F4
+elements (`_EXACT_TYPES`), zero or not.  F2 and F4 share one arithmetic on
+GF(4) codes, `_Char2`.
 """
 
 from __future__ import annotations
@@ -64,83 +66,6 @@ def _exact_rational(x, what: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class Fp:
-    """Element of the prime field F_p.  Table-free modular arithmetic."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return Fp(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v + other.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v - other.v)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v * other.v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(self.p, -self.v)
-
-    def inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return Fp(self.p, pow(self.v, self.p - 2, self.p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return f"Fp({self.p},{self.v})"
-
-
 # GF(4) codes: F4(a, b) is the int a | b << 1 and Fp(2, v) is v, so each
 # element tuple below is indexed by code.  Codes add by XOR; they multiply
 # by this table (w^2 = w + 1), whose rows also give the inverses.
@@ -153,29 +78,27 @@ GF4_MUL = (
 GF4_INV = (None,) + tuple(row.index(1) for row in GF4_MUL[1:])
 
 
-def _f4_code(x):
-    """The code of an F4, or of an int read as F4(x); None for any other."""
-    if isinstance(x, F4):
-        return x.c
-    if isinstance(x, int):
-        return x & 1
-    return None
-
-
-class F4:
-    """Element a + b*w of F_4 = F_2[w]/(w^2 + w + 1), held as its code a | b << 1;
-    each result is one of F4_ELEMENTS, read from XOR, GF4_MUL or GF4_INV."""
+class _Char2:
+    """An element of F2 or F4, held as its GF(4) code `c`.  Each result is
+    one of the class's shared ELEMENTS, read from XOR, GF4_MUL or GF4_INV.
+    An int operand k is read as the code k & 1; any other operand, an
+    element of the other field included, is NotImplemented."""
 
     __slots__ = ("c",)
+    ELEMENTS: tuple
 
-    def __init__(self, a: int, b: int = 0):
-        self.c = a & 1 | (b & 1) << 1
+    def _code(self, other):
+        if type(other) is type(self):
+            return other.c
+        if isinstance(other, int):
+            return other & 1
+        return None
 
     def __add__(self, other):
-        o = _f4_code(other)
+        o = self._code(other)
         if o is None:
             return NotImplemented
-        return F4_ELEMENTS[self.c ^ o]
+        return self.ELEMENTS[self.c ^ o]
 
     __radd__ = __add__
     __sub__ = __add__          # characteristic two
@@ -185,38 +108,50 @@ class F4:
         return self
 
     def __mul__(self, other):
-        o = _f4_code(other)
+        o = self._code(other)
         if o is None:
             return NotImplemented
-        return F4_ELEMENTS[GF4_MUL[self.c][o]]
+        return self.ELEMENTS[GF4_MUL[self.c][o]]
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.c:
-            raise ZeroDivisionError("inverse of zero in F_4")
-        return F4_ELEMENTS[GF4_INV[self.c]]
+            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
+        return self.ELEMENTS[GF4_INV[self.c]]
 
     def __truediv__(self, other):
-        o = _f4_code(other)
+        o = self._code(other)
         if o is None:
             return NotImplemented
-        return self * F4_ELEMENTS[o].inverse()
+        return self * self.ELEMENTS[o].inverse()
 
     def __rtruediv__(self, other):
-        o = _f4_code(other)
+        o = self._code(other)
         if o is None:
             return NotImplemented
-        return F4_ELEMENTS[o] * self.inverse()
+        return self.ELEMENTS[o] * self.inverse()
 
     def __eq__(self, other):
-        o = _f4_code(other)
+        o = self._code(other)
         if o is None:
             return NotImplemented
         return self.c == o
 
     def __bool__(self):
         return self.c != 0
+
+
+class F4(_Char2):
+    """Element a + b*w of F_4 = F_2[w]/(w^2 + w + 1); a and b are plain ints,
+    read mod 2."""
+
+    __slots__ = ()
+
+    def __init__(self, a: int, b: int = 0):
+        if not (_is_int(a) and _is_int(b)):
+            raise ValueError(f"F4 coordinates must be ints: {a!r}, {b!r}")
+        self.c = a & 1 | (b & 1) << 1
 
     def __hash__(self):
         return hash(("F4", self.c & 1, self.c >> 1))
@@ -225,8 +160,28 @@ class F4:
         return f"F4({self.c & 1},{self.c >> 1})"
 
 
-F4_ELEMENTS = (F4(0, 0), F4(1, 0), F4(0, 1), F4(1, 1))
-F2_ELEMENTS = (Fp(2, 0), Fp(2, 1))
+class Fp(_Char2):
+    """Element v mod 2 of the prime field F_2, the one prime the package
+    computes over; p must be the int 2 and v a plain int."""
+
+    __slots__ = ()
+    p = 2
+    v = property(lambda self: self.c)
+
+    def __init__(self, p: int, v: int):
+        if not (_is_int(p) and p == 2 and _is_int(v)):
+            raise ValueError(f"Fp must be Fp(2, v) with v an int: Fp({p!r}, {v!r})")
+        self.c = v & 1
+
+    def __hash__(self):
+        return hash((2, self.c))
+
+    def __repr__(self):
+        return f"Fp(2,{self.c})"
+
+
+F4.ELEMENTS = F4_ELEMENTS = (F4(0, 0), F4(1, 0), F4(0, 1), F4(1, 1))
+Fp.ELEMENTS = F2_ELEMENTS = (Fp(2, 0), Fp(2, 1))
 
 # the exact element types: field entries keep their type, and a plain int
 # is exact too (a bool is not, since type(True) is bool)
@@ -463,10 +418,8 @@ def _one_like(c):
         return Fraction(1)
     if isinstance(c, int):
         return 1
-    if isinstance(c, Fp):
-        return Fp(c.p, 1)
-    if isinstance(c, F4):
-        return F4(1)
+    if isinstance(c, _Char2):
+        return c.ELEMENTS[1]
     raise TypeError(f"no multiplicative unit known for {type(c)!r}")
 
 
@@ -648,10 +601,10 @@ def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _promote(items) -> dict:
-    """Sparse row {key: entry} of the nonzero entries.  Fraction, Fp and F4
-    entries are kept; any other goes through _exact_rational, so a plain int
-    becomes a Fraction, which keeps division exact, and a float, a bool or a
-    string raises ValueError, zero or not."""
+    """Sparse row {key: entry} of the nonzero entries.  Fraction, F2 (`Fp`)
+    and F4 entries are kept; any other goes through _exact_rational, so a
+    plain int becomes a Fraction, which keeps division exact, and a float, a
+    bool or a string raises ValueError, zero or not."""
     return {k: x if type(x) in _FIELD_TYPES else _exact_rational(x, "an entry not in Fp or F4")
             for k, x in items if x or type(x) not in _EXACT_TYPES}
 
@@ -678,7 +631,7 @@ def _axpy_codes(row: dict, f: int, pivot_row: dict):
 # A field as `_echelon` uses it: (axpy, scale), two whole-row operations, so
 # no call is made per entry.  axpy(row, f, pivot_row) subtracts f * pivot_row
 # from row in place; scale(row, pv) returns row / pv.  _OBJECTS works on
-# Fraction, Fp and F4 entries with their own operators, and is the one record
+# Fraction, F2 and F4 entries with their own operators, and is the one record
 # of the public matrix functions; _CODES works on GF(4) codes, for callers
 # that keep their rows as codes (the conic layer in veronese).
 _OBJECTS = (_axpy_objects, lambda row, pv: {k: x / pv for k, x in row.items()})
@@ -723,7 +676,7 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
 
     Pivots are taken only among the first `limit` columns (all by default);
     later columns, such as the right-hand side of an augmented system, are
-    carried along.  Entries may be Fraction, Fp, or F4, all eliminated on
+    carried along.  Entries may be Fraction, F2 (`Fp`) or F4, all eliminated on
     the object record with their own operators; plain ints are promoted to
     Fraction, and anything else raises ValueError.
     """

@@ -349,8 +349,8 @@ def _encode(values) -> tuple:
     kinds = {type(x) for x in values}
     if kinds == {F4}:
         return 4, [x.c for x in values]
-    if kinds == {Fp} and all(x.p == 2 for x in values):
-        return 2, [x.v for x in values]
+    if kinds == {Fp}:
+        return 2, [x.c for x in values]
     raise ValueError("entries are not all in F2 or all in F4")
 
 
