@@ -13,7 +13,6 @@ from .exactcore import (
     Fp,
     F4,
     poly_substitute,
-    lattice_index,
     kernel_dimension,
     ideal_graded_dimension,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "Fp",
     "F4",
     "poly_substitute",
-    "lattice_index",
     "kernel_dimension",
     "ideal_graded_dimension",
 ]

@@ -25,8 +25,6 @@ GF(4) codes, `_Char2`.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -82,7 +80,9 @@ class _Char2:
     """An element of F2 or F4, held as its GF(4) code `c`.  Each result is
     one of the class's shared ELEMENTS, read from XOR, GF4_MUL or GF4_INV.
     An int operand k is read as the code k & 1; any other operand, an
-    element of the other field included, is NotImplemented."""
+    element of the other field included, is NotImplemented.  An element
+    equals an int only when the int is 0 or 1 and is its code, and hashes
+    as its code, so equal values hash alike."""
 
     __slots__ = ("c",)
     ELEMENTS: tuple
@@ -133,10 +133,14 @@ class _Char2:
         return self.ELEMENTS[o] * self.inverse()
 
     def __eq__(self, other):
-        o = self._code(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o
+        if type(other) is type(self):
+            return self.c == other.c
+        if isinstance(other, int):
+            return self.c < 2 and self.c == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.c)
 
     def __bool__(self):
         return self.c != 0
@@ -152,9 +156,6 @@ class F4(_Char2):
         if not (_is_int(a) and _is_int(b)):
             raise ValueError(f"F4 coordinates must be ints: {a!r}, {b!r}")
         self.c = a & 1 | (b & 1) << 1
-
-    def __hash__(self):
-        return hash(("F4", self.c & 1, self.c >> 1))
 
     def __repr__(self):
         return f"F4({self.c & 1},{self.c >> 1})"
@@ -172,9 +173,6 @@ class Fp(_Char2):
         if not (_is_int(p) and p == 2 and _is_int(v)):
             raise ValueError(f"Fp must be Fp(2, v) with v an int: Fp({p!r}, {v!r})")
         self.c = v & 1
-
-    def __hash__(self):
-        return hash((2, self.c))
 
     def __repr__(self):
         return f"Fp(2,{self.c})"
@@ -575,24 +573,6 @@ def int_determinant(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def lattice_index(rows: Sequence[Sequence[int]]) -> int:
-    """|det| of a square integer matrix: the index of the row lattice."""
-    return abs(int_determinant(rows))
-
-
-def gcd_of_maximal_minors(rows: Sequence[Sequence[int]]) -> int:
-    """gcd of all k x k minors of a k x d integer matrix (k <= d)."""
-    k = len(rows)
-    d = len(rows[0]) if rows else 0
-    if k > d:
-        raise ValueError("more rows than columns")
-    g = 0
-    for cols in itertools.combinations(range(d), k):
-        minor = int_determinant([[r[c] for c in cols] for r in rows])
-        g = math.gcd(g, minor)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,16 @@ convexity is the same membership test asked of the rays' negatives: a cone
 is strongly convex when no ray's negative lies in it.  Independence of
 simplicial rays is the nonvanishing of a maximal minor, and every integer
 determinant beyond the 2- and 3-row closed forms is
-`exactcore.int_determinant`.
+`exactcore.int_determinant`.  A simplicial cone's multiplicity, the gcd of
+its maximal minors, is read off the same test: its minor and the entries
+of its rows outside the minor, which by Cramer are the other maximal
+minors up to sign; a fan keeps it for each simplicial maximal cone.  On a
+complete surface the neighbours of a ray are the other rays of the two
+cones on it, so self-intersections need no angular sort.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exactcore import _exact_ints, _is_int, gcd_of_maximal_minors, int_determinant
+from .exactcore import _exact_ints, _is_int, int_determinant
 
 
 def _index(i, n: int, what: str) -> int:
@@ -128,16 +132,26 @@ class _Cone:
                                         b[j] * row[t] for b, row in zip(basis, cof))
                                     for t in range(d)]
                                    for j in range(d) if j not in cols]
-                        bases.append((cof, outside))
+                        bases.append((det, cof, outside))
                         break
             if bases:
                 self.rank, self.bases = k, bases
                 return
 
+    def multiplicity(self) -> int:
+        """For independent rays, one basis: the gcd of the maximal minors of
+        the ray matrix, read as the gcd of D and the outside rows' entries.
+        By Cramer, the entry of the row for j at t in J is the minor on J
+        with t swapped for j, up to sign; when the rank is at most 1 or at
+        least d - 1, every cone for d <= 3, every coordinate set is J or one
+        swap away from it."""
+        (det, _, outside), = self.bases
+        return math.gcd(det, *(x for row in outside for x in row))
+
     def holds_any(self, points: Sequence[Sequence[int]]) -> bool:
         """Whether some of the points lies in the cone: each basis filters
         them one cofactor row at a time, then the outside rows."""
-        for cof, outside in self.bases:
+        for _, cof, outside in self.bases:
             left = points
             for row in cof:
                 left = [x for x in left if sum(map(mul, row, x)) >= 0]
@@ -195,9 +209,11 @@ def classify_cone_pairs(rays: Sequence[tuple]):
 
 
 class Fan:
-    """A fan given by primitive rays and maximal cones (ray index tuples)."""
+    """A fan given by primitive rays and maximal cones (ray index tuples),
+    with the multiplicity of each simplicial maximal cone, read off the cone
+    test its validation builds."""
 
-    __slots__ = ("dim", "rays", "maximal_cones")
+    __slots__ = ("dim", "rays", "maximal_cones", "_multiplicity")
 
     def __init__(self, dim: int, rays, maximal_cones):
         if dim not in (2, 3):
@@ -219,15 +235,17 @@ class Fan:
         self.dim = dim
         self.rays = rays
         self.maximal_cones = tuple(cones)
-        self._validate()
+        self._multiplicity = self._validate()
 
     # -- structural checks ---------------------------------------------------
 
-    def _validate(self):
+    def _validate(self) -> dict:
+        """Check the fan axioms; return {cone: multiplicity} for the
+        simplicial maximal cones."""
         used = {i for c in self.maximal_cones for i in c}
         if used != set(range(len(self.rays))):
             raise ValueError("unused ray")
-        tests = []
+        tests, multiplicity = [], {}
         for c in self.maximal_cones:
             rays = [self.rays[i] for i in c]
             test = _Cone(rays, self.dim)
@@ -235,6 +253,7 @@ class Fan:
                 # simplicial cone: rays must be linearly independent
                 if test.rank != len(c):
                     raise ValueError("dependent rays in simplicial cone")
+                multiplicity[c] = test.multiplicity()
             else:
                 if self.dim != 3:
                     raise ValueError("overfull cone in dimension 2")
@@ -258,6 +277,7 @@ class Fan:
         for c, test in zip(cones, tests):
             if test.holds_any([r for i, r in enumerate(self.rays) if i not in c]):
                 raise ValueError("ray inside another cone")
+        return multiplicity
 
     def cone_rays(self, cone) -> list:
         return [self.rays[i] for i in cone]
@@ -304,14 +324,17 @@ class Fan:
 def cone_is_smooth(fan: Fan, cone) -> tuple:
     """(smooth, multiplicity) for a simplicial cone: multiplicity is the gcd
     of the maximal minors of the ray matrix, 1 exactly when the rays extend
-    to a lattice basis."""
+    to a lattice basis.  A maximal cone's was stored when the fan was
+    validated; any other cone's is read off one cone test."""
     cone = tuple(_index(i, len(fan.rays), "cone index") for i in cone)
     if len(cone) > fan.dim:
         raise ValueError("not simplicial")
-    # the rays are independent exactly when some maximal minor is nonzero
-    mult = gcd_of_maximal_minors([fan.rays[i] for i in cone])
-    if mult == 0:
-        raise ValueError("not simplicial")
+    mult = fan._multiplicity.get(tuple(sorted(cone)))
+    if mult is None:
+        test = _Cone([fan.rays[i] for i in cone], fan.dim)
+        if test.rank < len(cone):
+            raise ValueError("not simplicial")
+        mult = test.multiplicity()
     return (mult == 1, mult)
 
 
@@ -333,31 +356,12 @@ def principal_divisor(fan: Fan, m: Sequence[int]) -> TorusDivisor:
     return TorusDivisor(_dot(m, r) for r in fan.rays)
 
 
-def _cyclic_order_2d(rays) -> list:
-    """Indices of 2D rays sorted counterclockwise starting from the positive
-    x-axis, by exact sector comparison."""
-    def half(v):
-        # 0 for the upper half plane including the positive x-axis
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(i, j):
-        a, b = rays[i], rays[j]
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(range(len(rays)), key=functools.cmp_to_key(cmp))
-
-
 def fan_is_complete(fan: Fan) -> bool:
-    """Wall test: every codimension-1 face lies in exactly two maximal cones
-    and the adjacency graph is connected."""
+    """Wall test: every maximal cone is full-dimensional, every
+    codimension-1 face lies in exactly two maximal cones and the adjacency
+    graph is connected."""
+    if any(len(c) < fan.dim for c in fan.maximal_cones):
+        return False
     walls = fan.walls()
     if any(len(cs) != 2 for cs in walls.values()):
         return False
@@ -379,30 +383,24 @@ def fan_is_complete(fan: Fan) -> bool:
 
 def surface_self_intersections(fan: Fan) -> tuple:
     """Self-intersection number of each boundary divisor of a smooth
-    complete toric surface, in the fan's ray order."""
+    complete toric surface, in the fan's ray order: u_- + u_+ = -(D^2) u,
+    where u_- and u_+ are the other rays of the two cones on u."""
     if fan.dim != 2:
         raise ValueError("fan not 2-dimensional")
     if not fan_is_complete(fan):
         raise ValueError("fan not complete")
     if not fan_is_smooth(fan):
         raise ValueError("fan not smooth")
-    order = _cyclic_order_2d(fan.rays)
-    pos = {ray_i: k for k, ray_i in enumerate(order)}
-    nrays = len(fan.rays)
+    # complete: each ray lies in exactly two cones, each of two rays
+    neighbors = [[] for _ in fan.rays]
+    for i, j in fan.maximal_cones:
+        neighbors[i].append(fan.rays[j])
+        neighbors[j].append(fan.rays[i])
     out = []
-    for i, u in enumerate(fan.rays):
-        k = pos[i]
-        prev = fan.rays[order[(k - 1) % nrays]]
-        nxt = fan.rays[order[(k + 1) % nrays]]
+    for u, (prev, nxt) in zip(fan.rays, neighbors):
         s = (prev[0] + nxt[0], prev[1] + nxt[1])
-        # s must be an integer multiple of u
-        if s[0] * u[1] != s[1] * u[0]:
-            raise ValueError("neighbor sum not proportional to ray")
-        if u[0] != 0:
-            c, r = divmod(s[0], u[0])
-        else:
-            c, r = divmod(s[1], u[1])
-        if r != 0 or (c * u[0], c * u[1]) != s:
+        c = s[0] // u[0] if u[0] else s[1] // u[1]
+        if (c * u[0], c * u[1]) != s:
             raise ValueError("neighbor sum not an integer multiple of ray")
         out.append(-c)
     return tuple(out)

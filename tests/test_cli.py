@@ -422,6 +422,17 @@ def test_fan_check_plane_has_no_fibration(capsys):
     assert "complete: yes" in out
 
 
+def test_fan_check_two_ray_cone_is_not_complete(capsys):
+    # a maximal cone with fewer than dim rays is not full-dimensional, so
+    # the fan is not complete; the wall test used to raise on the 2-ray cone
+    assert cli.main(["fan", "check", str(DATA / "two_ray_cone.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "smooth: yes" in captured.out
+    assert "complete: no" in captured.out
+    assert "fibration covector: (0, 1, 0)" in captured.out
+
+
 def test_fan_check_bad_ray(capsys):
     assert cli.main(["fan", "check", str(DATA / "bad_ray.json")]) == 2
     err = capsys.readouterr().err

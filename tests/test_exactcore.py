@@ -18,12 +18,10 @@ from certkit.exactcore import (
     Fp,
     Polynomial,
     RationalFunction,
-    gcd_of_maximal_minors,
     ideal_graded_dimension,
     ideal_piece,
     int_determinant,
     kernel_dimension,
-    lattice_index,
     matrix_rank,
     monomials_of_degree,
     poly_from_string_exps,
@@ -66,6 +64,15 @@ def _f4_bits_mul(x, y):
     return (a1 & a2) ^ (b1 & b2), (a1 & b2) ^ (b1 & a2) ^ (b1 & b2)
 
 
+def _assert_eq_implies_hash(x):
+    """Python's rule for hashable values: x == k implies hash(x) == hash(k),
+    so a set or dict holding one finds the other."""
+    for k in (*range(-3, 6), True, False):
+        if x == k:
+            assert hash(x) == hash(k)
+            assert k in {x} and x in {k}
+
+
 def test_f4_matches_the_bit_formula_on_every_pair():
     bits = [(a, b) for b in (0, 1) for a in (0, 1)]
 
@@ -78,7 +85,7 @@ def test_f4_matches_the_bit_formula_on_every_pair():
     for x in bits:
         fx = F4(*x)
         assert repr(fx) == "F4({},{})".format(*x)
-        assert hash(fx) == hash(("F4", *x))
+        _assert_eq_implies_hash(fx)
         assert bool(fx) == (x != (0, 0))
         assert repr(-fx) == repr(fx)
         for y in bits:
@@ -106,7 +113,8 @@ def test_f4_matches_the_bit_formula_on_every_pair():
                 expect(result, total)
             expect(fx * k, _f4_bits_mul(x, kb))
             expect(k * fx, _f4_bits_mul(kb, x))
-            assert (fx == k) == (k == fx) == (x == kb)
+            # but equals only the int that is its code, 0 or 1
+            assert (fx == k) == (k == fx) == (k in (0, 1) and x == kb)
             if kb[0]:
                 expect(fx / k, x)
             else:
@@ -134,7 +142,7 @@ def test_f2_matches_the_bit_formula_on_every_pair():
     for x in (0, 1):
         fx = Fp(2, x)
         assert repr(fx) == f"Fp(2,{x})" and fx.v == x
-        assert hash(fx) == hash((2, x))
+        _assert_eq_implies_hash(fx)
         assert bool(fx) == bool(x)
         assert repr(-fx) == repr(fx)
         for y in (0, 1):
@@ -160,7 +168,8 @@ def test_f2_matches_the_bit_formula_on_every_pair():
                 expect(result, x ^ kb)
             expect(fx * k, x & kb)
             expect(k * fx, kb & x)
-            assert (fx == k) == (k == fx) == (x == kb)
+            # but equals only the int that is its code, 0 or 1
+            assert (fx == k) == (k == fx) == (k in (0, 1) and x == kb)
             if kb:
                 expect(fx / k, x)
             else:
@@ -246,6 +255,18 @@ def test_polynomial_basics():
     assert q == _poly({"x^2": 1})
     assert (p - p).is_zero()
     assert _poly({"x": 1}) ** 3 == _poly({"x^3": 1})
+
+
+def test_equal_polynomials_hash_alike():
+    # the int coefficient 1 equals Fraction(1), Fp(2, 1) and F4(1), so the
+    # polynomials equal, and a set holding one finds the other; 3 and 2
+    # equal no field element, and the three nonzero 1s are pairwise unequal
+    polys = [poly_from_string_exps(XY, {"x": c, "y^2": c})
+             for c in (1, Fraction(1), Fp(2, 1), F4(1), 3, F4(0, 1), 2)]
+    for (a, p), (b, q) in itertools.product(enumerate(polys), repeat=2):
+        assert (p == q) == (a == b or {a, b} in ({0, 1}, {0, 2}, {0, 3}))
+        if p == q:
+            assert hash(p) == hash(q) and q in {p}
 
 
 def test_polynomial_rejects_mixed_variables():
@@ -356,14 +377,15 @@ def test_rational_function_cross_multiplication_equality():
 
 
 def test_lattice_index_examples():
-    assert lattice_index([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    assert lattice_index([[1, 0, -1], [-1, 3, 0], [0, -1, -1]]) == 4
-    assert lattice_index([[0, 1, 0], [0, -1, -1], [1, 0, -2]]) == 1
+    # the index of a full-rank row lattice is |det|
+    assert abs(int_determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+    assert abs(int_determinant([[1, 0, -1], [-1, 3, 0], [0, -1, -1]])) == 4
+    assert abs(int_determinant([[0, 1, 0], [0, -1, -1], [1, 0, -2]])) == 1
 
 
 def test_lattice_index_requires_square():
     with pytest.raises(ValueError):
-        lattice_index([[1, 0, 0], [0, 1, 0]])
+        int_determinant([[1, 0, 0], [0, 1, 0]])
 
 
 def test_int_determinant_sign():
@@ -377,9 +399,7 @@ def test_integer_matrix_helpers_reject_non_int_entries(entry):
     with pytest.raises(TypeError):
         int_determinant([[entry]])
     with pytest.raises(TypeError):
-        lattice_index([[1, 0], [0, entry]])
-    with pytest.raises(TypeError):
-        gcd_of_maximal_minors([[1, 0, entry]])
+        int_determinant([[1, 0], [0, entry]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,20 +407,14 @@ def test_integer_matrix_helpers_reject_non_int_entries(entry):
                 min_size=3, max_size=3),
        st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
 def test_lattice_index_unimodular_invariance(rows, i, j, k):
-    base = lattice_index(rows)
+    base = abs(int_determinant(rows))
     swapped = list(rows)
     swapped[0], swapped[2] = swapped[2], swapped[0]
-    assert lattice_index(swapped) == base
+    assert abs(int_determinant(swapped)) == base
     if i != j:
         sheared = [list(r) for r in rows]
         sheared[i] = [a + k * b for a, b in zip(sheared[i], rows[j])]
-        assert lattice_index(sheared) == base
-
-
-def test_gcd_of_maximal_minors_nonsquare():
-    # rank-1 wide matrix: all 2x2 minors vanish, gcd over 1x1 blocks is not
-    # what this computes; stick to the documented full-rank reading
-    assert gcd_of_maximal_minors([[2, 0, 0], [0, 3, 0]]) == 6
+        assert abs(int_determinant(sheared)) == base
 
 
 def test_kernel_dimension_examples():

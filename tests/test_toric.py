@@ -2,6 +2,7 @@
 intersection numbers, bundle fans, contraction, triangulations, and the
 fibration search."""
 
+import functools
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certkit import certify_cli, exactcore, toric
@@ -450,6 +451,90 @@ def test_fan_is_smooth_examples():
     assert fan_is_smooth(bundle_14())
 
 
+def _reference_gcd_of_maximal_minors(rows):
+    """gcd of all k x k minors of a k x d integer matrix, k <= d: the cone
+    multiplicity as computed before it was read off the cone test."""
+    d = len(rows[0]) if rows else 0
+    return math.gcd(*(_reference_det([[r[j] for j in cols] for r in rows])
+                      for cols in itertools.combinations(range(d), len(rows))))
+
+
+def _assert_multiplicity_matches_reference(fan, cone):
+    expected = _reference_gcd_of_maximal_minors([fan.rays[i] for i in cone])
+    if expected == 0:
+        with pytest.raises(ValueError, match="not simplicial"):
+            cone_is_smooth(fan, cone)
+    else:
+        assert cone_is_smooth(fan, cone) == (expected == 1, expected)
+
+
+def test_gcd_of_maximal_minors_nonsquare():
+    # a wide matrix: the gcd runs over every column set, here minors 6, 0, 0
+    assert _reference_gcd_of_maximal_minors([[2, 0, 0], [0, 3, 0]]) == 6
+    assert toric._Cone([(2, 0, 0), (0, 3, 0)], 3).multiplicity() == 6
+    # primitive rays with the minors 2, 4, 2 and 2, 6, 3: the first
+    # nonzero minor is not the gcd
+    fan = Fan(3, ((2, 1, 0), (0, 1, 2)), ((0, 1),))
+    assert cone_is_smooth(fan, (1, 0)) == (False, 2)
+    fan = Fan(3, ((2, 1, 0), (0, 1, 3)), ((0, 1),))
+    assert cone_is_smooth(fan, (1, 0)) == (True, 1)
+
+
+@st.composite
+def _independent_rays(draw):
+    """k = 2..d independent rays in dimension d = 2 or 3 with entries in
+    -4..4, 2-ray cones in 3-D included."""
+    d = draw(st.sampled_from((2, 3)))
+    vectors = st.tuples(*[st.integers(-4, 4)] * d)
+    rays = draw(st.lists(vectors, min_size=2, max_size=d))
+    assume(_reference_gcd_of_maximal_minors(rays))
+    return d, rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(_independent_rays())
+def test_cone_multiplicity_matches_gcd_of_minors_reference(case):
+    # the cone itself, in every index order, reads the multiplicity stored
+    # by validation; each proper face, in every order, builds its own test
+    d, rays = case
+    fan = Fan(d, rays, (range(len(rays)),))
+    for size in range(len(rays) + 1):
+        for cone in itertools.permutations(range(len(rays)), size):
+            _assert_multiplicity_matches_reference(fan, cone)
+
+
+@st.composite
+def _blowup_chains(draw):
+    """The plane or a Hirzebruch surface blown up 0-4 times, its rays
+    renumbered and its cones listed at random, each in a random order."""
+    start = draw(st.sampled_from(("plane", 0, 1, 2, 3, 4)))
+    fan = projective_plane_fan() if start == "plane" else hirzebruch_fan(start)
+    for _ in range(draw(st.integers(0, 4))):
+        fan = blow_up_surface(fan, draw(st.sampled_from(fan.maximal_cones)))
+    perm = draw(st.permutations(range(len(fan.rays))))
+    rays = [None] * len(fan.rays)
+    for old, new in enumerate(perm):
+        rays[new] = fan.rays[old]
+    cones = [[perm[i] for i in c][::draw(st.sampled_from((1, -1)))]
+             for c in draw(st.permutations(fan.maximal_cones))]
+    return Fan(2, rays, cones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blowup_chains(), st.lists(st.integers(-2, 2), min_size=10, max_size=10),
+       st.booleans())
+def test_multiplicity_of_every_small_ray_set_matches_reference(chain, a, lift):
+    # surfaces and bundles over them: maximal cones, faces and ray sets
+    # that span no cone, dependent ones (opposite rays, the two poles, a
+    # repeated index) raising "not simplicial"
+    fan = build_p1_bundle_fan(chain, a[:len(chain.rays)]) if lift else chain
+    for size in range(fan.dim + 1):
+        for cone in itertools.combinations(range(len(fan.rays)), size):
+            _assert_multiplicity_matches_reference(fan, cone[::-1])
+    for i in range(len(fan.rays)):
+        _assert_multiplicity_matches_reference(fan, (i, i))
+
+
 # ---------------------------------------------------------------------------
 # divisors and surface intersection numbers
 # ---------------------------------------------------------------------------
@@ -561,6 +646,51 @@ def test_blow_up_adds_exceptional_ray():
     assert len(once.rays) == 4
     assert (1, 1) in once.rays
     assert surface_self_intersections(once) == (0, 0, 1, -1)
+
+
+def _reference_cyclic_order(rays):
+    """Indices of 2D rays sorted counterclockwise from the positive x-axis,
+    by exact sector comparison: the ray order self-intersections were read
+    from before the neighbours were read off the cones."""
+    def half(v):
+        # 0 for the upper half plane including the positive x-axis
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def cmp(i, j):
+        a, b = rays[i], rays[j]
+        if half(a) != half(b):
+            return -1 if half(a) < half(b) else 1
+        cross = a[0] * b[1] - a[1] * b[0]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return sorted(range(len(rays)), key=functools.cmp_to_key(cmp))
+
+
+def _reference_self_intersections(fan):
+    order = _reference_cyclic_order(fan.rays)
+    n = len(order)
+    out = []
+    for k, i in enumerate(order):
+        u, prev, nxt = (fan.rays[order[(k + t) % n]] for t in (0, -1, 1))
+        s = (prev[0] + nxt[0], prev[1] + nxt[1])
+        c, r = divmod(s[0] * u[0] + s[1] * u[1], u[0] ** 2 + u[1] ** 2)
+        assert r == 0 and (c * u[0], c * u[1]) == s
+        out.append((i, -c))
+    return tuple(c for _, c in sorted(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blowup_chains())
+def test_self_intersections_match_angular_sort_reference(fan):
+    assert surface_self_intersections(fan) == _reference_self_intersections(fan)
+    assert noether_number(fan) == 12
+
+
+def test_fan_with_a_lower_dimensional_maximal_cone_is_not_complete():
+    # the wall test asked the 2-ray cone for its facets and raised
+    fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+              ((0, 1, 2), (2, 3)))
+    assert not fan_is_complete(fan)
 
 
 # ---------------------------------------------------------------------------
