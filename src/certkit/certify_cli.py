@@ -635,8 +635,14 @@ def _rref_bases(k: int, q: int):
 
 
 def _combo_matches(result, subspace) -> bool:
-    """The search's witness, checked in field elements: coefficient by
-    coefficient, the combination of the basis forms is the returned form."""
+    """The search's witness, checked in field elements: the combination has
+    one coefficient per basis form, it and the form are in the subspace's
+    field (a ConicSubspace's entries are all of one type), and coefficient
+    by coefficient the combination of the basis forms is the returned form."""
+    kind = type(subspace.basis[0].coeffs[0])
+    if (len(result.combo) != subspace.dimension
+            or any(type(x) is not kind for x in (*result.combo, *result.form.coeffs))):
+        return False
     columns = zip(*(form.coeffs for form in subspace.basis))
     return all(sum(mu * c for mu, c in zip(result.combo, column)) == coeff
                for column, coeff in zip(columns, result.form.coeffs))
@@ -696,7 +702,7 @@ def _veronese_points_ok(rng: random.Random, trials: int) -> bool:
     names = ("x", "y", "z", "s", "t", "u")
     done = 0
     while done < trials:
-        pt = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+        pt = tuple(rng.randint(-9, 9) for _ in range(3))
         if not any(pt):
             continue
         done += 1

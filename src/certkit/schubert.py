@@ -49,7 +49,7 @@ class SchubertElement:
                     raise ValueError("invalid partition")
                 c = _exact_rational(c, "coefficient")
                 if c:
-                    clean[lam] = clean.get(lam, Fraction(0)) + c
+                    clean[lam] = clean[lam] + c if lam in clean else c
         self.coeffs = {k: v for k, v in clean.items() if v}
 
     @classmethod
@@ -80,7 +80,7 @@ class SchubertElement:
         self._check(other)
         coeffs = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
+            coeffs[lam] = coeffs[lam] + c if lam in coeffs else c
         return SchubertElement(self.n, coeffs)
 
     def __sub__(self, other):
@@ -170,7 +170,7 @@ def mul(x: SchubertElement, y: SchubertElement) -> SchubertElement:
             cxy = cx * cy
             for k in range(max(0, a + c - (n - 2)), min(a - b, c - d) + 1):
                 nu = (a + c - k, b + d + k)
-                out[nu] = out.get(nu, 0) + cxy
+                out[nu] = out[nu] + cxy if nu in out else cxy
     return SchubertElement(n, out)
 
 

@@ -31,6 +31,7 @@ from .exactcore import (
     _CODES,
     _echelon,
     _exact_rational,
+    _is_int,
     ideal_graded_dimension,
     ideal_piece,
     matrix_rank,
@@ -50,7 +51,7 @@ F4_FIELD = F4_ELEMENTS
 
 
 def _p5(data) -> Polynomial:
-    return poly_from_string_exps(P5_VARS, {k: Fraction(v) for k, v in data.items()})
+    return poly_from_string_exps(P5_VARS, data)
 
 
 def veronese_ideal() -> list:
@@ -94,8 +95,12 @@ def secant_cubic_matches_determinant() -> bool:
 
 
 def veronese_map(point: Sequence) -> tuple:
-    """Degree-two embedding of P^2: (X,Y,Z) -> (X^2, Y^2, Z^2, YZ, ZX, XY)."""
-    X, Y, Z = (_exact_rational(c, "coordinate") for c in point)
+    """Degree-two embedding of P^2: (X,Y,Z) -> (X^2, Y^2, Z^2, YZ, ZX, XY),
+    multiplied in the coordinates' own exact type: int coordinates give
+    ints, and a Fraction among them gives Fractions."""
+    X, Y, Z = point
+    if not (_is_int(X) and _is_int(Y) and _is_int(Z)):
+        X, Y, Z = (_exact_rational(c, "coordinate") for c in (X, Y, Z))
     if X == Y == Z == 0:
         raise ValueError("zero point")
     return (X * X, Y * Y, Z * Z, Y * Z, Z * X, X * Y)

@@ -607,3 +607,20 @@ def test_run_all_matches_committed_report():
     out = _certify_subprocess(["run", "all", "--format", "json", "--seed", "0"],
                               check=True).stdout
     assert out == (DATA / "report_all_seed0.json").read_bytes()
+
+
+def _state_sha256(rng: random.Random) -> str:
+    return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
+
+
+def test_seeded_checks_make_the_recorded_draws():
+    """Every seeded check passes, so the report cannot show a dropped or
+    reordered draw; the generator's state after the checks can."""
+    rng = random.Random("0:veronese")
+    assert cli._conic_seeded_trials(rng, 500) == [True, True]
+    assert _state_sha256(rng) == "759f706d0930b4fe011154ad8166c34edcc974ee909b80b02f66e52a48785bc2"
+    assert cli._veronese_points_ok(rng, 500)
+    assert _state_sha256(rng) == "9b79199cb46d6d4c83b93116a14e453f141147d449daf95653d14599c835c807"
+    rng = random.Random("0:schubert")
+    assert cli._associativity_ok(rng, 500)
+    assert _state_sha256(rng) == "d1b2b5e2c164a160f0439015a9093cdd8d05fa78d7a28fe9044c9feea452404d"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certkit import schubert
 from certkit.exactcore import Polynomial
@@ -174,6 +176,42 @@ def test_mul_commutative_and_associative_seeded():
         x, y, z = (_random_element(rng, n) for _ in range(3))
         assert mul(x, y) == mul(y, x)
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+def _reference_mul_coeffs(x, y) -> dict:
+    """The product's coefficients as mul computed them before its sums lost
+    their zero seed: each term added to out.get(nu, 0), zeros dropped."""
+    n = x.n
+    out = {}
+    for (a, b), cx in x.coeffs.items():
+        for (c, d), cy in y.coeffs.items():
+            for k in range(max(0, a + c - (n - 2)), min(a - b, c - d) + 1):
+                nu = (a + c - k, b + d + k)
+                out[nu] = out.get(nu, 0) + cx * cy
+    return {nu: v for nu, v in out.items() if v}
+
+
+def _elements(n):
+    parts = [(a, b) for a in range(n - 1) for b in range(a + 1)]
+    coeffs = st.sampled_from((-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+    return st.dictionaries(st.sampled_from(parts), coeffs, max_size=4).map(
+        lambda d: SchubertElement(n, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((5, 6)).flatmap(lambda n: st.tuples(_elements(n), _elements(n))))
+# sigma_2 * sigma_1 - sigma_11 * sigma_1 = sigma_3: the sigma_21 terms cancel
+@example((SchubertElement(5, {(2, 0): 1, (1, 1): -1}), sig(5, 1)))
+@example((SchubertElement(6, {(2, 0): 1, (1, 1): -1}), sig(6, 1)))
+def test_mul_matches_the_zero_seeded_reference(pair):
+    x, y = pair
+    product = mul(x, y)
+    assert product.coeffs == _reference_mul_coeffs(x, y)
+    assert all(type(v) is Fraction for v in product.coeffs.values())
+    total = x + y
+    assert total.coeffs == {lam: v for lam in x.coeffs.keys() | y.coeffs.keys()
+                            if (v := x.coeffs.get(lam, 0) + y.coeffs.get(lam, 0))}
+    assert all(type(v) is Fraction for v in total.coeffs.values())
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from certkit import exactcore, veronese
 from certkit.certify_cli import _combo_matches, _rref_bases
@@ -118,6 +120,32 @@ def test_rank_two_sums_land_on_secant():
             continue
         total = tuple(a + b for a, b in zip(veronese_map(p), veronese_map(q)))
         assert secant_stratum(total).value in ("OnSecantOnly", "OnVeronese")
+
+
+def test_veronese_map_keeps_its_input_exact_type():
+    image = veronese_map((1, -2, 3))
+    assert image == (1, 4, 9, -6, 3, -2)
+    assert all(type(v) is int for v in image)
+    for pt in ((Fraction(1), Fraction(-2), Fraction(3)), (1, Fraction(-2), 3),
+               (Fraction(1, 2), 0, 0)):
+        image = veronese_map(pt)
+        assert all(type(v) is Fraction for v in image)
+        assert image == tuple(Fraction(v) for v in veronese_map(tuple(Fraction(c) for c in pt)))
+    for bad in ((0.5, 1, 1), (1, True, 1), (1, 1, "1"), (0, 0, 0), (0, Fraction(0), 0)):
+        with pytest.raises(ValueError):
+            veronese_map(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-50, 50)] * 3))
+def test_generators_vanish_alike_on_int_and_fraction_images(pt):
+    assume(any(pt))
+    image = veronese_map(pt)
+    as_fractions = dict(zip(P5, (Fraction(v) for v in image)))
+    for g in veronese_ideal():
+        value = g.evaluate(dict(zip(P5, image)))
+        assert value == 0 and type(value) is int
+        assert g.evaluate(as_fractions) == value
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +501,32 @@ def test_seeded_subspaces_agree_with_oracle(field_name):
             assert is_smooth_conic(res.form, field)
             assert _combo_matches(res, sub)
         assert find_smooth_conic(sub, field) == res.form
+
+
+@pytest.mark.parametrize("field_name", ["f2", "f4"])
+def test_witness_check_rejects_tampered_witnesses(field_name):
+    if field_name == "f2":
+        field, other = F2_FIELD, F4_FIELD
+        sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
+    else:
+        field, other = F4_FIELD, F2_FIELD
+        sub = _random_subspace(random.Random("witness-check"), F4_FIELD)
+    res = find_smooth_conic_details(sub, field)
+    assert _combo_matches(res, sub)
+    flipped_combo = (res.combo[0] + 1,) + res.combo[1:]
+    coeffs = res.form.coeffs
+    flipped_form = QuadraticForm3((coeffs[0] + 1,) + coeffs[1:])
+    tampered = {
+        # an unguarded zip over the columns truncates this one away
+        "extra-coefficient": res._replace(combo=res.combo + (field[1],)),
+        "combo-coefficient-flipped": res._replace(combo=flipped_combo),
+        "form-coefficient-flipped": res._replace(form=flipped_form),
+        # an unguarded sum of F4 and Fp elements raises TypeError on this one
+        "other-field-combo": res._replace(
+            combo=tuple(other[c.c % len(other)] for c in res.combo)),
+    }
+    for name, bad in tampered.items():
+        assert not _combo_matches(bad, sub), name
 
 
 def test_case_split_regression_span():
