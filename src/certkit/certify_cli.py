@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hodge, numerology, schubert, toric, veronese
-from .exactcore import Polynomial, poly_from_string_exps, span_dimension, spans_contain
+from .exactcore import (F2_ELEMENTS, F4_ELEMENTS, Polynomial, poly_from_string_exps,
+                        span_dimension, spans_contain)
 from .veronese import ConicSubspace, QuadraticForm3
 
 PROVENANCE_TAGS = ("published", "derived", "trivial")
@@ -615,7 +616,7 @@ def _compute_toric(config: RunConfig) -> dict:
 def _f2_form(bits) -> QuadraticForm3:
     """The ternary quadratic form over the two-element field with these 0/1
     coefficients."""
-    return QuadraticForm3(tuple(veronese.F2_FIELD[b] for b in bits))
+    return QuadraticForm3(tuple(F2_ELEMENTS[b] for b in bits))
 
 
 def _rref_bases(k: int, q: int):
@@ -656,23 +657,23 @@ def _conic_sweep_f2():
     for rows in _rref_bases(4, 2):
         sub = ConicSubspace([_f2_form(r) for r in rows])
         searched += 1
-        res = veronese.find_smooth_conic_details(sub, veronese.F2_FIELD)
+        res = veronese.find_smooth_conic_details(sub)
         histogram[res.path] = histogram.get(res.path, 0) + 1
         if res.path in ("exhaustive-fallback", "exhausted-none"):
             constructive = False
         if (res.form is None
-                or not veronese.is_smooth_conic(res.form, veronese.F2_FIELD)
+                or not veronese.is_smooth_conic(res.form)
                 or not _combo_matches(res, sub)):
             witnesses_ok = False
     sweep = {"searched": searched, "constructive": constructive, "witnesses": witnesses_ok}
     return sweep, histogram
 
 
-def _random_conic_subspace(rng: random.Random, field, dim=4) -> ConicSubspace:
+def _random_conic_subspace(rng: random.Random, field) -> ConicSubspace:
     order = len(field)
     while True:
         rows = [QuadraticForm3(tuple(field[rng.randrange(order)] for _ in range(6)))
-                for _ in range(dim)]
+                for _ in range(4)]
         try:
             return ConicSubspace(rows)
         except ValueError:
@@ -680,18 +681,18 @@ def _random_conic_subspace(rng: random.Random, field, dim=4) -> ConicSubspace:
 
 
 def _conic_seeded_trials(rng: random.Random, trials: int):
-    fields = (veronese.F2_FIELD, veronese.F4_FIELD)
+    fields = (F2_ELEMENTS, F4_ELEMENTS)
     oracle_agreement = True
     witnesses_ok = True
     for t in range(trials):
         field = fields[t % 2]
         sub = _random_conic_subspace(rng, field)
-        res = veronese.find_smooth_conic_details(sub, field)
-        oracle = veronese.exhaustive_smooth_conic(sub, field)
+        res = veronese.find_smooth_conic_details(sub)
+        oracle = veronese.exhaustive_smooth_conic(sub)
         if (res.form is None) != (oracle is None):
             oracle_agreement = False
         if res.form is not None:
-            if (not veronese.is_smooth_conic(res.form, field)
+            if (not veronese.is_smooth_conic(res.form)
                     or not _combo_matches(res, sub)):
                 witnesses_ok = False
     return [oracle_agreement, witnesses_ok]
@@ -747,7 +748,7 @@ def _compute_veronese(config: RunConfig) -> dict:
         (0, 0, 0, 1, 0, 0),     # yz
         (0, 0, 0, 0, 1, 0),     # zx
         (1, 0, 0, 0, 0, 0))])   # x^2
-    slip_result = veronese.find_smooth_conic_details(slip_span, veronese.F2_FIELD)
+    slip_result = veronese.find_smooth_conic_details(slip_span)
     # the case split as printed would hand this span the singular member
     # x^2 + xy; record its smoothness verdict against the printed claim
     printed_member = _f2_form((1, 0, 0, 0, 0, 1))
@@ -783,10 +784,10 @@ def _compute_veronese(config: RunConfig) -> dict:
         "conic-subspaces-f2-sweep": sweep,
         "conic-path-histogram-f2": histogram,
         "conic-seeded-oracle-agreement": conic_trials,
-        "conic-case-split-regression": veronese.is_smooth_conic(printed_member, veronese.F2_FIELD),
+        "conic-case-split-regression": veronese.is_smooth_conic(printed_member),
         "conic-case-split-corrected": {
             "path": slip_result.path,
-            "smooth": veronese.is_smooth_conic(slip_result.form, veronese.F2_FIELD),
+            "smooth": veronese.is_smooth_conic(slip_result.form),
             "nonzero": [bool(c) for c in slip_result.form.coeffs]},
     }
 

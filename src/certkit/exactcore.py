@@ -350,9 +350,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps: tuple):
-        return self.terms.get(tuple(exps), 0)
-
     def derivative(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
         terms: dict = {}

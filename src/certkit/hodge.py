@@ -305,9 +305,6 @@ class HodgeDiamond:
     def euler_number(self) -> int:
         return sum((-1) ** k * self.betti(k) for k in range(7))
 
-    def rows(self) -> tuple:
-        return self.table
-
 
 def ci_hodge_diamond(ci: CIData) -> HodgeDiamond:
     """Hodge diamond of a smooth threefold complete intersection.

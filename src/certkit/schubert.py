@@ -413,8 +413,3 @@ def v5_separability_details() -> V5Report:
     if value.denominator != 1:
         raise AssertionError("non-integral degree certificate")
     return V5Report(ch_cot, ch_tw, c, coeffs, cbar3, vec, table, int(value))
-
-
-def v5_separability_certificate() -> int:
-    """Intersection-number certificate; see v5_separability_details."""
-    return v5_separability_details().value

@@ -587,9 +587,15 @@ def fibration_to_p1(fan: Fan, bound: int = 3):
 # ---------------------------------------------------------------------------
 
 
+# validating a cone costs time that grows steeply with its ray count (a
+# 40-ray cone takes seconds); the package's own fans have at most four
+MAX_CONE_RAYS = 8
+
+
 def fan_from_dict(data: dict) -> Fan:
     """Build a fan from parsed file data; rejects rather than mends
-    non-primitive rays, booleans where integers belong and repeated indices."""
+    non-primitive rays, booleans where integers belong, repeated indices
+    and cones of more than MAX_CONE_RAYS rays."""
     for field in ("dim", "rays", "cones"):
         if field not in data:
             raise ValueError(f"missing field '{field}'")
@@ -616,6 +622,8 @@ def fan_from_dict(data: dict) -> Fan:
             raise ValueError("each cone must be a list of ray indices")
         if len(set(c)) != len(c):
             raise ValueError(f"cone lists a ray index twice: {c}")
+        if len(c) > MAX_CONE_RAYS:
+            raise ValueError(f"cone has {len(c)} rays, more than {MAX_CONE_RAYS}")
     return Fan(dim, rays, cones)
 
 
@@ -628,9 +636,3 @@ def load_fan(path: str) -> Fan:
     if not isinstance(data, dict):
         raise ValueError("fan file must contain a JSON object")
     return fan_from_dict(data)
-
-
-def dump_fan(fan: Fan, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fan.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

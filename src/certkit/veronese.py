@@ -46,9 +46,6 @@ P5_VARS = ("x", "y", "z", "s", "t", "u")
 KERNEL_VARS = ("Z", "S", "T", "U")
 CHART_VARS = ("t", "u")
 
-F2_FIELD = F2_ELEMENTS
-F4_FIELD = F4_ELEMENTS
-
 
 def _p5(data) -> Polynomial:
     return poly_from_string_exps(P5_VARS, data)
@@ -344,7 +341,7 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
 # field is read once from the entries, by _encode, and field elements appear
 # only at the public boundary.
 
-_FIELDS = {2: F2_FIELD, 4: F4_FIELD}
+_FIELDS = {2: F2_ELEMENTS, 4: F4_ELEMENTS}
 
 
 def _encode(values) -> tuple:
@@ -357,14 +354,6 @@ def _encode(values) -> tuple:
     if kinds == {Fp}:
         return 2, [x.c for x in values]
     raise ValueError("entries are not all in F2 or all in F4")
-
-
-def _require_field(field, q: int):
-    """ValueError unless `field` lists every element of the field of order q,
-    the field of the forms it is used with."""
-    order, codes = _encode(field)
-    if order != q or sorted(codes) != list(range(q)):
-        raise ValueError(f"field is not the field of order {q} of the forms")
 
 
 def _add(u, v, c) -> list:
@@ -435,12 +424,12 @@ def _smooth(form, points) -> bool:
     return True
 
 
-def is_smooth_conic(q: QuadraticForm3, field) -> bool:
+def is_smooth_conic(q: QuadraticForm3) -> bool:
     """Smoothness of the conic in characteristic two, decided literally:
     enumerate the projective points where all three partials vanish and
-    demand the form be nonzero at each of them."""
+    demand the form be nonzero at each of them.  The field is read from the
+    coefficients, which must be all F2 or all F4."""
     order, codes = _encode(q.coeffs)
-    _require_field(field, order)
     if not any(codes):
         raise ValueError("zero form")
     return _smooth(codes, _PLANE_POINTS[order])
@@ -524,9 +513,8 @@ def _first_smooth(basis, q: int):
     return None
 
 
-def exhaustive_smooth_conic(subspace: ConicSubspace, field):
+def exhaustive_smooth_conic(subspace: ConicSubspace):
     """Oracle: scan every member of the subspace for a smooth conic."""
-    _require_field(field, subspace.q)
     found = _first_smooth(subspace.rows, subspace.q)
     return None if found is None else QuadraticForm3(_FIELDS[subspace.q][c] for c in found[1])
 
@@ -637,7 +625,7 @@ def _case_split(rows):
     return None
 
 
-def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResult:
+def find_smooth_conic_details(subspace: ConicSubspace) -> ConicSearchResult:
     """Constructive search for a smooth conic in a linear system of
     dimension at least four over a field of characteristic two.
 
@@ -647,7 +635,6 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     reported as the path.
     """
     q, basis = subspace.q, subspace.rows
-    _require_field(field, q)
     if subspace.dimension < 4:
         raise ValueError("subspace dimension below four")
     found = None
@@ -665,8 +652,3 @@ def find_smooth_conic_details(subspace: ConicSubspace, field) -> ConicSearchResu
     elements = _FIELDS[q]
     return ConicSearchResult(QuadraticForm3(elements[c] for c in form), path,
                              tuple(elements[c] for c in combo))
-
-
-def find_smooth_conic(subspace: ConicSubspace, field):
-    """Constructive smooth-conic search; returns the form or None."""
-    return find_smooth_conic_details(subspace, field).form

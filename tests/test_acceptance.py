@@ -17,7 +17,7 @@ import time
 import pytest
 
 from certkit import certify_cli as cli
-from certkit import hodge, numerology, schubert, toric, veronese
+from certkit import exactcore, hodge, numerology, schubert, toric, veronese
 from certkit.exactcore import poly_from_string_exps
 from certkit.schubert import (
     S1,
@@ -227,8 +227,8 @@ def test_criterion_05_projection_kernel():
 
 def test_criterion_06_conic_search_oracle():
     start = time.perf_counter()
-    for field_name, field in (("f2", veronese.F2_FIELD),
-                              ("f4", veronese.F4_FIELD)):
+    for field_name, field in (("f2", exactcore.F2_ELEMENTS),
+                              ("f4", exactcore.F4_ELEMENTS)):
         rng = random.Random(f"acceptance:conics:{field_name}")
         order = len(field)
         for _ in range(500):
@@ -241,11 +241,11 @@ def test_criterion_06_conic_search_oracle():
                     break
                 except ValueError:
                     continue
-            res = veronese.find_smooth_conic_details(sub, field)
-            oracle = veronese.exhaustive_smooth_conic(sub, field)
+            res = veronese.find_smooth_conic_details(sub)
+            oracle = veronese.exhaustive_smooth_conic(sub)
             assert (res.form is None) == (oracle is None)
             if res.form is not None:
-                assert veronese.is_smooth_conic(res.form, field)
+                assert veronese.is_smooth_conic(res.form)
                 assert cli._combo_matches(res, sub)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -468,6 +468,31 @@ def test_fan_check_over_nested_json_exits_two(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: fan file is not valid JSON")
 
 
+def _one_cone_fan_file(path, rays):
+    path.write_text(json.dumps({"dim": 3, "rays": rays, "cones": [list(range(len(rays)))]}))
+    return str(path)
+
+
+def test_fan_check_rejects_a_cone_of_too_many_rays(tmp_path, capsys):
+    """One cone on the 40 extremal rays (k, k^2, 1) would take seconds to
+    validate; the loader refuses it first, with one error line."""
+    rays = [[k, k * k, 1] for k in range(1, 41)]
+    code, out, err = _main_inprocess(
+        ["fan", "check", _one_cone_fan_file(tmp_path / "wide.json", rays)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cone has 40 rays, more than {toric.MAX_CONE_RAYS}"]
+
+
+def test_fan_check_accepts_a_four_ray_cone(tmp_path, capsys):
+    rays = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+    code, out, err = _main_inprocess(
+        ["fan", "check", _one_cone_fan_file(tmp_path / "square.json", rays)], capsys)
+    assert (code, err) == (0, "")
+    assert "rays: 4" in out
+    assert "simplicial: no" in out
+    assert "complete: no" in out
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
     """One process, one parser, mixed commands: every call answers as a fresh
     process would, and one call's options never reach the next."""

@@ -250,7 +250,7 @@ def test_polynomial_basics():
     p = _poly({"x^2": 1, "x*y": -2, "1": 3})
     assert p.total_degree() == 2
     assert not p.is_homogeneous()
-    assert p.coefficient((1, 1)) == -2
+    assert p.terms[(1, 1)] == -2
     q = _poly({"x": 1}) * _poly({"x": 1})
     assert q == _poly({"x^2": 1})
     assert (p - p).is_zero()

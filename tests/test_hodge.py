@@ -298,7 +298,7 @@ def test_diamond_betti_numbers():
     assert d.betti(0) == 1
     assert d.betti(2) == 1
     assert d.betti(3) == 10
-    assert len(d.rows()) == 4
+    assert len(d.table) == 4
 
 
 def test_diamond_requires_threefold():

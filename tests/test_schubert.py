@@ -33,7 +33,6 @@ from certkit.schubert import (
     restrict_third_chern,
     restriction_coefficients,
     twist_character,
-    v5_separability_certificate,
     v5_separability_details,
     weight3_degree_table,
     weight3_vector,
@@ -430,7 +429,6 @@ def test_separability_value_recomputed():
     table = weight3_degree_table(5)
     expected = sum(c * d for c, d in zip(det.coefficient_vector, table))
     assert det.value == expected == 20
-    assert v5_separability_certificate() == 20
 
 
 def test_separability_independent_chern_route():

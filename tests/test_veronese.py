@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from certkit import exactcore, veronese
 from certkit.certify_cli import _combo_matches, _rref_bases
 from certkit.exactcore import (
+    F2_ELEMENTS,
+    F4_ELEMENTS,
     Fp,
     Polynomial,
     poly_from_string_exps,
@@ -23,13 +25,10 @@ from certkit.exactcore import (
     spans_contain,
 )
 from certkit.veronese import (
-    F2_FIELD,
-    F4_FIELD,
     ConicSubspace,
     QuadraticForm3,
     SecantStratum,
     exhaustive_smooth_conic,
-    find_smooth_conic,
     find_smooth_conic_details,
     is_smooth_conic,
     proposed_kernel_generators,
@@ -330,38 +329,38 @@ def test_split_rejects_unknown_choice():
 # ---------------------------------------------------------------------------
 
 
-def form(bits, field=F2_FIELD):
+def form(bits, field=F2_ELEMENTS):
     zero, one = field[0], field[1]
     return QuadraticForm3(tuple(one if b else zero for b in bits))
 
 
 def test_smooth_and_singular_conics_f2():
-    assert is_smooth_conic(form((0, 0, 1, 0, 0, 1)), F2_FIELD)   # xy + z^2
-    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 0)), F2_FIELD)  # x^2
-    assert not is_smooth_conic(form((0, 0, 0, 0, 0, 1)), F2_FIELD)  # xy
+    assert is_smooth_conic(form((0, 0, 1, 0, 0, 1)))   # xy + z^2
+    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 0)))  # x^2
+    assert not is_smooth_conic(form((0, 0, 0, 0, 0, 1)))  # xy
 
 
 def test_smooth_and_singular_conics_f4():
-    assert is_smooth_conic(form((0, 0, 1, 0, 0, 1), F4_FIELD), F4_FIELD)
-    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 0), F4_FIELD), F4_FIELD)
-    assert not is_smooth_conic(form((0, 0, 0, 0, 0, 1), F4_FIELD), F4_FIELD)
+    assert is_smooth_conic(form((0, 0, 1, 0, 0, 1), F4_ELEMENTS))
+    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 0), F4_ELEMENTS))
+    assert not is_smooth_conic(form((0, 0, 0, 0, 0, 1), F4_ELEMENTS))
 
 
 def test_closed_form_matches_literal_f2_exhaustive():
-    zero, one = F2_FIELD
+    zero, one = F2_ELEMENTS
     for bits in itertools.product((0, 1), repeat=6):
         if not any(bits):
             continue
         q = form(bits)
-        assert smooth_conic_closed_form(q) == is_smooth_conic(q, F2_FIELD)
+        assert smooth_conic_closed_form(q) == is_smooth_conic(q)
 
 
 def test_closed_form_matches_literal_f4_exhaustive():
-    for coeffs in itertools.product(F4_FIELD, repeat=6):
+    for coeffs in itertools.product(F4_ELEMENTS, repeat=6):
         if not any(coeffs):
             continue
         q = QuadraticForm3(coeffs)
-        assert smooth_conic_closed_form(q) == is_smooth_conic(q, F4_FIELD)
+        assert smooth_conic_closed_form(q) == is_smooth_conic(q)
 
 
 def test_conic_subspace_validation():
@@ -394,10 +393,10 @@ def test_full_f2_sweep_is_constructive():
     for rows in _f2_subspaces():
         count += 1
         sub = ConicSubspace([form(r) for r in rows])
-        res = find_smooth_conic_details(sub, F2_FIELD)
+        res = find_smooth_conic_details(sub)
         histogram[res.path] = histogram.get(res.path, 0) + 1
         assert res.form is not None
-        assert is_smooth_conic(res.form, F2_FIELD)
+        assert is_smooth_conic(res.form)
         assert _combo_matches(res, sub)
     assert count == 651
     assert histogram == EXPECTED_HISTOGRAM
@@ -426,7 +425,7 @@ def test_f2_sweep_eliminates_once_past_the_normalized_member(monkeypatch):
     paths = {}
     for sub in subspaces:
         before = len(calls)
-        res = find_smooth_conic_details(sub, F2_FIELD)
+        res = find_smooth_conic_details(sub)
         assert len(calls) - before == (res.path != "normalized-member-smooth")
         paths[res.path] = paths.get(res.path, 0) + 1
     assert paths == EXPECTED_HISTOGRAM
@@ -453,11 +452,11 @@ def test_full_f4_sweep_is_constructive(dim):
     takes every path and never falls back to the exhaustive scan."""
     histogram = {}
     for rows in _rref_bases(dim, 4):
-        sub = ConicSubspace([QuadraticForm3(F4_FIELD[c] for c in r) for r in rows])
-        res = find_smooth_conic_details(sub, F4_FIELD)
+        sub = ConicSubspace([QuadraticForm3(F4_ELEMENTS[c] for c in r) for r in rows])
+        res = find_smooth_conic_details(sub)
         histogram[res.path] = histogram.get(res.path, 0) + 1
         assert res.form is not None
-        assert is_smooth_conic(res.form, F4_FIELD)
+        assert is_smooth_conic(res.form)
         assert _combo_matches(res, sub)
     assert histogram == EXPECTED_F4_HISTOGRAMS[dim]
 
@@ -466,15 +465,15 @@ def test_search_falls_back_when_the_split_names_no_smooth_member(monkeypatch):
     """The search's single tail: a split that names nothing, a singular
     member or the zero member hands over to the exhaustive scan."""
     sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
-    oracle = exhaustive_smooth_conic(sub, F2_FIELD)
+    oracle = exhaustive_smooth_conic(sub)
     for split in (None, ([1, 0, 0, 0], "normalized-member-smooth"),
                   ([0, 0, 0, 0], "case-all-squares")):
         monkeypatch.setattr(veronese, "_case_split", lambda rows: split)
-        res = find_smooth_conic_details(sub, F2_FIELD)
+        res = find_smooth_conic_details(sub)
         assert res.path == "exhaustive-fallback"
         assert res.form == oracle and _combo_matches(res, sub)
     monkeypatch.setattr(veronese, "_first_smooth", lambda basis, q: None)
-    assert find_smooth_conic_details(sub, F2_FIELD) == (None, "exhausted-none", None)
+    assert find_smooth_conic_details(sub) == (None, "exhausted-none", None)
 
 
 def _random_subspace(rng, field, dim=4):
@@ -490,28 +489,27 @@ def _random_subspace(rng, field, dim=4):
 
 @pytest.mark.parametrize("field_name", ["f2", "f4"])
 def test_seeded_subspaces_agree_with_oracle(field_name):
-    field = F2_FIELD if field_name == "f2" else F4_FIELD
+    field = F2_ELEMENTS if field_name == "f2" else F4_ELEMENTS
     rng = random.Random(f"conic-{field_name}")
     for _ in range(150):
         sub = _random_subspace(rng, field)
-        res = find_smooth_conic_details(sub, field)
-        oracle = exhaustive_smooth_conic(sub, field)
+        res = find_smooth_conic_details(sub)
+        oracle = exhaustive_smooth_conic(sub)
         assert (res.form is None) == (oracle is None)
         if res.form is not None:
-            assert is_smooth_conic(res.form, field)
+            assert is_smooth_conic(res.form)
             assert _combo_matches(res, sub)
-        assert find_smooth_conic(sub, field) == res.form
 
 
 @pytest.mark.parametrize("field_name", ["f2", "f4"])
 def test_witness_check_rejects_tampered_witnesses(field_name):
     if field_name == "f2":
-        field, other = F2_FIELD, F4_FIELD
+        field, other = F2_ELEMENTS, F4_ELEMENTS
         sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
     else:
-        field, other = F4_FIELD, F2_FIELD
-        sub = _random_subspace(random.Random("witness-check"), F4_FIELD)
-    res = find_smooth_conic_details(sub, field)
+        field, other = F4_ELEMENTS, F2_ELEMENTS
+        sub = _random_subspace(random.Random("witness-check"), F4_ELEMENTS)
+    res = find_smooth_conic_details(sub)
     assert _combo_matches(res, sub)
     flipped_combo = (res.combo[0] + 1,) + res.combo[1:]
     coeffs = res.form.coeffs
@@ -536,12 +534,12 @@ def test_case_split_regression_span():
         form((0, 0, 0, 0, 1, 0)),  # zx
         form((1, 0, 0, 0, 0, 0)),  # x^2
     ])
-    res = find_smooth_conic_details(sub, F2_FIELD)
+    res = find_smooth_conic_details(sub)
     assert res.path == "diagonal-plus-yz"
     assert res.form == form((1, 0, 0, 1, 0, 0))  # x^2 + yz
-    assert is_smooth_conic(res.form, F2_FIELD)
+    assert is_smooth_conic(res.form)
     # the branch as printed would hand back x^2 + xy, which is singular
-    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 1)), F2_FIELD)
+    assert not is_smooth_conic(form((1, 0, 0, 0, 0, 1)))
 
 
 WITNESSES = pathlib.Path(__file__).parent / "data" / "conic_witnesses.json"
@@ -561,13 +559,13 @@ def test_search_reproduces_recorded_witnesses():
     entries = json.loads(WITNESSES.read_text(encoding="utf-8"))
     assert len(entries) == 1011
     for e in entries:
-        field = F2_FIELD if e["q"] == 2 else F4_FIELD
+        field = F2_ELEMENTS if e["q"] == 2 else F4_ELEMENTS
         sub = ConicSubspace([QuadraticForm3(field[c] for c in r) for r in e["basis"]])
-        oracle = exhaustive_smooth_conic(sub, field)
+        oracle = exhaustive_smooth_conic(sub)
         assert (None if oracle is None else _codes(oracle.coeffs, field)) == e["oracle"]
         if e["path"] is None:
             continue
-        res = find_smooth_conic_details(sub, field)
+        res = find_smooth_conic_details(sub)
         assert res.path == e["path"]
         assert _codes(res.combo, field) == e["combo"]
         assert _codes(res.form.coeffs, field) == e["form"]
@@ -579,24 +577,27 @@ F2_FORM = (1, 0, 0, 0, 0, 0)
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: ConicSubspace([QuadraticForm3(map(Fraction, F2_FORM))]), id="fraction"),
     pytest.param(lambda: ConicSubspace([QuadraticForm3(Fp(3, b) for b in F2_FORM)]), id="fp3"),
-    pytest.param(lambda: ConicSubspace([form(F2_FORM), form(F2_FORM[::-1], F4_FIELD)]),
+    pytest.param(lambda: ConicSubspace([form(F2_FORM), form(F2_FORM[::-1], F4_ELEMENTS)]),
                  id="mixed-f2-f4"),
     pytest.param(lambda: ConicSubspace([QuadraticForm3(F2_FORM)]), id="plain-int"),
-    pytest.param(lambda: find_smooth_conic_details(
-        ConicSubspace([form(r) for r in next(_f2_subspaces())]), F4_FIELD), id="search-f4"),
-    pytest.param(lambda: exhaustive_smooth_conic(
-        ConicSubspace([form(r) for r in next(_f2_subspaces())]), F4_FIELD), id="oracle-f4"),
-    pytest.param(lambda: is_smooth_conic(form((0, 0, 1, 0, 0, 1)), F4_FIELD), id="smooth-f4"),
+    pytest.param(lambda: is_smooth_conic(QuadraticForm3(map(Fraction, F2_FORM))),
+                 id="smooth-fraction"),
+    pytest.param(lambda: is_smooth_conic(QuadraticForm3(F2_FORM)), id="smooth-plain-int"),
+    pytest.param(lambda: is_smooth_conic(
+        QuadraticForm3(F2_ELEMENTS[:1] * 5 + F4_ELEMENTS[1:2])), id="smooth-mixed-f2-f4"),
 ])
 def test_field_mismatches_raise_value_error(call):
     """The field is read from the forms' entries: anything but all of F2 or
-    all of F4, and a field argument that is not the forms' own, is refused."""
+    all of F4 is refused, by the subspace and by the smoothness check."""
     with pytest.raises(ValueError):
         call()
 
 
 def test_char_two_guard():
-    rational_field = (Fraction(0), Fraction(1))
-    sub = ConicSubspace([form((1, 0, 0, 0, 0, 0))])
-    with pytest.raises(ValueError):
-        find_smooth_conic_details(sub, rational_field)
+    """Rational forms are refused where the field is read, before any
+    characteristic-two arithmetic: a subspace of them and a single one."""
+    rational = QuadraticForm3(map(Fraction, (0, 0, 1, 0, 0, 1)))   # xy + z^2
+    with pytest.raises(ValueError, match="not all in F2 or all in F4"):
+        ConicSubspace([rational])
+    with pytest.raises(ValueError, match="not all in F2 or all in F4"):
+        is_smooth_conic(rational)
