@@ -662,7 +662,7 @@ def _conic_sweep_f2():
         if res.path in ("exhaustive-fallback", "exhausted-none"):
             constructive = False
         if (res.form is None
-                or not veronese.is_smooth_conic(res.form)
+                or not veronese.smooth_conic_closed_form(res.form)
                 or not _combo_matches(res, sub)):
             witnesses_ok = False
     sweep = {"searched": searched, "constructive": constructive, "witnesses": witnesses_ok}
@@ -692,7 +692,7 @@ def _conic_seeded_trials(rng: random.Random, trials: int):
         if (res.form is None) != (oracle is None):
             oracle_agreement = False
         if res.form is not None:
-            if (not veronese.is_smooth_conic(res.form)
+            if (not veronese.smooth_conic_closed_form(res.form)
                     or not _combo_matches(res, sub)):
                 witnesses_ok = False
     return [oracle_agreement, witnesses_ok]
@@ -750,8 +750,12 @@ def _compute_veronese(config: RunConfig) -> dict:
         (1, 0, 0, 0, 0, 0))])   # x^2
     slip_result = veronese.find_smooth_conic_details(slip_span)
     # the case split as printed would hand this span the singular member
-    # x^2 + xy; record its smoothness verdict against the printed claim
+    # x^2 + xy; record its smoothness verdict against the printed claim,
+    # once the point scan and the closed form agree on it
     printed_member = _f2_form((1, 0, 0, 0, 0, 1))
+    printed_smooth = veronese.is_smooth_conic(printed_member)
+    if printed_smooth != veronese.smooth_conic_closed_form(printed_member):
+        printed_smooth = "routes disagree"
 
     return {
         "veronese-ideal-generators": [_render_poly(g) for g in veronese.veronese_ideal()],
@@ -784,7 +788,7 @@ def _compute_veronese(config: RunConfig) -> dict:
         "conic-subspaces-f2-sweep": sweep,
         "conic-path-histogram-f2": histogram,
         "conic-seeded-oracle-agreement": conic_trials,
-        "conic-case-split-regression": veronese.is_smooth_conic(printed_member),
+        "conic-case-split-regression": printed_smooth,
         "conic-case-split-corrected": {
             "path": slip_result.path,
             "smooth": veronese.is_smooth_conic(slip_result.form),

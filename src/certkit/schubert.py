@@ -81,7 +81,7 @@ class SchubertElement:
         coeffs = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             coeffs[lam] = coeffs[lam] + c if lam in coeffs else c
-        return SchubertElement(self.n, coeffs)
+        return _from_valid(self.n, coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, SchubertElement):
@@ -90,7 +90,7 @@ class SchubertElement:
 
     def scale(self, c) -> "SchubertElement":
         c = _exact_rational(c, "coefficient")
-        return SchubertElement(self.n, {lam: v * c for lam, v in self.coeffs.items()})
+        return _from_valid(self.n, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, SchubertElement):
@@ -123,6 +123,17 @@ class SchubertElement:
             c = self.coeffs[lam]
             bits.append(f"{c}*sigma{lam}")
         return " + ".join(bits)
+
+
+def _from_valid(n: int, coeffs: dict) -> SchubertElement:
+    """The element with these coefficients, zeros dropped, built without the
+    constructor's checks: they come from a sum, scalar multiple or product
+    of valid elements, so the partitions are valid and the coefficients
+    Fractions."""
+    out = SchubertElement.__new__(SchubertElement)
+    out.n = n
+    out.coeffs = {lam: c for lam, c in coeffs.items() if c}
+    return out
 
 
 def pieri(lam: Partition2, k: int, n: int) -> SchubertElement:
@@ -171,7 +182,7 @@ def mul(x: SchubertElement, y: SchubertElement) -> SchubertElement:
             for k in range(max(0, a + c - (n - 2)), min(a - b, c - d) + 1):
                 nu = (a + c - k, b + d + k)
                 out[nu] = out[nu] + cxy if nu in out else cxy
-    return SchubertElement(n, out)
+    return _from_valid(n, out)
 
 
 def mul_via_pieri(x: SchubertElement, y: SchubertElement) -> SchubertElement:

@@ -5,8 +5,10 @@ toric-surface intersection numbers, projectivized-bundle fan construction,
 ray contraction, enumeration of small simplicial subdivisions, and the
 search for a covector inducing a fibration to the projective line.
 
-Rays are primitive integer vectors; construction normalizes by gcd, the
-file loader rejects non-primitive input instead.  Cone membership is
+Rays are primitive integer vectors.  `Fan` alone checks a fan's values and
+rejects, never mends: a non-primitive ray, a repeated cone index and a cone
+of more than MAX_CONE_RAYS rays are errors; the file loader checks only the
+JSON shape `Fan` needs to be called.  Cone membership is
 decided on integers alone: by Caratheodory's theorem a point lies in a cone
 exactly when it is a nonnegative combination of some basis of the rays'
 span, and each basis is tested by the signs of its integer Cramer
@@ -46,14 +48,6 @@ def _index(i, n: int, what: str) -> int:
     if not 0 <= i < n:
         raise ValueError(f"{what} out of range: {i}")
     return i
-
-
-def _normalize_ray(v: Sequence[int]) -> tuple:
-    v = _exact_ints(v, "ray entries")
-    g = math.gcd(*v) if v else 0
-    if g == 0:
-        raise ValueError("zero ray")
-    return tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)
@@ -208,6 +202,11 @@ def classify_cone_pairs(rays: Sequence[tuple]):
     return facets, diagonals
 
 
+# validating a cone costs time that grows steeply with its ray count (a
+# 40-ray cone takes seconds); the package's own fans have at most four
+MAX_CONE_RAYS = 8
+
+
 class Fan:
     """A fan given by primitive rays and maximal cones (ray index tuples),
     with the multiplicity of each simplicial maximal cone, read off the cone
@@ -216,22 +215,34 @@ class Fan:
     __slots__ = ("dim", "rays", "maximal_cones", "_multiplicity")
 
     def __init__(self, dim: int, rays, maximal_cones):
-        if dim not in (2, 3):
+        if not _is_int(dim) or dim not in (2, 3):
             raise ValueError("unsupported dimension")
-        rays = tuple(_normalize_ray(r) for r in rays)
+        # lengths are checked before entries, so that no error message
+        # echoes more than MAX_CONE_RAYS values of a malformed file
+        rays = tuple(tuple(r) for r in rays)
         for r in rays:
             if len(r) != dim:
                 raise ValueError("ray length does not match dimension")
+            g = math.gcd(*_exact_ints(r, "ray entries"))
+            if g == 0:
+                raise ValueError("zero ray")
+            if g > 1:
+                raise ValueError(f"ray not primitive: {list(r)}")
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate ray")
         cones = []
         for c in maximal_cones:
-            c = tuple(sorted(set(_exact_ints(c, "cone indices"))))
+            c = tuple(c)
+            if len(c) > MAX_CONE_RAYS:
+                raise ValueError(f"cone has {len(c)} rays, more than {MAX_CONE_RAYS}")
+            c = _exact_ints(c, "cone indices")
+            if len(set(c)) != len(c):
+                raise ValueError(f"cone lists a ray index twice: {list(c)}")
             if any(i < 0 or i >= len(rays) for i in c):
                 raise ValueError("cone index out of range")
             if len(c) < 2:
                 raise ValueError("maximal cone with fewer than two rays")
-            cones.append(c)
+            cones.append(tuple(sorted(c)))
         self.dim = dim
         self.rays = rays
         self.maximal_cones = tuple(cones)
@@ -261,7 +272,7 @@ class Fan:
                     raise ValueError("not strongly convex")
                 for k in range(len(c)):
                     others = [r for t, r in enumerate(rays) if t != k]
-                    if cone_contains(others, rays[k]):
+                    if _Cone(others, self.dim).holds_any([rays[k]]):
                         raise ValueError("non-extremal ray in cone")
             tests.append(test)
         # no cone swallowed by another: cones of one size nest only when
@@ -339,7 +350,12 @@ def cone_is_smooth(fan: Fan, cone) -> tuple:
 
 
 def fan_is_smooth(fan: Fan) -> bool:
-    return all(cone_is_smooth(fan, c)[0] for c in fan.maximal_cones)
+    """Whether every maximal cone has multiplicity 1, read off the
+    multiplicities stored when the fan was validated; ValueError when the
+    fan is not simplicial."""
+    if not fan.is_simplicial():
+        raise ValueError("not simplicial")
+    return all(m == 1 for m in fan._multiplicity.values())
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +477,9 @@ def blow_up_surface(fan: Fan, cone) -> Fan:
     if fan.dim != 2 or cone not in fan.maximal_cones:
         raise ValueError("not a maximal cone of the fan")
     i, j = cone
-    new_ray = _normalize_ray((fan.rays[i][0] + fan.rays[j][0],
-                              fan.rays[i][1] + fan.rays[j][1]))
+    s = (fan.rays[i][0] + fan.rays[j][0], fan.rays[i][1] + fan.rays[j][1])
+    g = math.gcd(*s)
+    new_ray = (s[0] // g, s[1] // g)
     rays = list(fan.rays) + [new_ray]
     k = len(rays) - 1
     cones = [c for c in fan.maximal_cones if c != cone]
@@ -587,44 +604,19 @@ def fibration_to_p1(fan: Fan, bound: int = 3):
 # ---------------------------------------------------------------------------
 
 
-# validating a cone costs time that grows steeply with its ray count (a
-# 40-ray cone takes seconds); the package's own fans have at most four
-MAX_CONE_RAYS = 8
-
-
 def fan_from_dict(data: dict) -> Fan:
-    """Build a fan from parsed file data; rejects rather than mends
-    non-primitive rays, booleans where integers belong, repeated indices
-    and cones of more than MAX_CONE_RAYS rays."""
+    """Build a fan from parsed file data.  Checked here is only the shape
+    `Fan` needs to be called: the three fields are present, and the rays
+    and the cones are non-empty lists of lists; `Fan` checks the values."""
     for field in ("dim", "rays", "cones"):
         if field not in data:
             raise ValueError(f"missing field '{field}'")
-    dim = data["dim"]
-    if not _is_int(dim):
-        raise ValueError("field 'dim' must be an integer")
-    rays = data["rays"]
-    if not isinstance(rays, list) or not rays:
-        raise ValueError("field 'rays' must be a non-empty list")
-    for r in rays:
-        if (not isinstance(r, list) or len(r) != dim
-                or not all(_is_int(x) for x in r)):
-            raise ValueError("each ray must be a list of integers of length dim")
-        g = math.gcd(*r)
-        if g == 0:
-            raise ValueError("zero ray")
-        if g > 1:
-            raise ValueError(f"ray not primitive: {list(r)}")
-    cones = data["cones"]
-    if not isinstance(cones, list) or not cones:
-        raise ValueError("field 'cones' must be a non-empty list")
-    for c in cones:
-        if not isinstance(c, list) or not all(_is_int(i) for i in c):
-            raise ValueError("each cone must be a list of ray indices")
-        if len(set(c)) != len(c):
-            raise ValueError(f"cone lists a ray index twice: {c}")
-        if len(c) > MAX_CONE_RAYS:
-            raise ValueError(f"cone has {len(c)} rays, more than {MAX_CONE_RAYS}")
-    return Fan(dim, rays, cones)
+    for field in ("rays", "cones"):
+        items = data[field]
+        if (not isinstance(items, list) or not items
+                or not all(isinstance(x, list) for x in items)):
+            raise ValueError(f"field '{field}' must be a non-empty list of lists")
+    return Fan(data["dim"], data["rays"], data["cones"])
 
 
 def load_fan(path: str) -> Fan:

@@ -184,6 +184,15 @@ def test_drifted_flagged_value_fails_the_run(monkeypatch, capsys):
     assert "flagged=2 " in out
 
 
+def test_drifted_conic_scan_fails_the_case_split_regression(monkeypatch, capsys):
+    # a point scan that calls every conic smooth would turn the recorded
+    # discrepancy (the printed member is singular) into a silent pass; the
+    # closed form disagrees with it, so the certificate fails
+    monkeypatch.setattr(cli.veronese, "_smooth", lambda form, points: True)
+    assert cli.main(["run", "veronese"]) == 1
+    assert "[FAIL   ] conic-case-split-regression\n" in capsys.readouterr().out
+
+
 def test_pinned_diagonal_certificates(all_report):
     by_id = {c.id: c for c in all_report.certificates}
     smooth = by_id["l014-delta1-smooth"]
@@ -442,13 +451,47 @@ def test_fan_check_bad_ray(capsys):
 def test_fan_check_rejects_boolean_coordinates(capsys):
     assert cli.main(["fan", "check", str(DATA / "bool_ray.json")]) == 2
     err = capsys.readouterr().err
-    assert "error: each ray must be a list of integers of length dim" in err
+    assert "error: ray entries must be integers: [True, False]" in err
 
 
 def test_fan_check_rejects_repeated_cone_index(capsys):
     assert cli.main(["fan", "check", str(DATA / "dup_cone_index.json")]) == 2
     err = capsys.readouterr().err
     assert "error: cone lists a ray index twice: [0, 1, 1]" in err
+
+
+# exit code and stdout of `fan check` on each fan file in tests/data, as
+# recorded before `Fan` took over the loader's value checks; stdout's first
+# line, which names the file, is left out
+FAN_CHECK_GOLDEN = {
+    "bad_ray.json": (2, None),
+    "bool_ray.json": (2, None),
+    "bundle_fan_s14.json": (0, ["dimension: 3", "rays: 6", "maximal cones: 8",
+                                "simplicial: yes", "smooth: yes", "complete: yes",
+                                "fibration covector: (1, 0, 0)"]),
+    "dup_cone_index.json": (2, None),
+    "p2.json": (0, ["dimension: 2", "rays: 3", "maximal cones: 3", "simplicial: yes",
+                    "smooth: yes", "complete: yes", "fibration covector: none"]),
+    "two_ray_cone.json": (0, ["dimension: 3", "rays: 4", "maximal cones: 2",
+                              "simplicial: yes", "smooth: yes", "complete: no",
+                              "fibration covector: (0, 1, 0)"]),
+}
+
+
+def test_fan_check_matches_golden_on_every_data_file(capsys):
+    """Every fan file in tests/data has a golden, and `fan check` prints it:
+    a report on exit 0, nothing on stdout and one `error:` line on exit 2."""
+    others = {"conic_witnesses.json", "report_all_seed0.json"}
+    assert {p.name for p in DATA.glob("*.json")} - others == set(FAN_CHECK_GOLDEN)
+    for name, (golden_code, lines) in FAN_CHECK_GOLDEN.items():
+        path = str(DATA / name)
+        code, out, err = _main_inprocess(["fan", "check", path], capsys)
+        assert code == golden_code, name
+        if code == 0:
+            assert (out, err) == ("\n".join([f"fan file: {path}", *lines]) + "\n", ""), name
+        else:
+            assert out == "", name
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), name
 
 
 def test_fan_check_missing_file(capsys):

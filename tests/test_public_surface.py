@@ -12,8 +12,6 @@ PACKAGE = pathlib.Path(certkit.__file__).parent
 # public names kept without a caller in the package, each for a stated job
 UNCALLED = {
     "exactcore.solve": "the tests' reference for cone membership and span coefficients",
-    "veronese.smooth_conic_closed_form": "the independent smoothness criterion "
-                                         "the exhaustive conic tests compare against",
 }
 
 

@@ -213,6 +213,26 @@ def test_mul_matches_the_zero_seeded_reference(pair):
     assert all(type(v) is Fraction for v in total.coeffs.values())
 
 
+def test_results_skip_the_constructor_checks(monkeypatch):
+    # sums, scalar multiples and products of valid elements are valid: they
+    # are built without the constructor's partition and coefficient checks,
+    # and their coefficients are still Fractions
+    x = SchubertElement(5, {(1, 0): 2, (1, 1): Fraction(1, 3)})
+    y = SchubertElement(5, {(2, 1): -1, (0, 0): 1})
+
+    def forbidden(*args):
+        raise AssertionError("constructor check on a result")
+
+    for name in ("_exact_ints", "partition_is_valid"):
+        monkeypatch.setattr(schubert, name, forbidden)
+    results = [mul(x, y), x + y, x.scale(3), x - x, 2 * y]
+    assert results[3].is_zero()
+    assert results[0].coeffs == {(3, 1): Fraction(-2), (2, 2): Fraction(-2),
+                                 (1, 0): Fraction(2), (3, 2): Fraction(-1, 3),
+                                 (1, 1): Fraction(1, 3)}
+    assert all(type(c) is Fraction for z in results for c in z.coeffs.values())
+
+
 @pytest.mark.parametrize("coeffs", [
     {(1.5, 0): 1}, {(True, 0): 1}, {(1, 0.0): 1}, {(1, False): 1},
     {(Fraction(1), 0): 1},

@@ -196,15 +196,21 @@ class _ReferenceFan(Fan):
                     raise ValueError("ray inside another cone")
 
 
+def _primitive(v):
+    """v divided by the gcd of its entries; the zero vector as is."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
 @st.composite
 def _fan_cases(draw):
-    """Distinct nonzero rays in dimension 2 or 3 with entries in -3..3, and
+    """Distinct primitive rays in dimension 2 or 3 with entries in -3..3, and
     1-7 cones of 2..d+2 of them.  Sometimes a cone is repeated, one of its
     faces is added, or the sum of two of its rays is added in a cone of its
     own.  Rays no cone uses are dropped, so validation reaches the cone
     checks."""
     d = draw(st.sampled_from((2, 3)))
-    vectors = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    vectors = st.tuples(*[st.integers(-3, 3)] * d).filter(any).map(_primitive)
     rays = draw(st.lists(vectors, min_size=2, max_size=7, unique=True))
     n = len(rays)
     cones = [draw(st.lists(st.integers(0, n - 1), min_size=2,
@@ -213,7 +219,7 @@ def _fan_cases(draw):
     extra = draw(st.sampled_from(("none", "repeat", "face", "sum")))
     c = list(draw(st.sampled_from(cones)))
     if extra == "sum":
-        w = tuple(a + b for a, b in zip(rays[c[0]], rays[c[1]]))
+        w = _primitive(tuple(a + b for a, b in zip(rays[c[0]], rays[c[1]])))
         if any(w) and w not in rays:
             rays.append(w)
             cones.append([len(rays) - 1, draw(st.integers(0, n - 1))])
@@ -393,12 +399,18 @@ def test_toric_paths_need_no_four_row_cofactors(monkeypatch, capsys):
     assert sizes and max(sizes) <= 3
 
 
-def test_fan_constructor_normalizes_rays():
-    # construction divides by the gcd; only the file parser insists on
-    # primitive input
-    fan = Fan(2, ((2, 0), (0, 1)), ((0, 1),))
-    assert fan.rays[0] == (1, 0)
-    with pytest.raises(ValueError):
+def test_fan_constructor_rejects_what_it_used_to_mend():
+    # construction once divided a ray by its gcd and collapsed a repeated
+    # index; it now rejects both, and a cone too wide to validate, as the
+    # file loader did
+    with pytest.raises(ValueError, match=r"ray not primitive: \[2, 0\]"):
+        Fan(2, ((2, 0), (0, 1)), ((0, 1),))
+    with pytest.raises(ValueError, match=r"cone lists a ray index twice: \[0, 1, 1\]"):
+        Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1, 1), (1, 2), (0, 2)))
+    rays = [(k, k * k, 1) for k in range(1, 10)]
+    with pytest.raises(ValueError, match=r"cone has 9 rays, more than 8"):
+        Fan(3, rays, (range(9),))
+    with pytest.raises(ValueError, match="zero ray"):
         Fan(2, ((0, 0), (0, 1)), ((0, 1),))
 
 
@@ -481,10 +493,10 @@ def test_gcd_of_maximal_minors_nonsquare():
 
 @st.composite
 def _independent_rays(draw):
-    """k = 2..d independent rays in dimension d = 2 or 3 with entries in
-    -4..4, 2-ray cones in 3-D included."""
+    """k = 2..d independent rays in dimension d = 2 or 3, each drawn with
+    entries in -4..4 and divided by its gcd, 2-ray cones in 3-D included."""
     d = draw(st.sampled_from((2, 3)))
-    vectors = st.tuples(*[st.integers(-4, 4)] * d)
+    vectors = st.tuples(*[st.integers(-4, 4)] * d).map(_primitive)
     rays = draw(st.lists(vectors, min_size=2, max_size=d))
     assume(_reference_gcd_of_maximal_minors(rays))
     return d, rays
@@ -920,14 +932,18 @@ def test_load_frozen_bundle_fan():
 def test_fan_from_dict_errors():
     with pytest.raises(ValueError, match="missing field 'rays'"):
         fan_from_dict({"dim": 2, "cones": []})
+    with pytest.raises(ValueError, match="field 'rays' must be a non-empty list of lists"):
+        fan_from_dict({"dim": 2, "rays": [1, 0], "cones": [[0]]})
+    with pytest.raises(ValueError, match="field 'cones' must be a non-empty list of lists"):
+        fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1]], "cones": []})
     with pytest.raises(ValueError, match=r"ray not primitive: \[2, 0, 0\]"):
         fan_from_dict({"dim": 3,
                        "rays": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
                        "cones": [[0, 1, 2]]})
     # JSON booleans are Python ints; a fan file may not use them as such
-    with pytest.raises(ValueError, match="field 'dim' must be an integer"):
+    with pytest.raises(ValueError, match="unsupported dimension"):
         fan_from_dict({"dim": True, "rays": [[1]], "cones": [[0]]})
-    with pytest.raises(ValueError, match="each cone must be a list of ray indices"):
+    with pytest.raises(ValueError, match="cone indices must be integers"):
         fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[False, True]]})
     # a repeated index is an error, not a smaller cone
     with pytest.raises(ValueError, match=r"cone lists a ray index twice: \[0, 1, 1\]"):
@@ -935,19 +951,188 @@ def test_fan_from_dict_errors():
                        "cones": [[0, 1, 1], [1, 2], [2, 0]]})
 
 
-def test_load_fan_normalizes_each_ray_once(monkeypatch):
+def test_fan_errors_quote_no_long_input():
+    # a malformed file's one error line quotes at most a cone's worth of
+    # values, however long its rays and cones are
+    long_ray = [True] * 10_000
+    for data in ({"dim": 2, "rays": [long_ray, [0, 1]], "cones": [[0, 1]]},
+                 {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0.5] * 10_000]},
+                 {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1] * 5_000]}):
+        with pytest.raises(ValueError) as error:
+            fan_from_dict(data)
+        assert len(str(error.value)) < 80
+
+
+def test_load_fan_checks_each_ray_once(monkeypatch):
+    # the loader leaves the values to Fan, which checks each ray and each
+    # cone once, and validation checks none of them again
     calls = []
-    normalize = toric._normalize_ray
+    exact_ints = toric._exact_ints
 
-    def counted(v):
-        calls.append(tuple(v))
-        return normalize(v)
+    def counted(values, what):
+        values = tuple(values)
+        calls.append((what, values))
+        return exact_ints(values, what)
 
-    monkeypatch.setattr(toric, "_normalize_ray", counted)
+    monkeypatch.setattr(toric, "_exact_ints", counted)
     fan = load_fan("tests/data/bundle_fan_s14.json")
-    assert calls == list(fan.rays)
+    assert calls[:len(fan.rays)] == [("ray entries", r) for r in fan.rays]
+    assert ([what for what, _ in calls[len(fan.rays):]]
+            == ["cone indices"] * len(fan.maximal_cones))
     with pytest.raises(ValueError, match="zero ray"):
         fan_from_dict({"dim": 2, "rays": [[1, 0], [0, 0]], "cones": [[0, 1]]})
+
+
+def test_validated_fans_are_not_checked_again(monkeypatch):
+    # the extremality test calls the cone test directly, and smoothness
+    # reads the multiplicities that validation stored
+    def forbidden(*args):
+        raise AssertionError("a validated fan checked again")
+
+    monkeypatch.setattr(toric, "cone_contains", forbidden)
+    monkeypatch.setattr(toric, "_index", forbidden)
+    square = Fan(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((0, 1, 2, 3),))
+    with pytest.raises(ValueError, match="not simplicial"):
+        fan_is_smooth(square)
+    singular = Fan(3, ((1, 0, -1), (-1, 3, 0), (0, -1, -1)), ((0, 1, 2),))
+    assert fan_is_smooth(bundle_14()) and not fan_is_smooth(singular)
+
+
+def _reference_normalize_ray(v):
+    v = exactcore._exact_ints(v, "ray entries")
+    g = math.gcd(*v) if v else 0
+    if g == 0:
+        raise ValueError("zero ray")
+    return tuple(x // g for x in v)
+
+
+class _MendingFan(Fan):
+    """Fan built by the constructor as it stood when it mended its input:
+    each ray divided by its gcd, each cone's indices collapsed by a set."""
+
+    __slots__ = ()
+
+    def __init__(self, dim, rays, maximal_cones):
+        if dim not in (2, 3):
+            raise ValueError("unsupported dimension")
+        rays = tuple(_reference_normalize_ray(r) for r in rays)
+        for r in rays:
+            if len(r) != dim:
+                raise ValueError("ray length does not match dimension")
+        if len(set(rays)) != len(rays):
+            raise ValueError("duplicate ray")
+        cones = []
+        for c in maximal_cones:
+            c = tuple(sorted(set(exactcore._exact_ints(c, "cone indices"))))
+            if any(i < 0 or i >= len(rays) for i in c):
+                raise ValueError("cone index out of range")
+            if len(c) < 2:
+                raise ValueError("maximal cone with fewer than two rays")
+            cones.append(c)
+        self.dim = dim
+        self.rays = rays
+        self.maximal_cones = tuple(cones)
+        self._multiplicity = self._validate()
+
+
+def _reference_fan_from_dict(data):
+    """The file loader as it stood before `Fan` took over its value checks,
+    in front of the mending constructor."""
+    for field in ("dim", "rays", "cones"):
+        if field not in data:
+            raise ValueError(f"missing field '{field}'")
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError("field 'dim' must be an integer")
+    rays = data["rays"]
+    if not isinstance(rays, list) or not rays:
+        raise ValueError("field 'rays' must be a non-empty list")
+    for r in rays:
+        if (not isinstance(r, list) or len(r) != dim
+                or not all(type(x) is int for x in r)):
+            raise ValueError("each ray must be a list of integers of length dim")
+        g = math.gcd(*r)
+        if g == 0:
+            raise ValueError("zero ray")
+        if g > 1:
+            raise ValueError(f"ray not primitive: {list(r)}")
+    cones = data["cones"]
+    if not isinstance(cones, list) or not cones:
+        raise ValueError("field 'cones' must be a non-empty list")
+    for c in cones:
+        if not isinstance(c, list) or not all(type(i) is int for i in c):
+            raise ValueError("each cone must be a list of ray indices")
+        if len(set(c)) != len(c):
+            raise ValueError(f"cone lists a ray index twice: {c}")
+        if len(c) > toric.MAX_CONE_RAYS:
+            raise ValueError(f"cone has {len(c)} rays, more than {toric.MAX_CONE_RAYS}")
+    return _MendingFan(dim, rays, cones)
+
+
+@st.composite
+def _fan_dicts(draw):
+    """Fan file data: a blown-up surface or a bundle over one, as
+    `Fan.to_dict` writes it, then at most one kind of damage."""
+    fan = draw(_blowup_chains())
+    if draw(st.booleans()):
+        n = len(fan.rays)
+        fan = build_p1_bundle_fan(fan, draw(st.lists(st.integers(-2, 2),
+                                                     min_size=n, max_size=n)))
+    data = fan.to_dict()
+    rays, cones = data["rays"], data["cones"]
+    r = draw(st.integers(0, len(rays) - 1))
+    c = draw(st.integers(0, len(cones) - 1))
+    kind = draw(st.sampled_from(("valid", "non-primitive", "repeat", "bool", "length",
+                                 "zero", "wide", "non-list", "dim")))
+    if kind == "non-primitive":
+        rays[r] = [draw(st.integers(2, 3)) * x for x in rays[r]]
+    elif kind == "repeat":
+        cones[c].append(draw(st.sampled_from(cones[c])))
+    elif kind == "bool":
+        # a 0 or 1 of a ray or a cone written as false or true
+        target = draw(st.sampled_from((rays[r], cones[c])))
+        spots = [i for i, x in enumerate(target) if x in (0, 1)]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            target[i] = bool(target[i])
+    elif kind == "length":
+        if draw(st.booleans()):
+            rays[r].append(draw(st.integers(-1, 1)))
+        else:
+            rays[r].pop()
+    elif kind == "zero":
+        rays[r] = [0] * len(rays[r])
+    elif kind == "wide":
+        # nine distinct indices, in range when the fan has nine rays
+        cones[c] = list(range(9))
+    elif kind == "non-list":
+        junk = draw(st.sampled_from((0, "01", None, {"0": 1}, [], True)))
+        where = draw(st.sampled_from(("ray", "cone", "rays", "cones")))
+        if where == "ray":
+            rays[r] = junk
+        elif where == "cone":
+            cones[c] = junk
+        else:
+            data[where] = junk
+    elif kind == "dim":
+        data["dim"] = draw(st.sampled_from((True, False, 2.0, 3.0)))
+    return data
+
+
+def _load_outcome(load, data):
+    try:
+        fan = load(data)
+    except ValueError:
+        return "rejected"
+    return fan.dim, fan.rays, fan.maximal_cones, fan._multiplicity
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fan_dicts())
+def test_fan_from_dict_matches_reference_loader(data):
+    # the same fans are accepted and built alike; any TypeError escapes
+    # and fails the test
+    assert _load_outcome(fan_from_dict, data) == _load_outcome(_reference_fan_from_dict, data)
 
 
 def test_load_fan_reports_parse_position(tmp_path):
