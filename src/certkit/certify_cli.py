@@ -649,6 +649,14 @@ def _combo_matches(result, subspace) -> bool:
                for column, coeff in zip(columns, result.form.coeffs))
 
 
+def _witness_ok(result, subspace) -> bool:
+    """The search returned a form, the closed-form criterion calls it
+    smooth, and its combination of the basis is that form."""
+    return (result.form is not None
+            and veronese.smooth_conic_closed_form(result.form)
+            and _combo_matches(result, subspace))
+
+
 def _conic_sweep_f2():
     searched = 0
     histogram = {}
@@ -659,12 +667,8 @@ def _conic_sweep_f2():
         searched += 1
         res = veronese.find_smooth_conic_details(sub)
         histogram[res.path] = histogram.get(res.path, 0) + 1
-        if res.path in ("exhaustive-fallback", "exhausted-none"):
-            constructive = False
-        if (res.form is None
-                or not veronese.smooth_conic_closed_form(res.form)
-                or not _combo_matches(res, sub)):
-            witnesses_ok = False
+        constructive &= res.form is not None
+        witnesses_ok &= _witness_ok(res, sub)
     sweep = {"searched": searched, "constructive": constructive, "witnesses": witnesses_ok}
     return sweep, histogram
 
@@ -691,10 +695,7 @@ def _conic_seeded_trials(rng: random.Random, trials: int):
         oracle = veronese.exhaustive_smooth_conic(sub)
         if (res.form is None) != (oracle is None):
             oracle_agreement = False
-        if res.form is not None:
-            if (not veronese.smooth_conic_closed_form(res.form)
-                    or not _combo_matches(res, sub)):
-                witnesses_ok = False
+        witnesses_ok &= _witness_ok(res, sub)
     return [oracle_agreement, witnesses_ok]
 
 
@@ -749,6 +750,7 @@ def _compute_veronese(config: RunConfig) -> dict:
         (0, 0, 0, 0, 1, 0),     # zx
         (1, 0, 0, 0, 0, 0))])   # x^2
     slip_result = veronese.find_smooth_conic_details(slip_span)
+    slip_form = slip_result.form
     # the case split as printed would hand this span the singular member
     # x^2 + xy; record its smoothness verdict against the printed claim,
     # once the point scan and the closed form agree on it
@@ -791,8 +793,8 @@ def _compute_veronese(config: RunConfig) -> dict:
         "conic-case-split-regression": printed_smooth,
         "conic-case-split-corrected": {
             "path": slip_result.path,
-            "smooth": veronese.is_smooth_conic(slip_result.form),
-            "nonzero": [bool(c) for c in slip_result.form.coeffs]},
+            "smooth": slip_form is not None and veronese.smooth_conic_closed_form(slip_form),
+            "nonzero": None if slip_form is None else [bool(c) for c in slip_form.coeffs]},
     }
 
 

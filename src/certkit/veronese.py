@@ -499,24 +499,18 @@ def _swap_vars(vec, i, j):
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
 
 
-def _first_smooth(basis, q: int):
-    """(combo, form) of the first nonzero combination of the code rows of a
-    basis over the field of order q, in itertools.product order over the
-    codes, whose form is smooth; None if the span has no smooth member."""
+def exhaustive_smooth_conic(subspace: ConicSubspace):
+    """Oracle: scan every member of the subspace, in itertools.product order
+    over the codes of its coordinates on the basis, and return the first
+    smooth one; None if the span has no smooth member.  The zero member
+    comes first and is never smooth, as _smooth rejects the zero form."""
+    q, basis = subspace.q, subspace.rows
     points = _PLANE_POINTS[q]
     for combo in itertools.product(range(q), repeat=len(basis)):
-        if not any(combo):
-            continue
         form = _combine(combo, basis)
-        if any(form) and _smooth(form, points):
-            return combo, form
+        if _smooth(form, points):
+            return QuadraticForm3(_FIELDS[q][c] for c in form)
     return None
-
-
-def exhaustive_smooth_conic(subspace: ConicSubspace):
-    """Oracle: scan every member of the subspace for a smooth conic."""
-    found = _first_smooth(subspace.rows, subspace.q)
-    return None if found is None else QuadraticForm3(_FIELDS[subspace.q][c] for c in found[1])
 
 
 def _case_split(rows):
@@ -630,25 +624,20 @@ def find_smooth_conic_details(subspace: ConicSubspace) -> ConicSearchResult:
     dimension at least four over a field of characteristic two.
 
     Takes the member that _case_split names and checks that it is smooth.
-    If the split names none, or a singular one (it should not, at any field
-    size), an exhaustive scan of the finite subspace is used instead and
-    reported as the path.
+    That is the only route: if the split names none, or a singular one (the
+    zero member among them), the result is (None, "split-failed", None) and
+    no member is scanned, so a broken split shows against the oracle,
+    exhaustive_smooth_conic, instead of being mended by it.
     """
     q, basis = subspace.q, subspace.rows
     if subspace.dimension < 4:
         raise ValueError("subspace dimension below four")
-    found = None
     split = _case_split(basis)
     if split is not None:
         combo, path = split
         form = _combine(combo, basis)
-        if any(form) and _smooth(form, _PLANE_POINTS[q]):
-            found = combo, form
-    if found is None:
-        found, path = _first_smooth(basis, q), "exhaustive-fallback"
-        if found is None:
-            return ConicSearchResult(None, "exhausted-none", None)
-    combo, form = found
-    elements = _FIELDS[q]
-    return ConicSearchResult(QuadraticForm3(elements[c] for c in form), path,
-                             tuple(elements[c] for c in combo))
+        if _smooth(form, _PLANE_POINTS[q]):
+            elements = _FIELDS[q]
+            return ConicSearchResult(QuadraticForm3(elements[c] for c in form), path,
+                                     tuple(elements[c] for c in combo))
+    return ConicSearchResult(None, "split-failed", None)

@@ -193,6 +193,30 @@ def test_drifted_conic_scan_fails_the_case_split_regression(monkeypatch, capsys)
     assert "[FAIL   ] conic-case-split-regression\n" in capsys.readouterr().out
 
 
+def _failed_ids(out: str) -> set:
+    return {line.split("] ", 1)[1] for line in out.splitlines()
+            if line.startswith("[FAIL   ] ")}
+
+
+def test_split_failing_on_f4_fails_the_oracle_agreement(monkeypatch, capsys):
+    # a case split broken only on systems with an F4 entry leaves the F2
+    # sweep and the recorded span alone; the seeded F4 trials must catch it,
+    # which they cannot when the search mends the split with the oracle's scan
+    real = cli.veronese._case_split
+    monkeypatch.setattr(cli.veronese, "_case_split",
+                        lambda rows: None if any(c > 1 for r in rows for c in r) else real(rows))
+    assert cli.main(["run", "veronese"]) == 1
+    assert _failed_ids(capsys.readouterr().out) == {"conic-seeded-oracle-agreement"}
+
+
+def test_split_failing_everywhere_fails_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli.veronese, "_case_split", lambda rows: None)
+    assert cli.main(["run", "veronese"]) == 1
+    assert _failed_ids(capsys.readouterr().out) == {
+        "conic-subspaces-f2-sweep", "conic-path-histogram-f2",
+        "conic-seeded-oracle-agreement", "conic-case-split-corrected"}
+
+
 def test_pinned_diagonal_certificates(all_report):
     by_id = {c.id: c for c in all_report.certificates}
     smooth = by_id["l014-delta1-smooth"]

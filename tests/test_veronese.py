@@ -449,7 +449,7 @@ EXPECTED_F4_HISTOGRAMS = {
 @pytest.mark.parametrize("dim", [5, 6])
 def test_full_f4_sweep_is_constructive(dim):
     """Every F4 subspace of dimension 5 (1,365) and 6 (one): the search
-    takes every path and never falls back to the exhaustive scan."""
+    takes every path, and the split names a smooth member every time."""
     histogram = {}
     for rows in _rref_bases(dim, 4):
         sub = ConicSubspace([QuadraticForm3(F4_ELEMENTS[c] for c in r) for r in rows])
@@ -461,19 +461,45 @@ def test_full_f4_sweep_is_constructive(dim):
     assert histogram == EXPECTED_F4_HISTOGRAMS[dim]
 
 
-def test_search_falls_back_when_the_split_names_no_smooth_member(monkeypatch):
-    """The search's single tail: a split that names nothing, a singular
-    member or the zero member hands over to the exhaustive scan."""
+def test_search_reports_a_failed_split_and_never_scans(monkeypatch):
+    """The search has one route: a split that names nothing, a singular
+    member or the zero member gives (None, "split-failed", None), and the
+    exhaustive scan is never run in its place."""
     sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
-    oracle = exhaustive_smooth_conic(sub)
+    assert exhaustive_smooth_conic(sub) is not None
+
+    def forbidden(subspace):
+        raise AssertionError("the search ran the exhaustive scan")
+
+    monkeypatch.setattr(veronese, "exhaustive_smooth_conic", forbidden)
+    # the first echelon basis starts with x^2 alone, a singular member
     for split in (None, ([1, 0, 0, 0], "normalized-member-smooth"),
                   ([0, 0, 0, 0], "case-all-squares")):
         monkeypatch.setattr(veronese, "_case_split", lambda rows: split)
-        res = find_smooth_conic_details(sub)
-        assert res.path == "exhaustive-fallback"
-        assert res.form == oracle and _combo_matches(res, sub)
-    monkeypatch.setattr(veronese, "_first_smooth", lambda basis, q: None)
-    assert find_smooth_conic_details(sub) == (None, "exhausted-none", None)
+        assert find_smooth_conic_details(sub) == (None, "split-failed", None)
+
+
+def test_case_split_names_a_smooth_member_of_random_code_bases():
+    """The echelon-basis sweeps see one basis per subspace; the seeded
+    trials draw arbitrary ones.  On 3,000 seeded independent code bases of
+    dimension 4 to 6 over F2 and F4, the split names a member that the
+    point test and the closed form both call smooth."""
+    rng = random.Random("case-split-random-bases")
+    done = 0
+    while done < 3000:
+        q = (2, 4)[done % 2]
+        dim = 4 + done % 3
+        rows = [[rng.randrange(q) for _ in range(6)] for _ in range(dim)]
+        sparse = [{k: c for k, c in enumerate(r) if c} for r in rows]
+        if len(exactcore._echelon(sparse, range(6), exactcore._CODES)[1]) < dim:
+            continue
+        done += 1
+        split = veronese._case_split(rows)
+        assert split is not None, rows
+        member = veronese._combine(split[0], rows)
+        assert veronese._smooth(member, veronese._PLANE_POINTS[q]), (rows, split)
+        field = F2_ELEMENTS if q == 2 else F4_ELEMENTS
+        assert smooth_conic_closed_form(QuadraticForm3(field[c] for c in member))
 
 
 def _random_subspace(rng, field, dim=4):
