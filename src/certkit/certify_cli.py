@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hodge, numerology, schubert, toric, veronese
-from .exactcore import (F2_ELEMENTS, F4_ELEMENTS, Polynomial, poly_from_string_exps,
-                        span_dimension, spans_contain)
+from .exactcore import (F2_ELEMENTS, F4_ELEMENTS, Polynomial, _is_int,
+                        poly_from_string_exps, span_dimension, spans_contain)
 from .veronese import ConicSubspace, QuadraticForm3
 
 PROVENANCE_TAGS = ("published", "derived", "trivial")
@@ -53,11 +53,26 @@ EXCLUDED_GENUS = (11,)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite."""
+    """Knobs shared by every suite: plain ints, with the trial count and the
+    degree bound in range; anything else is a ValueError."""
 
     seed: int = 0
     trials: int = 500
     degree_bound: int = 6
+
+    def __post_init__(self):
+        for flag, value in (("--seed", self.seed), ("--trials", self.trials),
+                            ("--degree-bound", self.degree_bound)):
+            if not _is_int(value):
+                raise ValueError(f"{flag} must be an integer: {value!r}")
+        if self.trials < 0:
+            raise ValueError("--trials must be nonnegative")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"--trials must be at most {MAX_TRIALS}")
+        if self.degree_bound < 2:
+            raise ValueError("--degree-bound must be at least 2")
+        if self.degree_bound > MAX_DEGREE_BOUND:
+            raise ValueError(f"--degree-bound must be at most {MAX_DEGREE_BOUND}")
 
     def echo(self) -> dict:
         return {
@@ -566,7 +581,7 @@ def _compute_toric(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:toric")
     s14 = toric.hirzebruch_fan(3)
     s23 = toric.hirzebruch_fan(1)
-    characters = ((1, 0), (0, 1))
+    principal14 = [toric.principal_divisor(s14, m) for m in ((1, 0), (0, 1))]
     bundle14, contracted14, tris14 = _bundle_pipeline(s14, (1, 0, 0, 1))
     bundle23, _, tris23 = _bundle_pipeline(s23, (2, 0, 0, 1))
     facts14 = _triangulation_facts(tris14)
@@ -582,10 +597,9 @@ def _compute_toric(config: RunConfig) -> dict:
         "p2-self-intersections":
             list(toric.surface_self_intersections(toric.projective_plane_fan())),
         "noether-smooth-surfaces": _noether_surfaces_ok(rng),
-        "s14-principal-divisors": [list(toric.principal_divisor(s14, m)) for m in characters],
-        "s14-principal-pairing-zero": all(
-            toric.divisor_dot(s14, toric.principal_divisor(s14, m), j) == 0
-            for m in characters for j in range(4)),
+        "s14-principal-divisors": [list(d) for d in principal14],
+        "s14-principal-pairing-zero":
+            not any(any(toric.divisor_pairings(s14, d)) for d in principal14),
         "l014-bundle-fan": [toric.fan_is_complete(bundle14), toric.fan_is_smooth(bundle14),
                             len(bundle14.maximal_cones)],
         "l014-contraction-cones": len(contracted14.maximal_cones),
@@ -701,7 +715,6 @@ def _conic_seeded_trials(rng: random.Random, trials: int):
 
 def _veronese_points_ok(rng: random.Random, trials: int) -> bool:
     gens = veronese.veronese_ideal()
-    names = ("x", "y", "z", "s", "t", "u")
     done = 0
     while done < trials:
         pt = tuple(rng.randint(-9, 9) for _ in range(3))
@@ -709,7 +722,7 @@ def _veronese_points_ok(rng: random.Random, trials: int) -> bool:
             continue
         done += 1
         image = veronese.veronese_map(pt)
-        values = dict(zip(names, image))
+        values = dict(zip(veronese.P5_VARS, image))
         if any(g.evaluate(values) for g in gens):
             return False
         if veronese.secant_stratum(image).value != "OnVeronese":
@@ -726,7 +739,7 @@ def _minors_match_generators() -> bool:
 
 def _compute_veronese(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:veronese")
-    bound = max(config.degree_bound, 2)
+    bound = config.degree_bound
     # rows are computed per degree, so one run to max(bound, 6) gives both the
     # identity claim up to the bound and the six reported rows
     kernel_cfg = veronese.projection_kernel_certificate(max(bound, 6))
@@ -866,8 +879,8 @@ def _compute_numerology(config: RunConfig) -> dict:
         return sorted(list(s) for s in numerology.p_divisibility_solutions(*window))
 
     return {
-        "delta-genus-double-cover": numerology.delta_genus(numerology.DeltaGenusInput(3, 5, 8)),
-        "delta-genus-veronese": numerology.delta_genus(numerology.DeltaGenusInput(2, 4, 6)),
+        "delta-genus-double-cover": numerology.delta_genus(3, 5, 8),
+        "delta-genus-veronese": numerology.delta_genus(2, 4, 6),
         "projection-degree-forcing": list(numerology.admissible_projection_degrees()),
         "divisibility-window": solutions(GENUS_MIN, GENUS_MAX, EXCLUDED_GENUS),
         "divisibility-empty-window": solutions(3, 3),
@@ -1067,10 +1080,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("suite", choices=(*_CLAIMS, "all"))
     run_parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                             default="text", help="report rendering (default text)")
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--trials", type=int, default=500,
+    run_parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    run_parser.add_argument("--trials", type=int, default=RunConfig.trials,
                             help=f"seeded trials per randomized check (0 to {MAX_TRIALS})")
-    run_parser.add_argument("--degree-bound", type=int, default=6,
+    run_parser.add_argument("--degree-bound", type=int, default=RunConfig.degree_bound,
                             help=f"top degree of the kernel certificates (2 to {MAX_DEGREE_BOUND})")
     run_parser.add_argument("--out", default=None,
                             help="write the report to a file instead of stdout")
@@ -1087,16 +1100,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        if args.trials < 0:
-            parser.error("--trials must be nonnegative")
-        if args.trials > MAX_TRIALS:
-            parser.error(f"--trials must be at most {MAX_TRIALS}")
-        if args.degree_bound < 2:
-            parser.error("--degree-bound must be at least 2")
-        if args.degree_bound > MAX_DEGREE_BOUND:
-            parser.error(f"--degree-bound must be at most {MAX_DEGREE_BOUND}")
-        config = RunConfig(seed=args.seed, trials=args.trials,
-                           degree_bound=args.degree_bound)
+        try:
+            config = RunConfig(seed=args.seed, trials=args.trials,
+                               degree_bound=args.degree_bound)
+        except ValueError as e:
+            parser.error(str(e))
         report = run_suite(args.suite, config)
         rendered = render_json(report) if args.fmt == "json" else render_text(report)
         if args.out:

@@ -5,37 +5,23 @@ Riemann-Roch parity check.  All arithmetic is integer or Fraction."""
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Set, Tuple
 
 from .exactcore import _exact_rational, _is_int
 
 
-@dataclass(frozen=True)
-class DeltaGenusInput:
-    """A polarized variety reduced to the three numbers the delta-genus
-    formula needs: dimension, top self-intersection of the polarization,
-    and the dimension of its space of sections.  The dimension must be an
+def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
+    """dim + top self-intersection - h0, exactly, for a polarized variety
+    of the given dimension, top self-intersection of the polarization and
+    dimension of its space of sections.  The dimension must be a positive
     int, the other two ints or Fractions; anything else is a ValueError."""
-    dim: int
-    top_self_intersection: object
-    h0: object
-
-    def __init__(self, dim: int, top_self_intersection, h0):
-        if not _is_int(dim):
-            raise ValueError(f"dimension must be an integer: {dim!r}")
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "top_self_intersection",
-                           _exact_rational(top_self_intersection, "top self-intersection"))
-        object.__setattr__(self, "h0", _exact_rational(h0, "h0"))
-
-
-def delta_genus(data: DeltaGenusInput) -> Fraction:
-    """dim + top self-intersection - h0, exactly."""
-    return Fraction(data.dim) + data.top_self_intersection - data.h0
+    if not _is_int(dim):
+        raise ValueError(f"dimension must be an integer: {dim!r}")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    return (dim + _exact_rational(top_self_intersection, "top self-intersection")
+            - _exact_rational(h0, "h0"))
 
 
 def admissible_projection_degrees(bound: int = 10) -> tuple:

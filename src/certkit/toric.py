@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -48,25 +47,6 @@ def _index(i, n: int, what: str) -> int:
     if not 0 <= i < n:
         raise ValueError(f"{what} out of range: {i}")
     return i
-
-
-@dataclass(frozen=True)
-class TorusDivisor:
-    """Integer coefficient per ray of a fixed fan."""
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients",
-                           _exact_ints(coefficients, "divisor coefficients"))
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __getitem__(self, i):
-        return self.coefficients[i]
 
 
 def _cross3(a, b):
@@ -363,13 +343,13 @@ def fan_is_smooth(fan: Fan) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def principal_divisor(fan: Fan, m: Sequence[int]) -> TorusDivisor:
-    """Divisor of the character with exponent covector m: coefficient at
-    each ray is the pairing <m, ray>."""
+def principal_divisor(fan: Fan, m: Sequence[int]) -> tuple:
+    """Divisor of the character with exponent covector m, one coefficient
+    per ray: the pairing <m, ray>."""
     m = _exact_ints(m, "covector entries")
     if len(m) != fan.dim:
         raise ValueError("covector length does not match dimension")
-    return TorusDivisor(_dot(m, r) for r in fan.rays)
+    return tuple(_dot(m, r) for r in fan.rays)
 
 
 def fan_is_complete(fan: Fan) -> bool:
@@ -422,32 +402,19 @@ def surface_self_intersections(fan: Fan) -> tuple:
     return tuple(out)
 
 
-def surface_intersection(fan: Fan, i: int, j: int) -> int:
-    """Intersection of two distinct boundary divisors on a smooth complete
-    toric surface: 1 when the rays span a cone, else 0."""
-    if fan.dim != 2:
-        raise ValueError("fan not 2-dimensional")
-    _index(i, len(fan.rays), "ray index")
-    _index(j, len(fan.rays), "ray index")
-    if i == j:
-        raise ValueError("equal indices: use surface_self_intersections")
-    pair = tuple(sorted((i, j)))
-    return 1 if pair in fan.maximal_cones else 0
-
-
-def divisor_dot(fan: Fan, div: TorusDivisor, j: int) -> int:
-    """Pairing of a divisor with the j-th boundary divisor on a smooth
-    complete toric surface."""
-    _index(j, len(fan.rays), "ray index")
-    if len(div) != len(fan.rays):
+def divisor_pairings(fan: Fan, coefficients: Sequence[int]) -> tuple:
+    """(D.D_0, ..., D.D_{n-1}) for D = sum c_i D_i on a smooth complete toric
+    surface, in one pass over the intersection table: D_j^2 from
+    `surface_self_intersections`, and D_i.D_j for i != j is 1 when rays i
+    and j span a cone, else 0."""
+    c = _exact_ints(coefficients, "divisor coefficients")
+    if len(c) != len(fan.rays):
         raise ValueError("divisor length does not match rays")
-    selfs = surface_self_intersections(fan)
-    total = 0
-    for i, c in enumerate(div):
-        if c == 0:
-            continue
-        total += c * (selfs[i] if i == j else surface_intersection(fan, i, j))
-    return total
+    out = [ci * s for ci, s in zip(c, surface_self_intersections(fan))]
+    for i, j in fan.maximal_cones:
+        out[i] += c[j]
+        out[j] += c[i]
+    return tuple(out)
 
 
 def noether_number(fan: Fan) -> int:

@@ -178,8 +178,7 @@ def test_criterion_04_noether_and_principal_divisors():
     s14 = toric.hirzebruch_fan(3)
     for m in ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)):
         div = toric.principal_divisor(s14, m)
-        for j in range(len(s14.rays)):
-            assert toric.divisor_dot(s14, div, j) == 0
+        assert toric.divisor_pairings(s14, div) == (0,) * len(s14.rays)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def test_criterion_09_numerology_pins():
     }
     assert numerology.scroll_splittings(5) == {(1, 4), (2, 3)}
     assert numerology.g10_obstruction() == (16, True)
-    assert numerology.delta_genus(numerology.DeltaGenusInput(3, 5, 8)) == 0
+    assert numerology.delta_genus(3, 5, 8) == 0
     assert numerology.admissible_projection_degrees() == (1,)
 
 

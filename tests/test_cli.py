@@ -420,6 +420,23 @@ def test_main_rejects_bad_knobs():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"degree_bound": 1}, "--degree-bound must be at least 2"),
+    ({"degree_bound": cli.MAX_DEGREE_BOUND + 1}, "--degree-bound must be at most"),
+    ({"trials": -3}, "--trials must be nonnegative"),
+    ({"trials": cli.MAX_TRIALS + 1}, "--trials must be at most"),
+    ({"degree_bound": True}, "--degree-bound must be an integer"),
+    ({"trials": 5.0}, "--trials must be an integer"),
+    ({"seed": False}, "--seed must be an integer"),
+], ids=["bound-low", "bound-high", "trials-negative", "trials-high",
+        "bound-bool", "trials-float", "seed-bool"])
+def test_run_config_rejects_bad_settings(kwargs, match):
+    # RunConfig(degree_bound=1, trials=-3) echoed those settings in the
+    # veronese report but ran at bound 2 with no trials
+    with pytest.raises(ValueError, match=match):
+        cli.RunConfig(**kwargs)
+
+
 @pytest.mark.parametrize("flag, cap", [("--trials", cli.MAX_TRIALS),
                                        ("--degree-bound", cli.MAX_DEGREE_BOUND)])
 def test_main_caps_run_inputs(flag, cap, capsys):

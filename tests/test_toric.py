@@ -20,7 +20,7 @@ from certkit.toric import (
     build_p1_bundle_fan,
     cone_is_smooth,
     contract_ray,
-    divisor_dot,
+    divisor_pairings,
     enumerate_qfactorializations,
     fan_from_dict,
     fan_is_complete,
@@ -31,7 +31,6 @@ from certkit.toric import (
     noether_number,
     principal_divisor,
     projective_plane_fan,
-    surface_intersection,
     surface_self_intersections,
 )
 
@@ -515,12 +514,13 @@ def test_cone_multiplicity_matches_gcd_of_minors_reference(case):
 
 
 @st.composite
-def _blowup_chains(draw):
-    """The plane or a Hirzebruch surface blown up 0-4 times, its rays
-    renumbered and its cones listed at random, each in a random order."""
+def _blowup_chains(draw, max_blowups=4):
+    """The plane or a Hirzebruch surface blown up 0 to max_blowups times,
+    its rays renumbered and its cones listed at random, each in a random
+    order."""
     start = draw(st.sampled_from(("plane", 0, 1, 2, 3, 4)))
     fan = projective_plane_fan() if start == "plane" else hirzebruch_fan(start)
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_blowups))):
         fan = blow_up_surface(fan, draw(st.sampled_from(fan.maximal_cones)))
     perm = draw(st.permutations(range(len(fan.rays))))
     rays = [None] * len(fan.rays)
@@ -560,21 +560,21 @@ def test_principal_divisor_scroll_characters():
 @pytest.mark.parametrize("call", [
     lambda: build_p1_bundle_fan(S14, (1.5, 0, 0, True)),
     lambda: principal_divisor(S14, (0.9, 1)),
-    lambda: toric.TorusDivisor([2.7, True]),
+    lambda: divisor_pairings(S14, [2.7, True, 0, 0]),
     lambda: principal_divisor(S14, (Fraction(1), 0)),
     lambda: build_p1_bundle_fan(S14, (Fraction(2, 2), 0, 0, 1)),
 ], ids=["bundle-float-bool", "covector-float", "divisor-float-bool",
         "covector-fraction", "bundle-fraction"])
 def test_divisor_and_bundle_inputs_reject_non_integers(call):
     # int() would build the bundle for (1, 0, 0, 1), the divisor of (0, 1)
-    # and the divisor (2, 1)
+    # and pair the divisor (2, 1, 0, 0)
     with pytest.raises(ValueError, match="must be integers"):
         call()
 
 
 def test_integer_divisor_and_bundle_inputs_unchanged():
-    assert toric.TorusDivisor([2, -1]).coefficients == (2, -1)
-    assert toric.TorusDivisor(iter((0, 3))).coefficients == (0, 3)
+    assert divisor_pairings(S14, [2, -1, 0, 0]) == (-1, 5, -1, 2)
+    assert divisor_pairings(S14, iter((0, 3, 0, 0))) == (3, -9, 3, 0)
     assert build_p1_bundle_fan(S14, [1, 0, 0, 1]) == bundle_14()
 
 
@@ -601,39 +601,31 @@ def test_cone_is_smooth_rejects_bad_indices(cone):
         cone_is_smooth(S14, cone)
 
 
-@pytest.mark.parametrize("i, j", [(0, True), (False, 1), (0, 4), (-1, 0), (0, 1.0)])
-def test_surface_intersection_rejects_bad_indices(i, j):
-    # (0, True) read as the cone (0, 1) and gave 1
-    with pytest.raises(ValueError, match="ray index"):
-        surface_intersection(S14, i, j)
-
-
-@pytest.mark.parametrize("coefficients, j, match", [
-    ((1, 0, 0, 0), 7, "ray index"),
-    ((1, 0, 0, 0), -1, "ray index"),
-    ((1, 0, 0, 0), True, "ray index"),
-    ((0, 1, 0, 0, 0, 0), 0, "divisor length"),
-    ((1,), 1, "divisor length"),
-])
-def test_divisor_dot_rejects_bad_arguments(coefficients, j, match):
-    # j = 7 gave 0; the 6- and 1-coefficient divisors gave 1
+@pytest.mark.parametrize("fan, coefficients, match", [
+    (S14, (0.5, 0, True, 0), "must be integers"),
+    (S14, [0, 1, 0, True], "must be integers"),
+    (S14, (0, 1, 0, 0, 0, 0), "divisor length"),
+    (S14, (1,), "divisor length"),
+    (Fan(2, ((1, 0), (0, 1)), ((0, 1),)), (1, 0), "not complete"),
+    (P3, (1, 0, 0, 0), "not 2-dimensional"),
+], ids=["float-bool", "bool", "six-coefficients", "one-coefficient",
+        "not-complete", "3d"])
+def test_divisor_pairings_rejects_bad_arguments(fan, coefficients, match):
+    # (0.5, 0, True, 0) paired to the float 1.5 at ray 1; the 6- and
+    # 1-coefficient divisors gave 1
     with pytest.raises(ValueError, match=match):
-        divisor_dot(S14, toric.TorusDivisor(coefficients), j)
+        divisor_pairings(fan, coefficients)
 
 
-def test_pairwise_surface_intersections():
-    assert surface_intersection(S14, 0, 1) == 1
-    assert surface_intersection(S14, 0, 2) == 0
-    assert surface_intersection(S14, 1, 3) == 0
-    with pytest.raises(ValueError):
-        surface_intersection(S14, 2, 2)
+def test_pairwise_intersections_of_boundary_divisors():
+    assert divisor_pairings(S14, (1, 0, 0, 0)) == (0, 1, 0, 1)
+    assert divisor_pairings(S14, (0, 1, 0, 0))[3] == 0
+    assert divisor_pairings(S14, (0, 0, 1, 0)) == (0, 1, 0, 1)
 
 
 def test_principal_divisors_pair_to_zero_exhaustively():
     for m in ((1, 0), (0, 1), (1, 1), (2, -1)):
-        div = principal_divisor(S14, m)
-        for j in range(4):
-            assert divisor_dot(S14, div, j) == 0
+        assert divisor_pairings(S14, principal_divisor(S14, m)) == (0, 0, 0, 0)
 
 
 def test_noether_identity_on_built_fans():
@@ -695,6 +687,30 @@ def _reference_self_intersections(fan):
 def test_self_intersections_match_angular_sort_reference(fan):
     assert surface_self_intersections(fan) == _reference_self_intersections(fan)
     assert noether_number(fan) == 12
+
+
+def _rays_share_a_cone(fan, i, j):
+    return any(i in cone and j in cone for cone in fan.maximal_cones)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blowup_chains(max_blowups=5), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+def test_divisor_pairings_are_the_intersection_table(fan, m, c):
+    n = len(fan.rays)
+    table = [divisor_pairings(fan, [int(i == j) for j in range(n)]) for i in range(n)]
+    selfs = surface_self_intersections(fan)
+    for i in range(n):
+        assert table[i][i] == selfs[i]
+        for j in range(n):
+            assert table[i][j] == table[j][i]
+            if i != j:
+                assert table[i][j] == int(_rays_share_a_cone(fan, i, j))
+    # the pairing is linear in the divisor, and principal divisors pair to 0
+    c = c[:n]
+    assert divisor_pairings(fan, c) == tuple(
+        sum(ci * row[j] for ci, row in zip(c, table)) for j in range(n))
+    assert divisor_pairings(fan, principal_divisor(fan, m)) == (0,) * n
 
 
 def test_fan_with_a_lower_dimensional_maximal_cone_is_not_complete():
