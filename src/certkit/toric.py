@@ -13,9 +13,13 @@ decided on integers alone: by Caratheodory's theorem a point lies in a cone
 exactly when it is a nonnegative combination of some basis of the rays'
 span, and each basis is tested by the signs of its integer Cramer
 numerators, never by division or floating point.  A cone's cofactor rows
-are read off the adjugate once, lifted to all d coordinates; validation
-tests a cone's foreign rays in one pass, and since cones of one size nest
-only when equal, compares each cone with larger ones only.  Strong
+are read off the adjugate once, lifted to all d coordinates.  Validation
+takes one of two routes.  A complete simplicial fan is decided in time
+linear in its cones, from one determinant per cone, the two cones on each
+wall and one covered point, with no cone test.  Any other fan, or one that
+route declines, gets the per-cone checks: each cone tests its foreign rays
+in one pass, and since cones of one size nest only when equal, each cone
+is compared with larger ones only.  Strong
 convexity is the same membership test asked of the rays' negatives: a cone
 is strongly convex when no ray's negative lies in it.  Independence of
 simplicial rays is the nonvanishing of a maximal minor, and every integer
@@ -187,12 +191,47 @@ def classify_cone_pairs(rays: Sequence[tuple]):
 MAX_CONE_RAYS = 8
 
 
+def _complete_simplicial(dim: int, rays, cones):
+    """{cone: multiplicity} when the cones, each of dim rays in increasing
+    index order as `Fan` keeps them, form a complete simplicial fan,
+    decided in one pass over the cones; else None.
+
+    Full-dimensional simplicial cones form a complete fan exactly when each
+    wall lies in two cones, on opposite sides of it, and one point is covered
+    once (the pseudomanifold-plus-degree-one test for triangulations, De
+    Loera-Rambau-Santos 4.5, read on the sphere): crossing a wall then
+    keeps the number of cones over a point, so every point lies in one cone.
+    Cofactor row i is (-1)^i times the normal of the wall without ray i,
+    taken over the wall's rays in increasing order, so ray i lies on its
+    positive side when D (-1)^i > 0.  The point is the sum of the first
+    cone's rays, interior to it, tested against the other cones' rows."""
+    if any(len(c) != dim for c in cones):
+        return None
+    tests, sides = [], {}
+    for c in cones:
+        m = [rays[i] for i in c]
+        cof = _cofactor_rows(m)
+        det = _dot(cof[0], m[0])
+        if not det:
+            return None
+        tests.append((det, cof))
+        for i in range(dim):
+            sides.setdefault(c[:i] + c[i + 1:], []).append((det > 0) == (i % 2 == 0))
+    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
+        return None
+    point = [sum(x) for x in zip(*(rays[i] for i in cones[0]))]
+    if any(all(_dot(row, point) * det >= 0 for row in cof) for det, cof in tests[1:]):
+        return None
+    # d independent rays in d dimensions: the gcd of the maximal minors is |D|
+    return {c: abs(det) for c, (det, _) in zip(cones, tests)}
+
+
 class Fan:
     """A fan given by primitive rays and maximal cones (ray index tuples),
     with the multiplicity of each simplicial maximal cone, read off the cone
-    test its validation builds."""
+    test its validation builds, and whether validation found it complete."""
 
-    __slots__ = ("dim", "rays", "maximal_cones", "_multiplicity")
+    __slots__ = ("dim", "rays", "maximal_cones", "_multiplicity", "_complete")
 
     def __init__(self, dim: int, rays, maximal_cones):
         if not _is_int(dim) or dim not in (2, 3):
@@ -226,16 +265,24 @@ class Fan:
         self.dim = dim
         self.rays = rays
         self.maximal_cones = tuple(cones)
+        # known complete only when the complete-simplicial route accepts
+        self._complete = False
         self._multiplicity = self._validate()
 
     # -- structural checks ---------------------------------------------------
 
     def _validate(self) -> dict:
         """Check the fan axioms; return {cone: multiplicity} for the
-        simplicial maximal cones."""
+        simplicial maximal cones.  A complete simplicial fan is accepted by
+        `_complete_simplicial`; any other goes through the per-cone checks,
+        which give every error message."""
         used = {i for c in self.maximal_cones for i in c}
         if used != set(range(len(self.rays))):
             raise ValueError("unused ray")
+        multiplicity = _complete_simplicial(self.dim, self.rays, self.maximal_cones)
+        if multiplicity is not None:
+            self._complete = True
+            return multiplicity
         tests, multiplicity = [], {}
         for c in self.maximal_cones:
             rays = [self.rays[i] for i in c]
@@ -277,17 +324,16 @@ class Fan:
         return all(len(c) <= self.dim for c in self.maximal_cones)
 
     def walls(self):
-        """Codimension-1 faces of maximal cones as frozensets of ray indices,
-        mapped to the list of cones containing them."""
+        """Codimension-1 faces of maximal cones as increasing ray-index
+        tuples, as `_complete_simplicial` keys them, mapped to the list of
+        cones containing them."""
         out: dict = {}
         for ci, c in enumerate(self.maximal_cones):
-            if self.dim == 2:
-                faces = [frozenset((i,)) for i in c]
-            elif len(c) == 3:
-                faces = [frozenset(p) for p in itertools.combinations(c, 2)]
+            if len(c) == self.dim:
+                faces = [c[:i] + c[i + 1:] for i in range(len(c))]
             else:
                 facets, _ = classify_cone_pairs(self.cone_rays(c))
-                faces = [frozenset((c[i], c[j])) for i, j in facets]
+                faces = [(c[i], c[j]) for i, j in facets]
             for f in faces:
                 out.setdefault(f, []).append(ci)
         return out
@@ -353,9 +399,12 @@ def principal_divisor(fan: Fan, m: Sequence[int]) -> tuple:
 
 
 def fan_is_complete(fan: Fan) -> bool:
-    """Wall test: every maximal cone is full-dimensional, every
-    codimension-1 face lies in exactly two maximal cones and the adjacency
-    graph is connected."""
+    """True for a fan whose validation took the complete-simplicial route;
+    for any other, the wall test: every maximal cone is full-dimensional,
+    every codimension-1 face lies in exactly two maximal cones and the
+    adjacency graph is connected."""
+    if fan._complete:
+        return True
     if any(len(c) < fan.dim for c in fan.maximal_cones):
         return False
     walls = fan.walls()

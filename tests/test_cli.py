@@ -511,6 +511,12 @@ FAN_CHECK_GOLDEN = {
                                 "simplicial: yes", "smooth: yes", "complete: yes",
                                 "fibration covector: (1, 0, 0)"]),
     "dup_cone_index.json": (2, None),
+    # two cones whose interiors share (0, 0, 1), neither holding a ray of the
+    # other: accepted today, though not a fan; this golden records that
+    # output until pairwise separation rejects the file
+    "overlapping_cones.json": (0, ["dimension: 3", "rays: 6", "maximal cones: 2",
+                                   "simplicial: yes", "smooth: no", "complete: no",
+                                   "fibration covector: (0, 0, 1)"]),
     "p2.json": (0, ["dimension: 2", "rays: 3", "maximal cones: 3", "simplicial: yes",
                     "smooth: yes", "complete: yes", "fibration covector: none"]),
     "two_ray_cone.json": (0, ["dimension: 3", "rays: 4", "maximal cones: 2",

@@ -522,13 +522,19 @@ def _blowup_chains(draw, max_blowups=4):
     fan = projective_plane_fan() if start == "plane" else hirzebruch_fan(start)
     for _ in range(draw(st.integers(0, max_blowups))):
         fan = blow_up_surface(fan, draw(st.sampled_from(fan.maximal_cones)))
+    return Fan(2, *_shuffled(draw, fan))
+
+
+def _shuffled(draw, fan):
+    """The fan's rays renumbered and its cones listed at random, each cone
+    in a random order."""
     perm = draw(st.permutations(range(len(fan.rays))))
     rays = [None] * len(fan.rays)
     for old, new in enumerate(perm):
         rays[new] = fan.rays[old]
     cones = [[perm[i] for i in c][::draw(st.sampled_from((1, -1)))]
              for c in draw(st.permutations(fan.maximal_cones))]
-    return Fan(2, rays, cones)
+    return rays, cones
 
 
 @settings(max_examples=100, deadline=None)
@@ -718,6 +724,175 @@ def test_fan_with_a_lower_dimensional_maximal_cone_is_not_complete():
     fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
               ((0, 1, 2), (2, 3)))
     assert not fan_is_complete(fan)
+
+
+# ---------------------------------------------------------------------------
+# the complete-simplicial route of validation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _complete_fans(draw):
+    """(dim, rays, cones) of a complete simplicial fan: a blown-up surface,
+    or a P^1-bundle over one with random twists, rays and cones shuffled."""
+    fan = draw(_blowup_chains())
+    if draw(st.booleans()):
+        n = len(fan.rays)
+        fan = build_p1_bundle_fan(fan, draw(st.lists(st.integers(-3, 3),
+                                                     min_size=n, max_size=n)))
+    return (fan.dim, *_shuffled(draw, fan))
+
+
+@st.composite
+def _mutated_fans(draw):
+    """A complete simplicial fan and a copy with one mutation: a ray moved
+    or negated, or a cone dropped, replaced or added."""
+    d, rays, cones = draw(_complete_fans())
+    mutant_rays, mutant_cones = list(rays), list(cones)
+    r = draw(st.integers(0, len(rays) - 1))
+    c = draw(st.integers(0, len(cones) - 1))
+    some_cone = st.lists(st.integers(0, len(rays) - 1), min_size=d, max_size=d,
+                         unique=True)
+    kind = draw(st.sampled_from(("move", "negate", "drop", "replace", "add")))
+    if kind == "move":
+        vectors = st.tuples(*[st.integers(-3, 3)] * d).filter(any).map(_primitive)
+        mutant_rays[r] = draw(vectors)
+    elif kind == "negate":
+        mutant_rays[r] = tuple(-x for x in rays[r])
+    elif kind == "drop":
+        del mutant_cones[c]
+    elif kind == "replace":
+        mutant_cones[c] = draw(some_cone)
+    else:
+        mutant_cones.append(draw(some_cone))
+    return (d, rays, cones), (d, mutant_rays, mutant_cones)
+
+
+def _outcome_with_completeness(cls, d, rays, cones):
+    try:
+        fan = cls(d, rays, cones)
+    except ValueError as e:
+        return str(e)
+    return "valid", fan_is_complete(fan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_fans())
+def test_complete_simplicial_route_matches_reference(case):
+    # the route accepts every complete simplicial fan and stores the gcd of
+    # the maximal minors of each cone; on a mutant the fan gives the
+    # reference's verdict, error message and completeness, whichever route
+    # it takes
+    (d, rays, cones), mutant = case
+    fan = Fan(d, rays, cones)
+    assert fan._complete
+    assert fan._multiplicity == {
+        c: _reference_gcd_of_maximal_minors(fan.cone_rays(c)) for c in fan.maximal_cones}
+    assert (_outcome_with_completeness(Fan, *mutant)
+            == _outcome_with_completeness(_ReferenceFan, *mutant))
+
+
+def _wall_sides(rays, cones):
+    """{wall: [side of the opposite ray, per cone on it]}, each side the sign
+    of the opposite ray against one normal of the wall, its ray turned a
+    quarter in 2-D or its two rays' cross product in 3-D."""
+    out = {}
+    for c in cones:
+        for k in c:
+            wall = tuple(sorted(set(c) - {k}))
+            w = [rays[i] for i in wall]
+            normal = (w[0][1], -w[0][0]) if len(w) == 1 else toric._cross3(*w)
+            out.setdefault(wall, []).append(toric._dot(normal, rays[k]) > 0)
+    return out
+
+
+def _times_covered(rays, cones, point):
+    return sum(_ReferenceCone([rays[i] for i in c], len(point)).contains(point)
+               for c in cones)
+
+
+def _cycle(n):
+    return [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+
+
+ZIGZAG = [(1, 0), (-1, 6), (-3, -1), (1, -2), (-1, -3), (6, -1)]
+DOUBLE_WRAP = [(1, 0), (-1, 6), (-3, -1), (1, -2), (5, 4), (-5, 4), (-1, -2), (3, -1)]
+# the same with (0, 1) on the second turn: the interior point (0, 6) of the
+# first cone lies on the boundary of two cones of the second turn
+DOUBLE_WRAP_ON_A_RAY = DOUBLE_WRAP[:5] + [(0, 1)] + DOUBLE_WRAP[5:]
+# the plane's fan and a cone on (1, 0) and (1, 1), which lies in the cone
+# on (1, 0) and (0, 1): the wall (1, 0) lies in three cones
+THREE_ON_A_WALL = (((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 1), (1, 2), (0, 2), (0, 3)))
+
+
+def test_route_declines_a_zigzag_cycle():
+    # every wall in two cones and the first cone's interior point covered
+    # once, but two walls have both their cones on one side
+    cones = _cycle(len(ZIGZAG))
+    sides = _wall_sides(ZIGZAG, cones)
+    assert all(len(s) == 2 for s in sides.values())
+    assert sum(s[0] == s[1] for s in sides.values()) == 2
+    assert _times_covered(ZIGZAG, cones, (0, 6)) == 1
+    assert toric._complete_simplicial(2, ZIGZAG, cones) is None
+    with pytest.raises(ValueError, match="ray inside another cone"):
+        Fan(2, ZIGZAG, cones)
+
+
+@pytest.mark.parametrize("rays, covered", [(DOUBLE_WRAP, 2), (DOUBLE_WRAP_ON_A_RAY, 3)])
+def test_route_declines_a_double_wrapped_cycle(rays, covered):
+    # every wall has its two cones on opposite sides, and the cycle winds
+    # around the origin twice, so the interior point is covered again
+    cones = _cycle(len(rays))
+    sides = _wall_sides(rays, cones)
+    assert all(len(s) == 2 and s[0] != s[1] for s in sides.values())
+    assert _times_covered(rays, cones, (0, 6)) == covered
+    assert toric._complete_simplicial(2, rays, cones) is None
+    with pytest.raises(ValueError, match="ray inside another cone"):
+        Fan(2, rays, cones)
+
+
+def test_route_declines_a_wall_in_three_cones():
+    rays, cones = THREE_ON_A_WALL
+    assert len(_wall_sides(rays, cones)[(0,)]) == 3
+    assert toric._complete_simplicial(2, rays, cones) is None
+    with pytest.raises(ValueError, match="ray inside another cone"):
+        Fan(2, rays, cones)
+
+
+def test_route_declines_the_overlapping_cones_file():
+    # two 3-D cones that both hold (0, 0, 1) in their interiors, and neither
+    # holds a ray of the other; the per-cone checks still accept the file
+    with open("tests/data/overlapping_cones.json", encoding="utf-8") as fh:
+        data = json.load(fh)
+    rays = [tuple(r) for r in data["rays"]]
+    cones = [tuple(c) for c in data["cones"]]
+    assert toric._complete_simplicial(3, rays, cones) is None
+    assert all(_ReferenceCone([rays[i] for i in c], 3).contains((0, 0, 1))
+               for c in cones)
+    assert not load_fan("tests/data/overlapping_cones.json")._complete
+
+
+def test_large_complete_fan_validates_without_cone_tests(monkeypatch, tmp_path, capsys):
+    # 4,004 rays in angular order: (1, k) and (-1, k) for |k| <= 1000,
+    # (0, 1) and (0, -1), each consecutive pair a smooth cone; the per-cone
+    # checks would test every ray against every cone
+    built = []
+    cone_test = toric._Cone
+
+    def counted(*args):
+        built.append(args)
+        return cone_test(*args)
+
+    monkeypatch.setattr(toric, "_Cone", counted)
+    rays = ([(1, k) for k in range(-1000, 1001)] + [(0, 1)]
+            + [(-1, k) for k in range(1000, -1001, -1)] + [(0, -1)])
+    fan = Fan(2, rays, _cycle(len(rays)))
+    assert fan._complete and fan_is_smooth(fan)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(fan.to_dict()))
+    assert certify_cli.main(["fan", "check", str(path)]) == 0
+    assert "complete: yes" in capsys.readouterr().out.splitlines()
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

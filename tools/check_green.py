@@ -10,11 +10,14 @@ perfbench/tests`), each writing a JUnit XML report to a temporary
 directory.  Exits 0 when the only failures are acceptance criteria 01 and
 05, which assert published values the recomputation contradicts, and
 nothing errors, fails to collect or stops the session; otherwise prints
-what differs and exits 1.
+what differs and exits 1.  Also prints the tier-1 suite's slowest tests
+with their times from its report, so that a growth of the suite's wall
+time can be traced to the tests that add it.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import pathlib
 import subprocess
@@ -34,6 +37,7 @@ SUITES = (
     ("tier-1", ["--continue-on-collection-errors"]),
     ("perfbench", ["perfbench/tests"]),
 )
+SLOWEST_SHOWN = 5
 
 
 def _run(args: list, xml_path: pathlib.Path) -> int:
@@ -45,17 +49,18 @@ def _run(args: list, xml_path: pathlib.Path) -> int:
 
 
 def _outcomes(xml_path: pathlib.Path) -> tuple:
-    """(test ids that failed, test ids that errored, tests run) from a
-    JUnit report; a collection error is an error on its module."""
-    failed, errored, total = set(), set(), 0
+    """(test ids that failed, test ids that errored, [(seconds, test id)]
+    for every test run) from a JUnit report; a collection error is an
+    error on its module."""
+    failed, errored, times = set(), set(), []
     for case in ET.parse(xml_path).getroot().iter("testcase"):
-        total += 1
         name = f"{case.get('classname')}::{case.get('name')}"
+        times.append((float(case.get("time") or 0), name))
         if case.find("failure") is not None:
             failed.add(name)
         if case.find("error") is not None:
             errored.add(name)
-    return failed, errored, total
+    return failed, errored, times
 
 
 def main() -> int:
@@ -70,8 +75,11 @@ def main() -> int:
                 print(f"{label}: pytest exited {code}")
                 print("not green")
                 return 1
-            f, e, total = _outcomes(xml_path)
-            print(f"{label}: {total} tests, {len(f)} failed, {len(e)} errors")
+            f, e, times = _outcomes(xml_path)
+            print(f"{label}: {len(times)} tests, {len(f)} failed, {len(e)} errors")
+            if label == "tier-1":
+                for seconds, name in heapq.nlargest(SLOWEST_SHOWN, times):
+                    print(f"  {seconds:6.2f} s  {name}")
             failed |= f
             errored |= e
     green = failed == EXPECTED_FAILURES and not errored
