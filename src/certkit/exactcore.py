@@ -461,21 +461,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.den + other.num * self.den,
-                                    self.den * other.den)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.den - other.num * self.den,
-                                    self.den * other.den)
-        return NotImplemented
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return RationalFunction(self.num * other.num, self.den * other.den)

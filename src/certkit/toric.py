@@ -19,7 +19,10 @@ linear in its cones, from one determinant per cone, the two cones on each
 wall and one covered point, with no cone test.  Any other fan, or one that
 route declines, gets the per-cone checks: each cone tests its foreign rays
 in one pass, and since cones of one size nest only when equal, each cone
-is compared with larger ones only.  Strong
+is compared with larger ones only.  Completeness is one verdict of
+validation: the linear route's acceptance, or for a fan with cones of more
+than three rays, the same route's verdict on those cones cut into triangles
+along their own rays.  Strong
 convexity is the same membership test asked of the rays' negatives: a cone
 is strongly convex when no ray's negative lies in it.  Independence of
 simplicial rays is the nonvanishing of a maximal minor, and every integer
@@ -229,7 +232,8 @@ def _complete_simplicial(dim: int, rays, cones):
 class Fan:
     """A fan given by primitive rays and maximal cones (ray index tuples),
     with the multiplicity of each simplicial maximal cone, read off the cone
-    test its validation builds, and whether validation found it complete."""
+    test its validation builds, and whether its cones cover the whole space,
+    which validation decides for every fan."""
 
     __slots__ = ("dim", "rays", "maximal_cones", "_multiplicity", "_complete")
 
@@ -265,23 +269,24 @@ class Fan:
         self.dim = dim
         self.rays = rays
         self.maximal_cones = tuple(cones)
-        # known complete only when the complete-simplicial route accepts
-        self._complete = False
         self._multiplicity = self._validate()
 
     # -- structural checks ---------------------------------------------------
 
     def _validate(self) -> dict:
-        """Check the fan axioms; return {cone: multiplicity} for the
-        simplicial maximal cones.  A complete simplicial fan is accepted by
-        `_complete_simplicial`; any other goes through the per-cone checks,
-        which give every error message."""
+        """Check the fan axioms, set `_complete`, and return {cone:
+        multiplicity} for the simplicial maximal cones.  A complete
+        simplicial fan is accepted by `_complete_simplicial`; any other goes
+        through the per-cone checks, which give every error message, and is
+        complete only when it has a cone of more than three rays and
+        `_complete_simplicial` accepts it with those cones cut into
+        triangles."""
         used = {i for c in self.maximal_cones for i in c}
         if used != set(range(len(self.rays))):
             raise ValueError("unused ray")
         multiplicity = _complete_simplicial(self.dim, self.rays, self.maximal_cones)
-        if multiplicity is not None:
-            self._complete = True
+        self._complete = multiplicity is not None
+        if self._complete:
             return multiplicity
         tests, multiplicity = [], {}
         for c in self.maximal_cones:
@@ -315,6 +320,18 @@ class Fan:
         for c, test in zip(cones, tests):
             if test.holds_any([r for i, r in enumerate(self.rays) if i not in c]):
                 raise ValueError("ray inside another cone")
+        if not self.is_simplicial():
+            # join each larger cone's first ray to its facets off that ray;
+            # facets are increasing local pairs, so each triangle is sorted,
+            # and the checks above leave no coplanar rays to raise on
+            cut = []
+            for c in cones:
+                if len(c) > 3:
+                    facets, _ = classify_cone_pairs(self.cone_rays(c))
+                    cut += [(c[0], c[i], c[j]) for i, j in facets if i]
+                else:
+                    cut.append(c)
+            self._complete = _complete_simplicial(3, self.rays, cut) is not None
         return multiplicity
 
     def cone_rays(self, cone) -> list:
@@ -322,21 +339,6 @@ class Fan:
 
     def is_simplicial(self) -> bool:
         return all(len(c) <= self.dim for c in self.maximal_cones)
-
-    def walls(self):
-        """Codimension-1 faces of maximal cones as increasing ray-index
-        tuples, as `_complete_simplicial` keys them, mapped to the list of
-        cones containing them."""
-        out: dict = {}
-        for ci, c in enumerate(self.maximal_cones):
-            if len(c) == self.dim:
-                faces = [c[:i] + c[i + 1:] for i in range(len(c))]
-            else:
-                facets, _ = classify_cone_pairs(self.cone_rays(c))
-                faces = [(c[i], c[j]) for i, j in facets]
-            for f in faces:
-                out.setdefault(f, []).append(ci)
-        return out
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -399,31 +401,9 @@ def principal_divisor(fan: Fan, m: Sequence[int]) -> tuple:
 
 
 def fan_is_complete(fan: Fan) -> bool:
-    """True for a fan whose validation took the complete-simplicial route;
-    for any other, the wall test: every maximal cone is full-dimensional,
-    every codimension-1 face lies in exactly two maximal cones and the
-    adjacency graph is connected."""
-    if fan._complete:
-        return True
-    if any(len(c) < fan.dim for c in fan.maximal_cones):
-        return False
-    walls = fan.walls()
-    if any(len(cs) != 2 for cs in walls.values()):
-        return False
-    adj: dict = {i: set() for i in range(len(fan.maximal_cones))}
-    for cs in walls.values():
-        a, b = cs
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(fan.maximal_cones)
+    """Whether the fan's cones cover the whole space, as its validation
+    decided."""
+    return fan._complete
 
 
 def surface_self_intersections(fan: Fan) -> tuple:
@@ -560,10 +540,6 @@ def enumerate_qfactorializations(fan: Fan) -> list:
     """All simplicial subdivisions using only the fan's own rays.  Each
     non-simplicial cone must have exactly four rays (one interior diagonal
     to choose); ordering is lexicographic in the chosen diagonals."""
-    if fan.dim != 3:
-        if fan.is_simplicial():
-            return [fan]
-        raise ValueError("beyond desk scale")
     choices = []
     for ci, c in enumerate(fan.maximal_cones):
         if len(c) <= 3:

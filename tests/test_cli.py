@@ -217,6 +217,41 @@ def test_split_failing_everywhere_fails_without_a_traceback(monkeypatch, capsys)
         "conic-seeded-oracle-agreement", "conic-case-split-corrected"}
 
 
+# each case drifts the kernel that one grid or seeded check reads, so that
+# the check's `return False` runs: suite, certificate, module, kernel, and the
+# drifted kernel made from the real one
+DRIFTED_KERNELS = {
+    "pieri": ("schubert", "mul-pieri-agreement-gr25", "schubert", "mul_via_pieri",
+              lambda real: lambda x, y: real(x, y) + x),
+    "degree": ("schubert", "duality-pairing-gr25", "schubert", "degree",
+               lambda real: lambda x: real(x) + 1),
+    # not associative on Gr(2, 6), which only the seeded trials use
+    "associativity": ("schubert", "associativity-seeded", "schubert", "mul",
+                      lambda real: lambda x, y: real(x, y) + x if x.n == 6 else real(x, y)),
+    "noether-fixed": ("toric", "noether-smooth-surfaces", "toric", "noether_number",
+                      lambda real: lambda fan: 13),
+    # wrong on the blown-up surfaces only, which have more than four rays
+    "noether-blowups": ("toric", "noether-smooth-surfaces", "toric", "noether_number",
+                        lambda real: lambda fan: real(fan) + (len(fan.rays) > 4)),
+    "veronese-map": ("veronese", "veronese-map-membership-seeded", "veronese", "veronese_map",
+                     lambda real: lambda pt: (real(pt)[0] + 1, *real(pt)[1:])),
+    "secant-stratum": ("veronese", "veronese-map-membership-seeded", "veronese",
+                       "secant_stratum",
+                       lambda real: lambda pt: cli.veronese.SecantStratum.GENERIC),
+    "bott": ("hodge", "bott-grid-agreement", "hodge", "bott_h0",
+             lambda real: lambda p, d, n: real(p, d, n) + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFTED_KERNELS))
+def test_drifted_kernel_fails_its_check(monkeypatch, capsys, case):
+    suite, cert_id, module, name, drift = DRIFTED_KERNELS[case]
+    module = getattr(cli, module)
+    monkeypatch.setattr(module, name, drift(getattr(module, name)))
+    assert cli.main(["run", suite]) == 1
+    assert cert_id in _failed_ids(capsys.readouterr().out)
+
+
 def test_pinned_diagonal_certificates(all_report):
     by_id = {c.id: c for c in all_report.certificates}
     smooth = by_id["l014-delta1-smooth"]
@@ -474,7 +509,7 @@ def test_fan_check_plane_has_no_fibration(capsys):
 
 def test_fan_check_two_ray_cone_is_not_complete(capsys):
     # a maximal cone with fewer than dim rays is not full-dimensional, so
-    # the fan is not complete; the wall test used to raise on the 2-ray cone
+    # the fan is not complete
     assert cli.main(["fan", "check", str(DATA / "two_ray_cone.json")]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -510,6 +545,12 @@ FAN_CHECK_GOLDEN = {
     "bundle_fan_s14.json": (0, ["dimension: 3", "rays: 6", "maximal cones: 8",
                                 "simplicial: yes", "smooth: yes", "complete: yes",
                                 "fibration covector: (1, 0, 0)"]),
+    # the four triangles on a square cover the cone over it twice and miss
+    # (0, 0, -1): not complete, and not a fan either; this golden records
+    # the output until pairwise separation rejects the file
+    "double_cover_cone.json": (0, ["dimension: 3", "rays: 4", "maximal cones: 4",
+                                   "simplicial: yes", "smooth: no", "complete: no",
+                                   "fibration covector: (0, 0, 1)"]),
     "dup_cone_index.json": (2, None),
     # two cones whose interiors share (0, 0, 1), neither holding a ray of the
     # other: accepted today, though not a fan; this golden records that

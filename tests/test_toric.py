@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from certkit import certify_cli, exactcore, toric
 from certkit.toric import (
+    MAX_CONE_RAYS,
     Fan,
     blow_up_surface,
     build_p1_bundle_fan,
@@ -720,7 +721,8 @@ def test_divisor_pairings_are_the_intersection_table(fan, m, c):
 
 
 def test_fan_with_a_lower_dimensional_maximal_cone_is_not_complete():
-    # the wall test asked the 2-ray cone for its facets and raised
+    # the 2-ray cone is not full-dimensional, so no cut into triangles can
+    # cover the space
     fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
               ((0, 1, 2), (2, 3)))
     assert not fan_is_complete(fan)
@@ -768,12 +770,43 @@ def _mutated_fans(draw):
     return (d, rays, cones), (d, mutant_rays, mutant_cones)
 
 
+def _reference_is_complete(fan):
+    """The wall test that decided completeness before validation did: every
+    maximal cone is full-dimensional, every wall (a simplicial cone minus
+    one ray, or a facet of a larger cone) lies in exactly two cones, and the
+    cones are connected across walls."""
+    if any(len(c) < fan.dim for c in fan.maximal_cones):
+        return False
+    walls = {}
+    for ci, c in enumerate(fan.maximal_cones):
+        if len(c) == fan.dim:
+            faces = [c[:i] + c[i + 1:] for i in range(len(c))]
+        else:
+            facets, _ = toric.classify_cone_pairs(fan.cone_rays(c))
+            faces = [(c[i], c[j]) for i, j in facets]
+        for f in faces:
+            walls.setdefault(f, []).append(ci)
+    if any(len(cs) != 2 for cs in walls.values()):
+        return False
+    adj = {i: set() for i in range(len(fan.maximal_cones))}
+    for a, b in walls.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return len(seen) == len(fan.maximal_cones)
+
+
 def _outcome_with_completeness(cls, d, rays, cones):
     try:
         fan = cls(d, rays, cones)
     except ValueError as e:
         return str(e)
-    return "valid", fan_is_complete(fan)
+    return "valid", (_reference_is_complete(fan) if cls is _ReferenceFan
+                     else fan_is_complete(fan))
 
 
 @settings(max_examples=300, deadline=None)
@@ -790,6 +823,52 @@ def test_complete_simplicial_route_matches_reference(case):
         c: _reference_gcd_of_maximal_minors(fan.cone_rays(c)) for c in fan.maximal_cones}
     assert (_outcome_with_completeness(Fan, *mutant)
             == _outcome_with_completeness(_ReferenceFan, *mutant))
+
+
+@st.composite
+def _contracted_bundles(draw):
+    """A P^1-bundle over a blown-up surface with one pole contracted, so
+    that the pole's star becomes one cone of 4 to MAX_CONE_RAYS rays; rays
+    and cones shuffled.  The twists are an ample divisor, positive on every
+    boundary curve, which makes the down pole contractible, or its negative,
+    which makes the up pole contractible: the plane's D_0 or Hirzebruch's
+    D_0 + D_3, which each blowup pulls back, scales by 2 or 3 and takes the
+    exceptional curve off, plus a principal divisor."""
+    start = draw(st.sampled_from(("plane", 0, 1, 2, 3)))
+    if start == "plane":
+        base, a = projective_plane_fan(), [1, 0, 0]
+    else:
+        base, a = hirzebruch_fan(start), [1, 0, 0, 1]
+    size = draw(st.integers(4, MAX_CONE_RAYS))
+    while len(base.rays) < size:
+        i, j = cone = draw(st.sampled_from(base.maximal_cones))
+        k = draw(st.integers(2, 3))
+        a = [k * x for x in a] + [k * (a[i] + a[j]) - 1]
+        base = blow_up_surface(base, cone)
+    m = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    sign = draw(st.sampled_from((1, -1)))
+    a = [sign * x + p for x, p in zip(a, principal_divisor(base, m))]
+    n = len(base.rays)
+    fan = contract_ray(build_p1_bundle_fan(base, a), n + 1 if sign > 0 else n)
+    return Fan(3, *_shuffled(draw, fan))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_contracted_bundles(), st.data())
+def test_completeness_of_non_simplicial_fans_matches_reference(fan, data):
+    # a contraction is complete and a copy with one cone dropped is not;
+    # the larger cone is cut into triangles on whichever ray comes first,
+    # and the q-factorializations of a 4-ray cone take the simplicial route
+    assert not fan.is_simplicial()
+    cones = list(fan.maximal_cones)
+    del cones[data.draw(st.integers(0, len(cones) - 1))]
+    dropped = Fan(3, fan.rays, cones)
+    assert fan_is_complete(fan) and not fan_is_complete(dropped)
+    for f in (fan, dropped):
+        simplicial = (enumerate_qfactorializations(f)
+                      if max(map(len, f.maximal_cones)) <= 4 else [])
+        for g in [f, *simplicial]:
+            assert fan_is_complete(g) == _reference_is_complete(g)
 
 
 def _wall_sides(rays, cones):
@@ -870,6 +949,33 @@ def test_route_declines_the_overlapping_cones_file():
     assert all(_ReferenceCone([rays[i] for i in c], 3).contains((0, 0, 1))
                for c in cones)
     assert not load_fan("tests/data/overlapping_cones.json")._complete
+
+
+DOUBLE_COVER_RAYS = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+DOUBLE_COVER_CONES = tuple(itertools.combinations(range(4), 3))
+
+
+def test_double_cover_of_a_cone_is_not_complete():
+    # the four triangles on a square cover the cone over it twice and miss
+    # (0, 0, -1); no foreign ray lies in a cone, so the per-cone checks
+    # accept the file, and every wall lies in two cones, so
+    # `_reference_is_complete` calls it complete
+    fan = load_fan("tests/data/double_cover_cone.json")
+    assert fan.rays == DOUBLE_COVER_RAYS and fan.maximal_cones == DOUBLE_COVER_CONES
+    assert _times_covered(fan.rays, fan.maximal_cones, (1, 2, 8)) == 2
+    assert _times_covered(fan.rays, fan.maximal_cones, (0, 0, -1)) == 0
+    assert _reference_is_complete(fan)
+    assert not fan_is_complete(fan)
+
+
+def test_two_double_covers_are_not_complete():
+    # the same cones again on z = -1: two components, which
+    # `_reference_is_complete` declines too
+    rays = DOUBLE_COVER_RAYS + tuple((x, y, -z) for x, y, z in DOUBLE_COVER_RAYS)
+    cones = DOUBLE_COVER_CONES + tuple(tuple(i + 4 for i in c) for c in DOUBLE_COVER_CONES)
+    fan = Fan(3, rays, cones)
+    assert not _reference_is_complete(fan)
+    assert not fan_is_complete(fan)
 
 
 def test_large_complete_fan_validates_without_cone_tests(monkeypatch, tmp_path, capsys):
@@ -1008,6 +1114,10 @@ def test_qfactorializations_simplicial_identity():
     tris = enumerate_qfactorializations(P3)
     assert len(tris) == 1
     assert tris[0].maximal_cones == P3.maximal_cones
+
+
+def test_qfactorializations_of_a_surface_fan_are_the_fan():
+    assert enumerate_qfactorializations(S14) == [S14]
 
 
 def test_qfactorializations_desk_scale_limit():
