@@ -127,8 +127,6 @@ def encode_value(value):
         return encode_value(value.value)
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (set, frozenset)):
-        return [encode_value(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     raise TypeError(f"value not encodable: {type(value).__name__}")
@@ -176,15 +174,6 @@ def _render_poly(p: Polynomial) -> str:
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def _weight1(fc) -> Fraction:
-    return fc.terms.get((1, 0, 0, 0), Fraction(0))
-
-
-def _weight2(fc) -> list:
-    return [fc.terms.get(e, Fraction(0))
-            for e in ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +502,13 @@ def _compute_schubert(config: RunConfig) -> dict:
     det = schubert.v5_separability_details()
     ch = det.cotangent_character
     tw = det.chern
-    c3_vector = list(schubert.weight3_vector(tw.classes[3]))
+    c3_vector = list(schubert.weight_vector(tw.classes[3], 3))
     return {
-        "cotangent-ch1-v5": _weight1(ch.ch1),
-        "cotangent-ch2-v5": _weight2(ch.ch2),
-        "cotangent-ch3-v5": list(schubert.weight3_vector(ch.ch3)),
-        "twisted-c1-v5": _weight1(tw.classes[1]),
-        "twisted-c2-v5": _weight2(tw.classes[2]),
+        "cotangent-ch1-v5": schubert.weight_vector(ch.ch1, 1)[0],
+        "cotangent-ch2-v5": list(schubert.weight_vector(ch.ch2, 2)),
+        "cotangent-ch3-v5": list(schubert.weight_vector(ch.ch3, 3)),
+        "twisted-c1-v5": schubert.weight_vector(tw.classes[1], 1)[0],
+        "twisted-c2-v5": list(schubert.weight_vector(tw.classes[2], 2)),
         "twisted-c3-v5": c3_vector,
         "twisted-c3-v5-recomputed": c3_vector,
         "degree-table-v5": list(det.degree_table),

@@ -210,6 +210,8 @@ class Polynomial:
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent vector length mismatch")
+                if not all(_is_int(e) and e >= 0 for e in exps):
+                    raise ValueError(f"exponents must be nonnegative integers: {list(exps)}")
                 if type(coeff) not in _EXACT_TYPES:
                     raise ValueError(f"coefficient {_EXACT_MESSAGE}: {coeff!r}")
                 key = tuple(exps)

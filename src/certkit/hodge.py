@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .exactcore import (
     Polynomial,
+    _exact_ints,
     _is_int,
     kernel_dimension,
     matrix_rank,
@@ -29,6 +30,7 @@ from .exactcore import (
 def chi_pn(m: int, N: int) -> int:
     """Euler characteristic of the m-th twisting sheaf on projective
     N-space, as the signed binomial in closed form."""
+    m, N = _exact_ints((m, N), "twist and dimension")
     if N < 0:
         raise ValueError("negative ambient dimension")
     if m >= 0:
@@ -87,6 +89,7 @@ def h0_omega_p(p: int, d: int, N: int) -> int:
     weight block at a time.  A block depends only on the size of its
     weight's support, so each support size's block is eliminated once.
     """
+    p, d, N = _exact_ints((p, d, N), "form degree, twist and dimension")
     if N < 1:
         raise ValueError("ambient dimension must be positive")
     if not 0 <= p <= N:
@@ -120,6 +123,7 @@ def _block_nullity(size: int, p: int) -> int:
 def bott_h0(p: int, d: int, N: int) -> int:
     """Closed-form section count for twisted p-forms on projective space;
     an independent oracle for h0_omega_p."""
+    p, d, N = _exact_ints((p, d, N), "form degree, twist and dimension")
     if not 0 <= p <= N:
         raise ValueError("form degree out of range")
     if d < 0:

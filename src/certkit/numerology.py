@@ -1,6 +1,7 @@
 """Small exact computations on polarized varieties: delta-genus
 bookkeeping, degree and divisibility constraints, scroll invariants, and a
-Riemann-Roch parity check.  All arithmetic is integer or Fraction."""
+Riemann-Roch parity check.  All arithmetic is integer or Fraction, and an
+integer argument must be a plain int: a float or a bool is a ValueError."""
 
 from __future__ import annotations
 
@@ -8,7 +9,15 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Set, Tuple
 
-from .exactcore import _exact_rational, _is_int
+from .exactcore import _exact_ints, _exact_rational, _is_int
+
+
+def _int(x, what: str) -> int:
+    """x when it is a plain int; else ValueError, where a float would give a
+    float answer or a TypeError and a bool would read as 0 or 1."""
+    if not _is_int(x):
+        raise ValueError(f"{what} must be an integer: {x!r}")
+    return x
 
 
 def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
@@ -16,9 +25,7 @@ def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
     of the given dimension, top self-intersection of the polarization and
     dimension of its space of sections.  The dimension must be a positive
     int, the other two ints or Fractions; anything else is a ValueError."""
-    if not _is_int(dim):
-        raise ValueError(f"dimension must be an integer: {dim!r}")
-    if dim < 1:
+    if _int(dim, "dimension") < 1:
         raise ValueError("dimension must be positive")
     return (dim + _exact_rational(top_self_intersection, "top self-intersection")
             - _exact_rational(h0, "h0"))
@@ -26,7 +33,7 @@ def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
 
 def admissible_projection_degrees(bound: int = 10) -> tuple:
     """Degrees within the bound for which 4/degree - 3 is nonnegative."""
-    if bound < 1:
+    if _int(bound, "bound") < 1:
         raise ValueError("bound must be positive")
     out = []
     for deg in range(1, bound + 1):
@@ -52,9 +59,10 @@ DivisibilitySolution = namedtuple("DivisibilitySolution", ["prime", "genus", "co
 def p_divisibility_solutions(g_min: int, g_max: int, excluded: Iterable[int] = ()) -> set:
     """All (prime, genus, cofactor) with genus in the closed range, genus
     not excluded, and genus - 1 = cofactor * prime^2."""
+    g_min, g_max = _exact_ints((g_min, g_max), "genus bounds")
     if g_min > g_max:
         raise ValueError("empty genus range")
-    excluded = set(excluded)
+    excluded = set(_exact_ints(excluded, "excluded genera"))
     out = set()
     for g in range(g_min, g_max + 1):
         if g in excluded:
@@ -70,12 +78,12 @@ def p_divisibility_solutions(g_min: int, g_max: int, excluded: Iterable[int] = (
 
 def scroll_degree(twists: Iterable[int]) -> int:
     """Degree of a projective bundle scroll from its twist data."""
-    return sum(twists)
+    return sum(_exact_ints(twists, "twists"))
 
 
 def scroll_splittings(total: int) -> set:
     """Unordered positive splittings of the total twist into two parts."""
-    if total < 0:
+    if _int(total, "total") < 0:
         raise ValueError("negative total")
     return {(a, total - a) for a in range(1, total // 2 + 1)}
 
@@ -83,6 +91,7 @@ def scroll_splittings(total: int) -> set:
 def divisibility_obstruction(genus: int, divisor: int) -> Tuple[int, bool]:
     """The degree 2*genus - 4 together with whether the divisor fails to
     divide it; a True flag obstructs the corresponding quotient."""
+    genus, divisor = _exact_ints((genus, divisor), "genus and divisor")
     if divisor < 1:
         raise ValueError("divisor must be positive")
     value = (2 * genus - 8) + 4
@@ -97,4 +106,4 @@ def g10_obstruction() -> Tuple[int, bool]:
 def surface_rr_parity(self_intersection: int) -> bool:
     """Whether the surface Riemann-Roch correction term is an integer,
     i.e. the self-intersection is even."""
-    return self_intersection % 2 == 0
+    return _int(self_intersection, "self-intersection") % 2 == 0

@@ -226,8 +226,13 @@ def degree(x: SchubertElement) -> Fraction:
 FORMAL_GENERATORS = ("s1", "s11", "s2", "s3")
 FORMAL_WEIGHTS = (1, 2, 2, 3)
 
-# every weight-3 monomial, in a fixed order: s1^3, s1*s11, s1*s2, s3
-WEIGHT3_BASIS = ((3, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
+# every monomial of weight 1, 2 and 3, in a fixed order: s1; s1^2, s11, s2;
+# s1^3, s1*s11, s1*s2, s3
+WEIGHT_BASES = {
+    1: ((1, 0, 0, 0),),
+    2: ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+    3: ((3, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)),
+}
 
 ONE = Polynomial.constant(FORMAL_GENERATORS, Fraction(1))
 ZERO = Polynomial.zero(FORMAL_GENERATORS)
@@ -241,9 +246,10 @@ def _weights(p: Polynomial) -> set:
     return {sum(e * w for e, w in zip(exps, FORMAL_WEIGHTS)) for exps in p.terms}
 
 
-def weight3_vector(p: Polynomial) -> tuple:
-    """Coefficients of a formal class on the basis (s1^3, s1*s11, s1*s2, s3)."""
-    return tuple(p.terms.get(e, Fraction(0)) for e in WEIGHT3_BASIS)
+def weight_vector(p: Polynomial, w: int) -> tuple:
+    """Coefficients of a formal class on the weight-w monomials of
+    WEIGHT_BASES, for w = 1, 2, 3."""
+    return tuple(p.terms.get(e, Fraction(0)) for e in WEIGHT_BASES[w])
 
 
 def _to_schubert(p: Polynomial, n: int) -> SchubertElement:
@@ -389,7 +395,7 @@ def weight3_degree_table(n: int = 5) -> tuple:
     on Gr(2,n): the pairing used on a codimension-3 linear section."""
     s1_cubed = SchubertElement.sigma(n, 1) ** 3
     out = []
-    for e in WEIGHT3_BASIS:
+    for e in WEIGHT_BASES[3]:
         mono = Polynomial(FORMAL_GENERATORS, {e: Fraction(1)})
         out.append(int(degree(mul(_to_schubert(mono, n), s1_cubed))))
     return tuple(out)
@@ -418,7 +424,7 @@ def v5_separability_details() -> V5Report:
     c = character_to_chern(ch_tw, 6)
     coeffs = restriction_coefficients()
     cbar3 = restrict_third_chern(c)
-    vec = weight3_vector(cbar3)
+    vec = weight_vector(cbar3, 3)
     table = weight3_degree_table(5)
     value = sum(v * t for v, t in zip(vec, table))
     if value.denominator != 1:

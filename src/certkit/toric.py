@@ -8,31 +8,35 @@ search for a covector inducing a fibration to the projective line.
 Rays are primitive integer vectors.  `Fan` alone checks a fan's values and
 rejects, never mends: a non-primitive ray, a repeated cone index and a cone
 of more than MAX_CONE_RAYS rays are errors; the file loader checks only the
-JSON shape `Fan` needs to be called.  Cone membership is
-decided on integers alone: by Caratheodory's theorem a point lies in a cone
-exactly when it is a nonnegative combination of some basis of the rays'
-span, and each basis is tested by the signs of its integer Cramer
-numerators, never by division or floating point.  A cone's cofactor rows
-are read off the adjugate once, lifted to all d coordinates.  Validation
-takes one of two routes.  A complete simplicial fan is decided in time
-linear in its cones, from one determinant per cone, the two cones on each
-wall and one covered point, with no cone test.  Any other fan, or one that
-route declines, gets the per-cone checks: each cone tests its foreign rays
-in one pass, and since cones of one size nest only when equal, each cone
-is compared with larger ones only.  Completeness is one verdict of
-validation: the linear route's acceptance, or for a fan with cones of more
-than three rays, the same route's verdict on those cones cut into triangles
-along their own rays.  Strong
-convexity is the same membership test asked of the rays' negatives: a cone
-is strongly convex when no ray's negative lies in it.  Independence of
-simplicial rays is the nonvanishing of a maximal minor, and every integer
-determinant beyond the 2- and 3-row closed forms is
-`exactcore.int_determinant`.  A simplicial cone's multiplicity, the gcd of
-its maximal minors, is read off the same test: its minor and the entries
-of its rows outside the minor, which by Cramer are the other maximal
-minors up to sign; a fan keeps it for each simplicial maximal cone.  On a
-complete surface the neighbours of a ray are the other rays of the two
-cones on it, so self-intersections need no angular sort.
+JSON shape `Fan` needs to be called.  Cone membership is decided on
+integers alone: by Caratheodory's theorem a point lies in a cone exactly
+when it is a nonnegative combination of some basis of the rays' span, and
+each basis is tested by the signs of its integer Cramer numerators, never
+by division or floating point.  A cone's cofactor rows are read off the
+adjugate once, lifted to all d coordinates.  Validation takes one of two
+routes.  A complete simplicial fan is decided in time linear in its cones,
+from one determinant per cone, the two cones on each wall and one covered
+point, with no cone test.  Any other fan, or one that route declines, gets
+the per-cone checks: each cone tests its foreign rays in one pass, and
+since cones of one size nest only when equal, each cone is compared with
+larger ones only.  Completeness is one verdict of validation: the linear
+route's acceptance, or for a fan with cones of more than three rays, the
+same route's verdict on those cones cut into triangles along their own
+rays.  Strong convexity is the same membership test asked of the rays'
+negatives: a cone is strongly convex when no ray's negative lies in it.  A
+pointed cone of more than three rays is then read from one pass over its
+ray pairs, `_facets`: every ray is extremal exactly when it has as many
+facets as rays, its triangles join its first ray to the facets off it, and
+a four-ray cone's other two pairs are the diagonals that its
+q-factorializations choose between.  Independence of simplicial rays is the
+nonvanishing of a maximal minor, and every integer determinant beyond the
+2- and 3-row closed forms is `exactcore.int_determinant`.  A simplicial
+cone's multiplicity, the gcd of its maximal minors, is read off the same
+test: its minor and the entries of its rows outside the minor, which by
+Cramer are the other maximal minors up to sign; a fan keeps it for each
+simplicial maximal cone.  On a complete surface the neighbours of a ray are
+the other rays of the two cones on it, so self-intersections need no
+angular sort.
 """
 
 from __future__ import annotations
@@ -168,25 +172,21 @@ def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
     return not _Cone(rays, d).holds_any([tuple(-x for x in r) for r in rays])
 
 
-def classify_cone_pairs(rays: Sequence[tuple]):
-    """For a full-dimensional 3D cone on >= 3 extremal rays, split the ray
-    pairs into facets and interior diagonals by the supporting-plane test."""
-    n = len(rays)
-    facets, diagonals = [], []
-    for i, j in itertools.combinations(range(n), 2):
+def _facets(rays: Sequence[tuple]) -> list:
+    """The ray pairs (i, j), i < j, of a 3-D cone whose plane has every
+    other ray strictly on one side; a zero normal or a ray on the plane
+    disqualifies a pair, and nothing raises.  A plane section of a pointed
+    cone is a convex polygon whose vertices are the extremal rays (Cox-
+    Little-Schenck 1.2; Ziegler, Lectures on Polytopes, ch. 2), so a
+    pointed cone on n rays has n pairs, the polygon's edges, exactly when
+    every ray is extremal; its other pairs are then interior diagonals."""
+    out = []
+    for i, j in itertools.combinations(range(len(rays)), 2):
         normal = _cross3(rays[i], rays[j])
-        if all(c == 0 for c in normal):
-            raise ValueError("parallel rays in cone")
-        signs = {(_dot(normal, rays[k]) > 0) - (_dot(normal, rays[k]) < 0)
-                 for k in range(n) if k not in (i, j)}
-        if signs == {1} or signs == {-1}:
-            facets.append((i, j))
-        elif 1 in signs and -1 in signs:
-            diagonals.append((i, j))
-        else:
-            # some other ray on the plane through this pair
-            raise ValueError("degenerate cone: coplanar rays")
-    return facets, diagonals
+        sides = [_dot(normal, r) for k, r in enumerate(rays) if k != i and k != j]
+        if all(x > 0 for x in sides) or all(x < 0 for x in sides):
+            out.append((i, j))
+    return out
 
 
 # validating a cone costs time that grows steeply with its ray count (a
@@ -288,7 +288,7 @@ class Fan:
         self._complete = multiplicity is not None
         if self._complete:
             return multiplicity
-        tests, multiplicity = [], {}
+        tests, multiplicity, cut = [], {}, []  # cut: each larger cone as triangles
         for c in self.maximal_cones:
             rays = [self.rays[i] for i in c]
             test = _Cone(rays, self.dim)
@@ -297,15 +297,18 @@ class Fan:
                 if test.rank != len(c):
                     raise ValueError("dependent rays in simplicial cone")
                 multiplicity[c] = test.multiplicity()
+                cut.append(c)
             else:
                 if self.dim != 3:
                     raise ValueError("overfull cone in dimension 2")
                 if test.holds_any([tuple(-x for x in r) for r in rays]):
                     raise ValueError("not strongly convex")
-                for k in range(len(c)):
-                    others = [r for t, r in enumerate(rays) if t != k]
-                    if _Cone(others, self.dim).holds_any([rays[k]]):
-                        raise ValueError("non-extremal ray in cone")
+                facets = _facets(rays)
+                if len(facets) != len(c):
+                    raise ValueError("non-extremal ray in cone")
+                # join the first ray to the facets off it; facets are
+                # increasing local pairs, so each triangle is sorted
+                cut += [(c[0], c[i], c[j]) for i, j in facets if i]
             tests.append(test)
         # no cone swallowed by another: cones of one size nest only when
         # equal, so look for a repeat, then test cones against larger ones
@@ -321,16 +324,6 @@ class Fan:
             if test.holds_any([r for i, r in enumerate(self.rays) if i not in c]):
                 raise ValueError("ray inside another cone")
         if not self.is_simplicial():
-            # join each larger cone's first ray to its facets off that ray;
-            # facets are increasing local pairs, so each triangle is sorted,
-            # and the checks above leave no coplanar rays to raise on
-            cut = []
-            for c in cones:
-                if len(c) > 3:
-                    facets, _ = classify_cone_pairs(self.cone_rays(c))
-                    cut += [(c[0], c[i], c[j]) for i, j in facets if i]
-                else:
-                    cut.append(c)
             self._complete = _complete_simplicial(3, self.rays, cut) is not None
         return multiplicity
 
@@ -513,9 +506,8 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     if fan.dim != 3:
         raise ValueError("contraction implemented for 3D fans only")
     _index(ray_index, len(fan.rays), "ray index")
+    # `Fan` rejects unused rays, so the star is never empty
     star = [c for c in fan.maximal_cones if ray_index in c]
-    if not star:
-        raise ValueError("ray not in any maximal cone")
     star_ray_idx = sorted({i for c in star for i in c})
     star_rays = [fan.rays[i] for i in star_ray_idx]
     # the candidate support includes the contracted ray; a line in the hull
@@ -538,35 +530,27 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
 
 def enumerate_qfactorializations(fan: Fan) -> list:
     """All simplicial subdivisions using only the fan's own rays.  Each
-    non-simplicial cone must have exactly four rays (one interior diagonal
-    to choose); ordering is lexicographic in the chosen diagonals."""
-    choices = []
+    non-simplicial cone must have exactly four rays, so its two interior
+    diagonals, the pairs that are not facets, are the choice; ordering is
+    lexicographic in the chosen diagonals."""
+    choices = {}
     for ci, c in enumerate(fan.maximal_cones):
         if len(c) <= 3:
             continue
         if len(c) > 4:
             raise ValueError("beyond desk scale")
-        _, diagonals = classify_cone_pairs(fan.cone_rays(c))
-        if not diagonals:
-            raise ValueError("no interior diagonal in overfull cone")
+        facets = _facets(fan.cone_rays(c))
         # each diagonal (local pair) gives the two triangles it cuts
-        opts = []
-        for di, dj in sorted(diagonals):
-            others = [k for k in range(len(c)) if k not in (di, dj)]
-            tris = [tuple(sorted((c[di], c[dj], c[o]))) for o in others]
-            opts.append(((c[di], c[dj]), tris))
-        choices.append((ci, opts))
+        choices[ci] = [[tuple(sorted((c[i], c[j], c[o])))
+                        for o in range(4) if o not in (i, j)]
+                       for i, j in itertools.combinations(range(4), 2)
+                       if (i, j) not in facets]
     if not choices:
         return [fan]
     out = []
-    for combo in itertools.product(*[opts for _, opts in choices]):
-        cones = []
-        replaced = {ci: tris for (ci, _), (_, tris) in zip(choices, combo)}
-        for ci, c in enumerate(fan.maximal_cones):
-            if ci in replaced:
-                cones.extend(replaced[ci])
-            else:
-                cones.append(c)
+    for combo in itertools.product(*choices.values()):
+        replaced = dict(zip(choices, combo))
+        cones = [t for ci, c in enumerate(fan.maximal_cones) for t in replaced.get(ci, [c])]
         out.append(Fan(3, fan.rays, cones))
     return out
 

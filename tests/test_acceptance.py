@@ -46,7 +46,7 @@ def test_criterion_01_twisted_cotangent_goldens():
     assert cot.rank == 6
     assert cot.ch1 == S1.scale(-5)
     assert cot.ch2 == (S1 * S1).scale(Fraction(7, 2)) + S11.scale(-3) + S2.scale(-2)
-    assert schubert.weight3_vector(cot.ch3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    assert schubert.weight_vector(cot.ch3, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
 
     # low Chern classes of the twisted bundle
     assert details.chern.classes[1] == S1.scale(7)
@@ -61,7 +61,7 @@ def test_criterion_01_twisted_cotangent_goldens():
     assert elapsed < 1.0
 
     # published top Chern class and published degree
-    assert schubert.weight3_vector(details.chern.classes[3]) == (145, 14, 10, -2)
+    assert schubert.weight_vector(details.chern.classes[3], 3) == (145, 14, 10, -2)
     assert details.value == 620
 
 

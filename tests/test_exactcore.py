@@ -269,6 +269,13 @@ def test_equal_polynomials_hash_alike():
             assert hash(p) == hash(q) and q in {p}
 
 
+@pytest.mark.parametrize("exps", [(-1,), (True,), (1.0,), (Fraction(1),)])
+def test_polynomial_rejects_exponents_that_are_not_nonnegative_ints(exps):
+    # (-1,) evaluated to 1 at x = 2 with total degree -1; (True,) read as 1
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        Polynomial(("x",), {exps: Fraction(1)})
+
+
 def test_polynomial_rejects_mixed_variables():
     p = _poly({"x": 1})
     q = poly_from_string_exps(("u",), {"u": Fraction(1)})

@@ -78,6 +78,21 @@ def test_h0_omega_argument_validation():
         h0_omega_p(0, 0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: chi_pn(True, 3), id="chi-bool"),
+    pytest.param(lambda: chi_pn(0.5, 3), id="chi-float"),
+    pytest.param(lambda: chi_pn(3, 3.0), id="chi-float-dimension"),
+    pytest.param(lambda: bott_h0(1.0, 2, 3), id="bott-float"),
+    pytest.param(lambda: bott_h0(1, True, 3), id="bott-bool"),
+    pytest.param(lambda: h0_omega_p(1, 2.0, 3), id="h0-float"),
+    pytest.param(lambda: h0_omega_p(1, 2, True), id="h0-bool"),
+])
+def test_integer_arguments_obey_the_exact_input_rule(call):
+    # chi_pn(True, 3) gave 4, and a float raised TypeError in math.comb
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
 def test_bott_oracle_agrees_on_full_grid():
     for n in range(1, 5):
         for p in range(n + 1):

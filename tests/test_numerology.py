@@ -181,3 +181,27 @@ def test_surface_rr_parity_samples():
 @given(st.integers(-100, 100))
 def test_surface_rr_parity_law(d):
     assert surface_rr_parity(d) == (d % 2 == 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: divisibility_obstruction(9.5, 3), id="obstruction-float"),
+    pytest.param(lambda: divisibility_obstruction(True, 3), id="obstruction-bool"),
+    pytest.param(lambda: divisibility_obstruction(9, 3.0), id="obstruction-float-divisor"),
+    pytest.param(lambda: scroll_degree((0.5, 1)), id="scroll-degree-float"),
+    pytest.param(lambda: scroll_degree((True, 1)), id="scroll-degree-bool"),
+    pytest.param(lambda: surface_rr_parity(2.0), id="parity-float"),
+    pytest.param(lambda: surface_rr_parity(False), id="parity-bool"),
+    pytest.param(lambda: admissible_projection_degrees(2.5), id="projection-float"),
+    pytest.param(lambda: admissible_projection_degrees(True), id="projection-bool"),
+    pytest.param(lambda: p_divisibility_solutions(7.0, 12), id="solutions-float"),
+    pytest.param(lambda: p_divisibility_solutions(7, True), id="solutions-bool"),
+    pytest.param(lambda: p_divisibility_solutions(7, 12, {11.0}), id="solutions-excluded"),
+    pytest.param(lambda: scroll_splittings(5.0), id="splittings-float"),
+    pytest.param(lambda: scroll_splittings(True), id="splittings-bool"),
+])
+def test_integer_arguments_obey_the_exact_input_rule(call):
+    # divisibility_obstruction(9.5, 3) gave (15.0, False) and (True, 3)
+    # gave (-2, True), scroll_degree((0.5, 1)) 1.5, surface_rr_parity(2.0)
+    # True; the others raised TypeError or read a bool as 0 or 1
+    with pytest.raises(ValueError, match="must be (an integer|integers):"):
+        call()

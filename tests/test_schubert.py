@@ -1,6 +1,7 @@
 """Chow ring of Gr(2,n): Pieri and Littlewood-Richardson products, Chern
 class conversions, twists, and the separability certificate internals."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from certkit.schubert import (
     twist_character,
     v5_separability_details,
     weight3_degree_table,
-    weight3_vector,
+    weight_vector,
 )
 
 
@@ -325,7 +326,7 @@ def test_character_mul_cotangent_parts():
     assert ch.rank == 6
     assert ch.ch1 == fc(s1=-5)
     assert ch.ch2 == fc(s1sq=Fraction(7, 2), s11=-3, s2=-2)
-    assert weight3_vector(ch.ch3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    assert weight_vector(ch.ch3, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
 
 
 def test_character_mul_by_zero():
@@ -355,7 +356,7 @@ def test_character_to_chern_twisted_cotangent():
     assert tw.classes[2] == fc(s1sq=19, s11=3, s2=2)
     # third class recomputed exactly; the published table differs and is
     # carried as a flagged certificate plus a red acceptance assert
-    assert weight3_vector(tw.classes[3]) == (25, 14, 10, -2)
+    assert weight_vector(tw.classes[3], 3) == (25, 14, 10, -2)
 
 
 def test_character_to_chern_constant_character():
@@ -366,18 +367,24 @@ def test_character_to_chern_constant_character():
     assert c.classes[3] == ZERO
 
 
-def _random_formal(rng, max_weight):
-    basis_by_weight = {
-        1: [(1, 0, 0, 0)],
-        2: [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
-        3: [(3, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)],
-    }
+def _random_formal(rng, weight):
     terms = {}
-    for e in basis_by_weight[max_weight]:
+    for e in schubert.WEIGHT_BASES[weight]:
         v = rng.randrange(-4, 5)
         if v:
             terms[e] = Fraction(v, rng.randrange(1, 4))
     return Polynomial(FORMAL_GENERATORS, terms)
+
+
+def test_weight_bases_hold_every_monomial_of_their_weight():
+    for w, basis in schubert.WEIGHT_BASES.items():
+        every = {e for e in itertools.product(range(w + 1), repeat=4)
+                 if sum(k * g for k, g in zip(e, schubert.FORMAL_WEIGHTS)) == w}
+        assert len(basis) == len(every) and set(basis) == every
+    p = Polynomial(FORMAL_GENERATORS, {(1, 0, 0, 0): Fraction(-5), (0, 1, 0, 0): Fraction(2)})
+    assert weight_vector(p, 1) == (-5,)
+    assert weight_vector(p, 2) == (0, 2, 0)
+    assert weight_vector(p, 3) == (0, 0, 0, 0)
 
 
 def test_chern_character_roundtrip_random():
@@ -402,7 +409,7 @@ def test_formal_classes_are_plain_polynomials():
                         (s1 * s11).scale(Fraction(1, 2)) - s3])
     back = character_to_chern(chern_to_character(c), 5)
     assert back == c
-    assert weight3_vector(back.classes[3]) == (0, Fraction(1, 2), 0, -1)
+    assert weight_vector(back.classes[3], 3) == (0, Fraction(1, 2), 0, -1)
 
 
 def test_homogeneity_checks_reject_stray_weights():

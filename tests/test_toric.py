@@ -71,6 +71,10 @@ def test_fan_rejects_dependent_simplicial_cone():
         Fan(2, ((1, 0), (-1, 0)), ((0, 1),))
 
 
+# the rays over the corners of a square, in cyclic order
+SQUARE = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+
+
 @pytest.mark.parametrize("dim, rays, cones, message", [
     # (0, 0, 1) = ((1, 0, 1) + (0, 1, 1) + (-1, -1, 1)) / 3 lies inside
     (3, ((1, 0, 1), (0, 1, 1), (-1, -1, 1), (0, 0, 1)), ((0, 1, 2, 3),),
@@ -92,6 +96,12 @@ def test_fan_rejects_dependent_simplicial_cone():
      "cone contained in another"),
     (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2), (0, 1)),
      "cone contained in another"),
+    # a square pyramid and its axis; the same square and (1, 1, 2) on the
+    # facet of its first two rays; four rays in a pointed plane sector
+    (3, SQUARE + ((0, 0, 1),), (range(5),), "non-extremal ray in cone"),
+    (3, SQUARE + ((1, 1, 2),), (range(5),), "non-extremal ray in cone"),
+    (3, ((1, 0, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0)), ((0, 1, 2, 3),),
+     "non-extremal ray in cone"),
 ])
 def test_fan_validation_errors(dim, rays, cones, message):
     with pytest.raises(ValueError, match=message):
@@ -246,6 +256,99 @@ def _validation_outcome(cls, d, rays, cones):
 def test_fan_validation_matches_reference(case):
     assert (_validation_outcome(Fan, *case)
             == _validation_outcome(_ReferenceFan, *case))
+
+
+def _hull_vertices(points):
+    """The vertices of the convex hull of distinct plane points, in order:
+    Andrew's monotone chain, dropping every point on an edge."""
+    points = sorted(points)
+
+    def chain(pts):
+        out = []
+        for p in pts:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(points) + chain(points[::-1])
+
+
+@st.composite
+def _pointed_cones(draw):
+    """Pointed 3-D cones on 4 to 8 distinct primitive rays, shuffled: the
+    cone over a convex polygon at a height, alone or with a ray added inside
+    it (the sum of three vertices) or on a facet (the sum of two adjacent
+    vertices), sheared by a unimodular map; or random rays with entries in
+    -3..3 that span a pointed cone."""
+    kind = draw(st.sampled_from(("polygon", "interior", "facet", "random")))
+    if kind == "random":
+        vectors = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(_primitive)
+        rays = draw(st.lists(vectors, min_size=4, max_size=8, unique=True))
+        assume(toric.cone_is_strongly_convex(rays))
+        return rays
+    corners = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    hull = _hull_vertices(draw(st.lists(corners, min_size=4, max_size=12, unique=True)))
+    size = len(hull) + (kind != "polygon")
+    assume(len(hull) >= 3 and 4 <= size <= MAX_CONE_RAYS)
+    h = draw(st.integers(1, 4))
+    rays = [(x, y, h) for x, y in hull]
+    if kind == "interior":
+        rays.append(tuple(map(sum, zip(*rays[:3]))))
+    elif kind == "facet":
+        rays.append(tuple(map(sum, zip(*rays[:2]))))
+    a, b, c = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    rays = [(x + a * z, y + b * z, z) for x, y, z in rays]
+    rays = [_primitive((x, y, z + c * x)) for x, y, z in rays]
+    return [rays[i] for i in draw(st.permutations(range(len(rays))))]
+
+
+def test_facet_count_decides_extremality():
+    # a pointed cone has as many facet pairs as rays exactly when no ray
+    # lies in the cone on the others; both outcomes are drawn often
+    seen = {True: 0, False: 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_pointed_cones())
+    def check(rays):
+        extremal = not any(_ReferenceCone(rays[:k] + rays[k + 1:], 3).contains(r)
+                           for k, r in enumerate(rays))
+        assert (len(toric._facets(rays)) == len(rays)) == extremal
+        seen[extremal] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_facets_disqualify_where_the_old_split_raised():
+    # (1, 1, 2) lies on the plane of the square's first two rays, which the
+    # old split called coplanar; opposite rays have no normal
+    rays = SQUARE + ((1, 1, 2),)
+    with pytest.raises(ValueError, match="coplanar"):
+        _reference_classify(rays)
+    assert toric._facets(rays) == [(0, 3), (1, 2), (2, 3)]
+    rays = ((1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1))
+    with pytest.raises(ValueError, match="parallel"):
+        _reference_classify(rays)
+    assert (0, 1) not in toric._facets(rays)
+
+
+def test_larger_cones_are_read_from_one_facet_pass(monkeypatch):
+    # validating the contracted l014 bundle builds one cone test per cone
+    # and reads the four-ray cone's facets once, and so does choosing its
+    # diagonals; the simplicial fans that come out read none
+    cones, facets = [], []
+    cone_test, facet_pass = toric._Cone, toric._facets
+    monkeypatch.setattr(toric, "_Cone", lambda *a: cones.append(a) or cone_test(*a))
+    monkeypatch.setattr(toric, "_facets", lambda rays: facets.append(rays) or facet_pass(rays))
+    bundle = bundle_14()
+    cones.clear()
+    fan = contract_ray(bundle, 5)
+    assert len(facets) == 1 and len(cones) == 2 + len(fan.maximal_cones)
+    facets.clear()
+    assert len(enumerate_qfactorializations(fan)) == 2
+    assert len(facets) == 1
 
 
 def _solve_cone_contains(rays, x):
@@ -770,6 +873,28 @@ def _mutated_fans(draw):
     return (d, rays, cones), (d, mutant_rays, mutant_cones)
 
 
+def _reference_classify(rays):
+    """The split of a 3-D cone's ray pairs into facets and interior
+    diagonals by the supporting-plane test, as validation and the
+    q-factorializations read it before `toric._facets`; it raises on
+    parallel rays and on a ray on the plane of a pair."""
+    n = len(rays)
+    facets, diagonals = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        normal = toric._cross3(rays[i], rays[j])
+        if all(c == 0 for c in normal):
+            raise ValueError("parallel rays in cone")
+        signs = {(toric._dot(normal, rays[k]) > 0) - (toric._dot(normal, rays[k]) < 0)
+                 for k in range(n) if k not in (i, j)}
+        if signs == {1} or signs == {-1}:
+            facets.append((i, j))
+        elif 1 in signs and -1 in signs:
+            diagonals.append((i, j))
+        else:
+            raise ValueError("degenerate cone: coplanar rays")
+    return facets, diagonals
+
+
 def _reference_is_complete(fan):
     """The wall test that decided completeness before validation did: every
     maximal cone is full-dimensional, every wall (a simplicial cone minus
@@ -782,7 +907,7 @@ def _reference_is_complete(fan):
         if len(c) == fan.dim:
             faces = [c[:i] + c[i + 1:] for i in range(len(c))]
         else:
-            facets, _ = toric.classify_cone_pairs(fan.cone_rays(c))
+            facets, _ = _reference_classify(fan.cone_rays(c))
             faces = [(c[i], c[j]) for i, j in facets]
         for f in faces:
             walls.setdefault(f, []).append(ci)
@@ -951,7 +1076,6 @@ def test_route_declines_the_overlapping_cones_file():
     assert not load_fan("tests/data/overlapping_cones.json")._complete
 
 
-DOUBLE_COVER_RAYS = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
 DOUBLE_COVER_CONES = tuple(itertools.combinations(range(4), 3))
 
 
@@ -961,7 +1085,7 @@ def test_double_cover_of_a_cone_is_not_complete():
     # accept the file, and every wall lies in two cones, so
     # `_reference_is_complete` calls it complete
     fan = load_fan("tests/data/double_cover_cone.json")
-    assert fan.rays == DOUBLE_COVER_RAYS and fan.maximal_cones == DOUBLE_COVER_CONES
+    assert fan.rays == SQUARE and fan.maximal_cones == DOUBLE_COVER_CONES
     assert _times_covered(fan.rays, fan.maximal_cones, (1, 2, 8)) == 2
     assert _times_covered(fan.rays, fan.maximal_cones, (0, 0, -1)) == 0
     assert _reference_is_complete(fan)
@@ -971,7 +1095,7 @@ def test_double_cover_of_a_cone_is_not_complete():
 def test_two_double_covers_are_not_complete():
     # the same cones again on z = -1: two components, which
     # `_reference_is_complete` declines too
-    rays = DOUBLE_COVER_RAYS + tuple((x, y, -z) for x, y, z in DOUBLE_COVER_RAYS)
+    rays = SQUARE + tuple((x, y, -z) for x, y, z in SQUARE)
     cones = DOUBLE_COVER_CONES + tuple(tuple(i + 4 for i in c) for c in DOUBLE_COVER_CONES)
     fan = Fan(3, rays, cones)
     assert not _reference_is_complete(fan)
@@ -1065,6 +1189,14 @@ def test_contract_ray_argument_errors():
         contract_ray(P2, 0)
     with pytest.raises(ValueError, match="out of range"):
         contract_ray(bundle_14(), 9)
+
+
+def test_contract_ray_rejects_a_ray_the_others_do_not_span():
+    # every ray lies in some cone, as `Fan` requires, so the star of e1 is
+    # the one cone; it is strongly convex, and e2, e3 do not span e1
+    fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+    with pytest.raises(ValueError, match="ray not contractible"):
+        contract_ray(fan, 0)
 
 
 @pytest.mark.parametrize("index", [True, -1, 5.0])
