@@ -12,20 +12,14 @@ from typing import Iterable, Set, Tuple
 from .exactcore import _exact_ints, _exact_rational, _is_int
 
 
-def _int(x, what: str) -> int:
-    """x when it is a plain int; else ValueError, where a float would give a
-    float answer or a TypeError and a bool would read as 0 or 1."""
-    if not _is_int(x):
-        raise ValueError(f"{what} must be an integer: {x!r}")
-    return x
-
-
 def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
     """dim + top self-intersection - h0, exactly, for a polarized variety
     of the given dimension, top self-intersection of the polarization and
     dimension of its space of sections.  The dimension must be a positive
     int, the other two ints or Fractions; anything else is a ValueError."""
-    if _int(dim, "dimension") < 1:
+    if not _is_int(dim):
+        raise ValueError(f"dimension must be an integer: {dim!r}")
+    if dim < 1:
         raise ValueError("dimension must be positive")
     return (dim + _exact_rational(top_self_intersection, "top self-intersection")
             - _exact_rational(h0, "h0"))
@@ -33,7 +27,8 @@ def delta_genus(dim: int, top_self_intersection, h0) -> Fraction:
 
 def admissible_projection_degrees(bound: int = 10) -> tuple:
     """Degrees within the bound for which 4/degree - 3 is nonnegative."""
-    if _int(bound, "bound") < 1:
+    (bound,) = _exact_ints((bound,), "bound")
+    if bound < 1:
         raise ValueError("bound must be positive")
     out = []
     for deg in range(1, bound + 1):
@@ -83,7 +78,8 @@ def scroll_degree(twists: Iterable[int]) -> int:
 
 def scroll_splittings(total: int) -> set:
     """Unordered positive splittings of the total twist into two parts."""
-    if _int(total, "total") < 0:
+    (total,) = _exact_ints((total,), "total")
+    if total < 0:
         raise ValueError("negative total")
     return {(a, total - a) for a in range(1, total // 2 + 1)}
 
@@ -106,4 +102,5 @@ def g10_obstruction() -> Tuple[int, bool]:
 def surface_rr_parity(self_intersection: int) -> bool:
     """Whether the surface Riemann-Roch correction term is an integer,
     i.e. the self-intersection is even."""
-    return _int(self_intersection, "self-intersection") % 2 == 0
+    (self_intersection,) = _exact_ints((self_intersection,), "self-intersection")
+    return self_intersection % 2 == 0

@@ -203,5 +203,5 @@ def test_integer_arguments_obey_the_exact_input_rule(call):
     # divisibility_obstruction(9.5, 3) gave (15.0, False) and (True, 3)
     # gave (-2, True), scroll_degree((0.5, 1)) 1.5, surface_rr_parity(2.0)
     # True; the others raised TypeError or read a bool as 0 or 1
-    with pytest.raises(ValueError, match="must be (an integer|integers):"):
+    with pytest.raises(ValueError, match="must be integers:"):
         call()

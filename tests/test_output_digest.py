@@ -1,43 +1,25 @@
 """tools/output_digest.py digests the command line's output on the fan
-files of tests/data: the bytes a subprocess sees, and every byte of them."""
+files of tests/data, and every byte of it."""
 
 import importlib.util
-import os
 import pathlib
-import subprocess
-import sys
 
 from certkit import toric
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-
-def _output_digest():
-    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+_spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tool)
 
 
 def test_data_fan_files_are_the_fan_files():
     names = {p.name for p in (ROOT / "tests" / "data").glob("*.json")}
     names -= {"conic_witnesses.json", "report_all_seed0.json"}
-    assert _output_digest().data_fan_files() == sorted(f"tests/data/{n}" for n in names)
-
-
-def test_in_process_output_is_the_subprocess_output(monkeypatch):
-    tool = _output_digest()
-    monkeypatch.chdir(ROOT)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for name in ("tests/data/p2.json", "tests/data/bad_ray.json"):
-        argv = ["fan", "check", name]
-        proc = subprocess.run([sys.executable, "-m", "certkit.certify_cli", *argv],
-                              cwd=ROOT, env=env, capture_output=True, text=True)
-        assert tool.run_cli(argv) == (proc.returncode, proc.stdout, proc.stderr)
+    assert tool.data_fan_files() == sorted(f"tests/data/{n}" for n in names)
 
 
 def test_data_digest_is_stable_and_sees_a_changed_verdict(monkeypatch):
-    tool = _output_digest()
     first = tool.data_digest()
     assert len(first) == 64 and tool.data_digest() == first
     monkeypatch.setattr(toric, "fan_is_complete", lambda fan: not fan._complete)

@@ -3,30 +3,27 @@ keeps it byte for byte.
 
 Usage (from the repository root, or anywhere with its path):
 
-    python3 tools/output_digest.py [--fan-seeds 0 1] [--run-seeds 0 3 7]
+    python3 tools/output_digest.py
 
 Prints one line per digest, each over the stdout, stderr and exit code of
 every command in its group:
 
     fan-check tests/data   `certify fan check` on each fan file in tests/data
     fan-check seed S       the same on the benchmark's fan-batch files of
-                           seed S, from perfbench/workloads.make_fan_cases
-    run-all seed S         `certify run all --format json --seed S`
+                           seed S in FAN_SEEDS, from perfbench/workloads
+    run-all seed S         `certify run all --format json --seed S` for S
+                           in RUN_SEEDS
 
 The commands run in this process through `certify_cli.main`, imported from
 this checkout's src, so the script run from a copy of another commit
 digests that commit.  Fan files are named relative to the working
 directory, which the output quotes, so the digests do not depend on where
-the checkout or the temporary directory lies.  `--fan-seeds` and
-`--run-seeds` with no values skip their groups.
+the checkout or the temporary directory lies.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import hashlib
-import io
 import json
 import os
 import pathlib
@@ -34,20 +31,14 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+FAN_SEEDS = (0, 1)
+RUN_SEEDS = (0, 3, 7)
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from certkit import certify_cli  # noqa: E402
-
-
-def run_cli(argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one `certify` command."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = certify_cli.main(argv)
-        except SystemExit as e:  # argparse errors
-            code = e.code
-    return code, out.getvalue(), err.getvalue()
+from perfbench import workloads  # noqa: E402
 
 
 def digest(commands, cwd=ROOT) -> str:
@@ -58,7 +49,8 @@ def digest(commands, cwd=ROOT) -> str:
     os.chdir(cwd)
     try:
         for argv in commands:
-            h.update(json.dumps([argv, *run_cli(argv)]).encode() + b"\n")
+            code, out, err = workloads.run_cli_inprocess(certify_cli, argv)
+            h.update(json.dumps([argv, code, out.decode("utf-8"), err]).encode() + b"\n")
     finally:
         os.chdir(old)
     return h.hexdigest()
@@ -80,14 +72,9 @@ def data_digest() -> str:
 
 
 def fan_batch_digest(seed: int) -> str:
-    from perfbench.workloads import make_fan_cases
-
     with tempfile.TemporaryDirectory() as tmp:
-        names = []
-        for case in make_fan_cases(seed):
-            name = f"fan-{seed}-{case['index']:05d}.json"
-            pathlib.Path(tmp, name).write_text(case["text"], encoding="utf-8")
-            names.append(name)
+        names = [os.path.basename(workloads.write_fan_file(case, tmp))
+                 for case in workloads.make_fan_cases(seed)]
         return digest([["fan", "check", n] for n in names], cwd=tmp)
 
 
@@ -95,15 +82,11 @@ def run_all_digest(seed: int) -> str:
     return digest([["run", "all", "--format", "json", "--seed", str(seed)]])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--fan-seeds", type=int, nargs="*", default=[0, 1])
-    parser.add_argument("--run-seeds", type=int, nargs="*", default=[0, 3, 7])
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"fan-check tests/data  {data_digest()}", flush=True)
-    for seed in args.fan_seeds:
+    for seed in FAN_SEEDS:
         print(f"fan-check seed {seed}  {fan_batch_digest(seed)}", flush=True)
-    for seed in args.run_seeds:
+    for seed in RUN_SEEDS:
         print(f"run-all seed {seed}  {run_all_digest(seed)}", flush=True)
     return 0
 
