@@ -525,41 +525,6 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
-# ---------------------------------------------------------------------------
-
-
-def int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.  Entries
-    must be ints; anything else, booleans included, raises TypeError."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    if not all(_is_int(x) for r in m for x in r):
-        raise TypeError("integer matrix entries must be ints")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
 # linear algebra over an exact field
 # ---------------------------------------------------------------------------
 
@@ -642,9 +607,11 @@ def _rref(mat: Iterable[Sequence[object]], limit: int | None = None):
     later columns, such as the right-hand side of an augmented system, are
     carried along.  Entries may be Fraction, F2 (`Fp`) or F4, all eliminated on
     the object record with their own operators; plain ints are promoted to
-    Fraction, and anything else raises ValueError.
+    Fraction, and anything else, or rows of unequal length, raises ValueError.
     """
     mat = list(mat)
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("matrix rows of unequal length")
     if limit is None:
         limit = len(mat[0]) if mat else 0
     return _echelon([_promote(enumerate(r)) for r in mat], range(limit))
@@ -756,7 +723,10 @@ def ideal_graded_dimension(generators: Sequence[Polynomial], d: int) -> int:
 
 def span_dimension(polys: Sequence[Polynomial]) -> int:
     """Rank of a finite set of polynomials as vectors (any degrees),
-    eliminated on sparse rows keyed by monomial."""
+    eliminated on sparse rows keyed by monomial; ValueError when they lie
+    over different variable lists."""
+    if len({p.variables for p in polys}) > 1:
+        raise ValueError("polynomials over different variable lists")
     rows = [_promote(p.terms.items()) for p in polys]
     monos = sorted({e for row in rows for e in row})
     return len(_echelon(rows, monos)[1])

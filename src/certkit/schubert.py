@@ -390,14 +390,14 @@ def restrict_third_chern(c: ChernVector) -> Polynomial:
             + (S1 ** 3).scale(k3))
 
 
-def weight3_degree_table(n: int = 5) -> tuple:
+def weight3_degree_table() -> tuple:
     """Intersection numbers of the weight-3 basis monomials against s1^3
-    on Gr(2,n): the pairing used on a codimension-3 linear section."""
-    s1_cubed = SchubertElement.sigma(n, 1) ** 3
+    on Gr(2,5): the pairing used on the codimension-3 linear section V5."""
+    s1_cubed = SchubertElement.sigma(5, 1) ** 3
     out = []
     for e in WEIGHT_BASES[3]:
         mono = Polynomial(FORMAL_GENERATORS, {e: Fraction(1)})
-        out.append(int(degree(mul(_to_schubert(mono, n), s1_cubed))))
+        out.append(int(degree(mul(_to_schubert(mono, 5), s1_cubed))))
     return tuple(out)
 
 
@@ -425,7 +425,7 @@ def v5_separability_details() -> V5Report:
     coeffs = restriction_coefficients()
     cbar3 = restrict_third_chern(c)
     vec = weight_vector(cbar3, 3)
-    table = weight3_degree_table(5)
+    table = weight3_degree_table()
     value = sum(v * t for v, t in zip(vec, table))
     if value.denominator != 1:
         raise AssertionError("non-integral degree certificate")

@@ -29,14 +29,14 @@ ray pairs, `_facets`: every ray is extremal exactly when it has as many
 facets as rays, its triangles join its first ray to the facets off it, and
 a four-ray cone's other two pairs are the diagonals that its
 q-factorializations choose between.  Independence of simplicial rays is the
-nonvanishing of a maximal minor, and every integer determinant beyond the
-2- and 3-row closed forms is `exactcore.int_determinant`.  A simplicial
-cone's multiplicity, the gcd of its maximal minors, is read off the same
-test: its minor and the entries of its rows outside the minor, which by
-Cramer are the other maximal minors up to sign; a fan keeps it for each
-simplicial maximal cone.  On a complete surface the neighbours of a ray are
-the other rays of the two cones on it, so self-intersections need no
-angular sort.
+nonvanishing of a maximal minor.  Every public entry takes dimension 2 or
+3 only (Cox-Little-Schenck 1.2), so a minor has at most three rows and its
+cofactor rows have closed forms.  A simplicial cone's multiplicity, the gcd
+of its maximal minors, is read off the same test: its minor and the
+entries of its rows outside the minor, which by Cramer are the other
+maximal minors up to sign; a fan keeps it for each simplicial maximal
+cone.  On a complete surface the neighbours of a ray are the other rays of
+the two cones on it, so self-intersections need no angular sort.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .exactcore import _exact_ints, _is_int, int_determinant
+from .exactcore import _exact_ints, _is_int
 
 
 def _index(i, n: int, what: str) -> int:
@@ -71,17 +71,15 @@ def _dot(a, b):
 
 
 def _cofactor_rows(m) -> list:
-    """Cofactor rows of a square integer matrix, the adjugate's columns: for
-    three rows, row i is the cross product of the other two in cyclic order;
-    for two, the other row turned a quarter, with its sign; otherwise signed
-    minors by `int_determinant`."""
+    """Cofactor rows of a square integer matrix of at most three rows, the
+    adjugate's columns: for three rows, row i is the cross product of the
+    other two in cyclic order; for two, the other row turned a quarter, with
+    its sign; for one, the 1 x 1 adjugate (1); for none, no row."""
     if len(m) == 3:
         return [_cross3(m[1], m[2]), _cross3(m[2], m[0]), _cross3(m[0], m[1])]
     if len(m) == 2:
         return [(m[1][1], -m[1][0]), (-m[0][1], m[0][0])]
-    return [[(-1) ** (i + j) * int_determinant(
-                 [row[:j] + row[j + 1:] for t, row in enumerate(m) if t != i])
-             for j in range(len(m))] for i in range(len(m))]
+    return [(1,)] if m else []
 
 
 class _Cone:
@@ -149,9 +147,11 @@ class _Cone:
 
 def cone_contains(rays: Sequence[tuple], x: Sequence[int]) -> bool:
     """Exact membership of the integer point x in the cone generated by the
-    integer rays; a non-integer entry, or a ray whose length differs from
-    x's, raises ValueError."""
+    integer rays; a non-integer entry, a point of length other than 2 or 3,
+    or a ray whose length differs from x's, raises ValueError."""
     x = _exact_ints(x, "point entries")
+    if len(x) not in (2, 3):
+        raise ValueError("unsupported dimension")
     rays = [_exact_ints(r, "ray entries") for r in rays]
     if any(len(r) != len(x) for r in rays):
         raise ValueError("ray length does not match the point")
@@ -163,10 +163,14 @@ def cone_is_strongly_convex(rays: Sequence[tuple]) -> bool:
     the cone.  The two agree: a nontrivial sum l_i r_i = 0 with l >= 0 and
     l_k > 0 puts -r_k = sum_{i != k} (l_i / l_k) r_i in the cone, and -r_k
     in the cone is such a sum.  A zero ray, its own negative, makes the cone
-    not strongly convex; a non-integer entry or rays of unequal length raise
-    ValueError."""
+    not strongly convex, and none makes it strongly convex; a non-integer
+    entry, a length other than 2 or 3 or unequal lengths raise ValueError."""
     rays = [_exact_ints(r, "ray entries") for r in rays]
-    d = len(rays[0]) if rays else 0
+    if not rays:
+        return True
+    d = len(rays[0])
+    if d not in (2, 3):
+        raise ValueError("unsupported dimension")
     if any(len(r) != d for r in rays):
         raise ValueError("rays of unequal length")
     return not _Cone(rays, d).holds_any([tuple(-x for x in r) for r in rays])
@@ -555,15 +559,18 @@ def enumerate_qfactorializations(fan: Fan) -> list:
     return out
 
 
-def fibration_to_p1(fan: Fan, bound: int = 3):
+FIBRATION_BOUND = 3
+
+
+def fibration_to_p1(fan: Fan):
     """First primitive covector (in the search order 0, 1, -1, 2, -2, ...
     per coordinate) whose pairing with every maximal cone is one-signed,
     so the fan maps onto the two-cone fan of the projective line.  Each ray
     is paired once per candidate, and a candidate fails on the first cone
     holding both a positive and a negative pairing.
-    Returns None when no covector within the bound works."""
+    Returns None when no covector with |entries| <= FIBRATION_BOUND works."""
     values = [0]
-    for k in range(1, bound + 1):
+    for k in range(1, FIBRATION_BOUND + 1):
         values += [k, -k]
     for m in itertools.product(values, repeat=fan.dim):
         if math.gcd(*m) != 1:  # also skips the zero covector, gcd 0

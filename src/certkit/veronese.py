@@ -438,7 +438,9 @@ def is_smooth_conic(q: QuadraticForm3) -> bool:
 def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
     """Independent closed-form smoothness criterion in characteristic two:
     the off-diagonal part is nonzero and a d^2 + b e^2 + c f^2 + def is
-    nonzero."""
+    nonzero, computed on the field elements.  The coefficients must be all
+    F2 or all F4, as for `is_smooth_conic`."""
+    _encode(q.coeffs)
     a, b, c, d, e, f = q.coeffs
     if not (d or e or f):
         return False

@@ -1,5 +1,5 @@
-"""Exact-arithmetic kernel: fields, polynomials, substitution, integer
-matrices, and graded ideal dimensions."""
+"""Exact-arithmetic kernel: fields, polynomials, substitution, matrices,
+and graded ideal dimensions."""
 
 import itertools
 import random
@@ -20,7 +20,6 @@ from certkit.exactcore import (
     RationalFunction,
     ideal_graded_dimension,
     ideal_piece,
-    int_determinant,
     kernel_dimension,
     matrix_rank,
     monomials_of_degree,
@@ -378,52 +377,6 @@ def test_rational_function_cross_multiplication_equality():
         RationalFunction(t, Polynomial.zero(("t",)))
 
 
-# ---------------------------------------------------------------------------
-# integer matrices
-# ---------------------------------------------------------------------------
-
-
-def test_lattice_index_examples():
-    # the index of a full-rank row lattice is |det|
-    assert abs(int_determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
-    assert abs(int_determinant([[1, 0, -1], [-1, 3, 0], [0, -1, -1]])) == 4
-    assert abs(int_determinant([[0, 1, 0], [0, -1, -1], [1, 0, -2]])) == 1
-
-
-def test_lattice_index_requires_square():
-    with pytest.raises(ValueError):
-        int_determinant([[1, 0, 0], [0, 1, 0]])
-
-
-def test_int_determinant_sign():
-    assert int_determinant([[1, 0, -1], [-1, 3, 0], [0, -1, -1]]) == -4
-    assert int_determinant([[2]]) == 2
-
-
-@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.9, 2.0, True])
-def test_integer_matrix_helpers_reject_non_int_entries(entry):
-    # int() would read 1/2 as 0 and 1.9 as 1; a bool is not a matrix entry
-    with pytest.raises(TypeError):
-        int_determinant([[entry]])
-    with pytest.raises(TypeError):
-        int_determinant([[1, 0], [0, entry]])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                min_size=3, max_size=3),
-       st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
-def test_lattice_index_unimodular_invariance(rows, i, j, k):
-    base = abs(int_determinant(rows))
-    swapped = list(rows)
-    swapped[0], swapped[2] = swapped[2], swapped[0]
-    assert abs(int_determinant(swapped)) == base
-    if i != j:
-        sheared = [list(r) for r in rows]
-        sheared[i] = [a + k * b for a, b in zip(sheared[i], rows[j])]
-        assert abs(int_determinant(sheared)) == base
-
-
 def test_kernel_dimension_examples():
     dim, basis = kernel_dimension([[Fraction(0)] * 3, [Fraction(0)] * 3])
     assert dim == 3 and len(basis) == 3
@@ -442,6 +395,20 @@ def test_rank_nullity(rows):
     for v in basis:
         for r in mat:
             assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+@pytest.mark.parametrize("call", [
+    # a missing entry must not read as zero, nor an extra column be carried
+    # past the pivot columns
+    pytest.param(lambda: matrix_rank([[1, 2], [3]]), id="rank-short-row"),
+    pytest.param(lambda: matrix_rank([[1], [0, 1]]), id="rank-long-row"),
+    pytest.param(lambda: kernel_dimension([[1], [0, 1]]), id="kernel-long-row"),
+    pytest.param(lambda: kernel_dimension([[F2_ELEMENTS[1]] * 3, F2_ELEMENTS[:2]]),
+                 id="kernel-short-row"),
+])
+def test_ragged_rows_raise_value_error(call):
+    with pytest.raises(ValueError, match="rows of unequal length"):
+        call()
 
 
 W = F4(0, 1)
@@ -520,7 +487,7 @@ def _matrices(max_rows, max_cols):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices(4, 5))
-def test_packed_rank_counts_the_row_span(case):
+def test_f2_f4_rank_counts_the_row_span(case):
     elements, mat = case
     zero = elements[0]
     span = {tuple(_dot(col, combo, zero) for col in zip(*mat))
@@ -530,7 +497,7 @@ def test_packed_rank_counts_the_row_span(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices(5, 6))
-def test_packed_kernel_vectors_annihilate(case):
+def test_f2_f4_kernel_vectors_annihilate(case):
     elements, mat = case
     dim, basis = kernel_dimension(mat)
     assert dim == len(mat[0]) - matrix_rank(mat)
@@ -545,7 +512,7 @@ def test_packed_kernel_vectors_annihilate(case):
 @given(_matrices(4, 6).flatmap(lambda case: st.tuples(
     st.just(case),
     st.lists(st.sampled_from(case[0]), min_size=len(case[1]), max_size=len(case[1])))))
-def test_packed_solve_recovers_coefficients(case):
+def test_f2_f4_solve_recovers_coefficients(case):
     (elements, columns), x = case
     zero = elements[0]
     target = [_dot(row, x, zero) for row in zip(*columns)]
@@ -553,7 +520,7 @@ def test_packed_solve_recovers_coefficients(case):
     assert solve(columns, target) == expected
 
 
-def test_packed_path_is_not_capped_at_64_columns():
+def test_f2_f4_path_is_not_capped_at_64_columns():
     zero, one, w, w2 = F4_ELEMENTS
     ncols = 70
     rows = []
@@ -825,6 +792,16 @@ def test_span_helpers():
     p = poly_from_string_exps(XY, {"x": -3, "y": -3, "1": -2})
     q = poly_from_string_exps(XY, {"x": -2, "y": -3, "1": -3})
     assert spans_contain([p, q], [p + q])
+
+
+def test_span_helpers_refuse_different_variable_lists():
+    # rows are keyed by exponent tuple, so x in Q[x, y] and u in Q[u, v]
+    # would read as one vector
+    x = Polynomial.variable("x", XY)
+    u = Polynomial.variable("u", ("u", "v"))
+    for call in (lambda: span_dimension([x, u]), lambda: spans_contain([x], [u])):
+        with pytest.raises(ValueError, match="different variable lists"):
+            call()
 
 
 def _dense_rank(polys) -> int:

@@ -441,7 +441,7 @@ def test_restriction_coefficients():
 
 
 def test_degree_table():
-    assert weight3_degree_table(5) == (5, 2, 3, 1)
+    assert weight3_degree_table() == (5, 2, 3, 1)
 
 
 def test_restricted_third_chern_coefficient_vector():
@@ -453,7 +453,7 @@ def test_restricted_third_chern_coefficient_vector():
 
 def test_separability_value_recomputed():
     det = v5_separability_details()
-    table = weight3_degree_table(5)
+    table = weight3_degree_table()
     expected = sum(c * d for c, d in zip(det.coefficient_vector, table))
     assert det.value == expected == 20
 

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -366,10 +367,10 @@ def _solve_cone_contains(rays, x):
 
 @st.composite
 def _cone_cases(draw):
-    """Rays in dimension 2-4, many parallel, opposite or dependent on
+    """Rays in dimension 2 or 3, many parallel, opposite or dependent on
     earlier rays (a combination of two is coplanar with them), and a
     target that is often zero or an integer combination of the rays."""
-    d = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from((2, 3)))
     vectors = st.tuples(*[st.integers(-2, 2)] * d)
     rays = []
     for _ in range(draw(st.integers(0, 5))):
@@ -464,20 +465,44 @@ def test_cone_predicates_reject_non_integers(call):
         call()
 
 
-def _int_matrix(rng, n):
-    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: toric.cone_contains([(1,)], (1,)), id="contains-1d"),
+    pytest.param(lambda: toric.cone_contains([(1, 0, 0, 0)], (0, 0, 0, 1)),
+                 id="contains-4d"),
+    pytest.param(lambda: toric.cone_contains([], (0, 0, 0, 0)), id="contains-4d-no-rays"),
+    pytest.param(lambda: toric.cone_is_strongly_convex([(1,), (2,)]), id="convex-1d"),
+    pytest.param(lambda: toric.cone_is_strongly_convex([(1, 0, 0, 0), (0, 1, 0, 0)]),
+                 id="convex-4d"),
+])
+def test_cone_predicates_reject_other_dimensions(call):
+    # toric is 2-D and 3-D, as `Fan` is; no cone test sees a 4-row minor
+    with pytest.raises(ValueError, match="unsupported dimension"):
+        call()
 
 
-def test_cofactor_rows_invert_against_int_determinant():
+def _permutation_det(m):
+    """Leibniz's sum over permutations, the sign counted by inversions."""
+    n = len(m)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+        total += sign * math.prod(m[i][p[i]] for i in range(n))
+    return total
+
+
+def test_cofactor_rows_invert_against_a_permutation_expansion():
     """cof_i . m_j = det(m) [i = j] on every branch: the empty and 1 x 1
-    matrices, the quarter turn, the cross products and signed minors."""
+    matrices, the quarter turn and the cross products, singular or not."""
     rng = random.Random("cofactor-rows")
-    for n in range(6):
+    for n in range(4):
         for trial in range(40):
-            m = _int_matrix(rng, n)
-            if trial % 4 == 0 and n >= 2:
-                m[-1] = [a - b for a, b in zip(m[0], m[1])]  # singular
-            det = exactcore.int_determinant(m)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            singular = trial % 4 == 0 and n
+            if singular:
+                # the last row is the sum of the others
+                m[-1] = [sum(col) for col in zip(*m[:-1])] or [0]
+            det = _permutation_det(m)
+            assert not (singular and det)
             cof = toric._cofactor_rows(m)
             assert len(cof) == n
             for i, j in itertools.product(range(n), repeat=2):
@@ -1337,7 +1362,8 @@ def _fibration_fans(draw):
 @given(_fibration_fans())
 def test_fibration_matches_sign_set_reference(fan):
     for bound in (1, 2, 3):
-        assert fibration_to_p1(fan, bound) == _sign_set_fibration(fan, bound)
+        with mock.patch.object(toric, "FIBRATION_BOUND", bound):
+            assert fibration_to_p1(fan) == _sign_set_fibration(fan, bound)
 
 
 def test_fibration_reference_cases_cover_bounds():
@@ -1346,7 +1372,8 @@ def test_fibration_reference_cases_cover_bounds():
     assert _sign_set_fibration(build_p1_bundle_fan(P2, (1, 0, 0)), 3) is None
     product = build_p1_bundle_fan(P2, list(principal_divisor(P2, (2, 0))))
     assert _sign_set_fibration(product, 1) is None
-    assert _sign_set_fibration(product, 2) == fibration_to_p1(product, 2) == (2, 0, 1)
+    with mock.patch.object(toric, "FIBRATION_BOUND", 2):
+        assert _sign_set_fibration(product, 2) == fibration_to_p1(product) == (2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -611,10 +611,17 @@ F2_FORM = (1, 0, 0, 0, 0, 0)
     pytest.param(lambda: is_smooth_conic(QuadraticForm3(F2_FORM)), id="smooth-plain-int"),
     pytest.param(lambda: is_smooth_conic(
         QuadraticForm3(F2_ELEMENTS[:1] * 5 + F4_ELEMENTS[1:2])), id="smooth-mixed-f2-f4"),
+    # the closed form must not apply the characteristic-two criterion over Q
+    pytest.param(lambda: smooth_conic_closed_form(
+        QuadraticForm3(map(Fraction, (0, 0, 1, 0, 0, 1)))), id="closed-form-fraction"),
+    pytest.param(lambda: smooth_conic_closed_form(QuadraticForm3((1, 0, 0, 0, 0, 1))),
+                 id="closed-form-plain-int"),
+    pytest.param(lambda: smooth_conic_closed_form(
+        QuadraticForm3(F2_ELEMENTS[1:] * 5 + F4_ELEMENTS[2:3])), id="closed-form-mixed-f2-f4"),
 ])
 def test_field_mismatches_raise_value_error(call):
     """The field is read from the forms' entries: anything but all of F2 or
-    all of F4 is refused, by the subspace and by the smoothness check."""
+    all of F4 is refused, by the subspace and by both smoothness checks."""
     with pytest.raises(ValueError):
         call()
 
