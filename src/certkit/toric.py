@@ -8,7 +8,8 @@ search for a covector inducing a fibration to the projective line.
 Rays are primitive integer vectors.  `Fan` alone checks a fan's values and
 rejects, never mends: a non-primitive ray, a repeated cone index and a cone
 of more than MAX_CONE_RAYS rays are errors; the file loader checks only the
-JSON shape `Fan` needs to be called.  Cone membership is decided on
+JSON shape `Fan` needs to be called, with no key repeated and none but the
+three fields.  Cone membership is decided on
 integers alone: by Caratheodory's theorem a point lies in a cone exactly
 when it is a nonnegative combination of some basis of the rays' span, and
 each basis is tested by the signs of its integer Cramer numerators, never
@@ -575,9 +576,23 @@ def fibration_to_p1(fan: Fan):
     for m in itertools.product(values, repeat=fan.dim):
         if math.gcd(*m) != 1:  # also skips the zero covector, gcd 0
             continue
-        pairing = [_dot(m, r) for r in fan.rays]
-        if not any(min(pairing[i] for i in c) < 0 < max(pairing[i] for i in c)
-                   for c in fan.maximal_cones):
+        if fan.dim == 2:
+            a, b = m
+            pairing = [a * x + b * y for x, y in fan.rays]
+        else:
+            a, b, c = m
+            pairing = [a * x + b * y + c * z for x, y, z in fan.rays]
+        for cone in fan.maximal_cones:
+            pos = neg = False
+            for i in cone:
+                p = pairing[i]
+                if p > 0:
+                    pos = True
+                elif p < 0:
+                    neg = True
+            if pos and neg:
+                break
+        else:
             return m
     return None
 
@@ -589,8 +604,11 @@ def fibration_to_p1(fan: Fan):
 
 def fan_from_dict(data: dict) -> Fan:
     """Build a fan from parsed file data.  Checked here is only the shape
-    `Fan` needs to be called: the three fields are present, and the rays
-    and the cones are non-empty lists of lists; `Fan` checks the values."""
+    `Fan` needs to be called: the three fields and no other, with the rays
+    and the cones non-empty lists of lists; `Fan` checks the values."""
+    for field in data:
+        if field not in ("dim", "rays", "cones"):
+            raise ValueError(f"unknown field '{field}'")
     for field in ("dim", "rays", "cones"):
         if field not in data:
             raise ValueError(f"missing field '{field}'")
@@ -602,10 +620,23 @@ def fan_from_dict(data: dict) -> Fan:
     return Fan(data["dim"], data["rays"], data["cones"])
 
 
+def _no_repeated_field(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated field '{max(keys, key=keys.count)}'")
+    return data
+
+
+# plain decoding keeps a repeated key's last value; one decoder serves every
+# file, where json.load with a hook would build one per call
+_FAN_DECODER = json.JSONDecoder(object_pairs_hook=_no_repeated_field)
+
+
 def load_fan(path: str) -> Fan:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = _FAN_DECODER.decode(fh.read())
         except (json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"fan file is not valid JSON: {e}") from e
     if not isinstance(data, dict):

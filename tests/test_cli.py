@@ -630,6 +630,26 @@ def test_fan_check_accepts_a_four_ray_cone(tmp_path, capsys):
     assert "complete: no" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    # plain JSON decoding keeps the last "dim", and the 2-D rays then fail
+    # with "ray length does not match dimension"
+    ('{"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "dim": 3}',
+     "repeated field 'dim'"),
+    ('{"dim": 2, "rays": [[1, 0], [0, 1]], "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}',
+     "repeated field 'rays'"),
+    ('{"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "note": "P2 chart"}',
+     "unknown field 'note'"),
+    ('{"dim": 2, "Rays": [[1, 0], [0, 1]], "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}',
+     "unknown field 'Rays'"),
+])
+def test_fan_check_rejects_repeated_and_unknown_fields(tmp_path, capsys, text, message):
+    path = tmp_path / "fields.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _main_inprocess(["fan", "check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
     """One process, one parser, mixed commands: every call answers as a fresh
     process would, and one call's options never reach the next."""

@@ -24,3 +24,9 @@ def test_data_digest_is_stable_and_sees_a_changed_verdict(monkeypatch):
     assert len(first) == 64 and tool.data_digest() == first
     monkeypatch.setattr(toric, "fan_is_complete", lambda fan: not fan._complete)
     assert tool.data_digest() != first
+
+
+def test_data_digest_sees_a_changed_fibration_covector(monkeypatch):
+    first = tool.data_digest()
+    monkeypatch.setattr(toric, "fibration_to_p1", lambda fan: None)
+    assert tool.data_digest() != first

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -1374,6 +1375,57 @@ def test_fibration_reference_cases_cover_bounds():
     assert _sign_set_fibration(product, 1) is None
     with mock.patch.object(toric, "FIBRATION_BOUND", 2):
         assert _sign_set_fibration(product, 2) == fibration_to_p1(product) == (2, 0, 1)
+
+
+def _one_cone_pairing(values):
+    """A fan-shaped object with one cone whose rays pair with the first 3-D
+    candidate, (0, 0, 1), to the given values.  The search reads only dim,
+    rays and maximal_cones, so this reaches patterns no valid fan has, such
+    as three rays on the candidate's plane."""
+    rays = [(1, i, v) for i, v in enumerate(values)]
+    return SimpleNamespace(dim=3, rays=rays, maximal_cones=[tuple(range(len(rays)))])
+
+
+@pytest.mark.parametrize("values", [(0, 1, -1), (1, 0, -1), (1, -1), (-1, 0, 0, 1)], ids=str)
+def test_fibration_rejects_a_cone_paired_to_both_signs(values):
+    assert fibration_to_p1(_one_cone_pairing(values)) != (0, 0, 1)
+
+
+@pytest.mark.parametrize("values", [(0, 0, 1), (0, 0, 0), (0, -1, -1), (1, 1, 0)], ids=str)
+def test_fibration_accepts_a_one_signed_cone(values):
+    assert fibration_to_p1(_one_cone_pairing(values)) == (0, 0, 1)
+
+
+def test_fibration_candidate_rejected_only_by_the_last_cone_2d():
+    """(0, 1) pairs the rays to 0, 1, -1: one-signed on the first two cones
+    listed, mixed on the last, so the plane has no covector."""
+    plane = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
+    assert plane.maximal_cones[-1] == (1, 2)
+    assert fibration_to_p1(plane) is None
+
+
+def test_fibration_candidate_rejected_only_by_the_last_cone_3d():
+    """(0, 0, 1) and (0, 0, -1) are one-signed on the octant and mixed on
+    the last cone, on e2, e3 and (-1, 0, -1); (0, 1, 0) is next."""
+    fan = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, -1)], [(0, 1, 2), (1, 2, 3)])
+    assert fibration_to_p1(fan) == (0, 1, 0)
+
+
+@st.composite
+def _shuffled_fibration_fans(draw):
+    """A `_fibration_fans` fan with its rays and its cones listed in a
+    drawn order, as the benchmark's fan files list them."""
+    fan = draw(_fibration_fans())
+    order = draw(st.permutations(range(len(fan.rays))))
+    new_index = {old: new for new, old in enumerate(order)}
+    cones = draw(st.permutations([[new_index[i] for i in c] for c in fan.maximal_cones]))
+    return Fan(fan.dim, [fan.rays[old] for old in order], cones)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffled_fibration_fans())
+def test_fibration_matches_sign_set_reference_on_shuffled_fans(fan):
+    assert fibration_to_p1(fan) == _sign_set_fibration(fan, toric.FIBRATION_BOUND)
 
 
 # ---------------------------------------------------------------------------
