@@ -43,8 +43,9 @@ def _exact_ints(values, what: str) -> tuple:
     """The values as a tuple; ValueError if one is not a plain integer,
     where int() would truncate 1.5 or read True as 1."""
     values = tuple(values)
-    if not all(_is_int(x) for x in values):
-        raise ValueError(f"{what} must be integers: {list(values)}")
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers: {list(values)}")
     return values
 
 
@@ -527,6 +528,14 @@ def poly_substitute(p: Polynomial, images: Mapping[str, RationalFunction]) -> Ra
 # ---------------------------------------------------------------------------
 # linear algebra over an exact field
 # ---------------------------------------------------------------------------
+
+
+def _cross3(a, b):
+    """The cross product of two vectors of length three, in the entries' own
+    arithmetic: zero exactly when they are dependent."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 def _promote(items) -> dict:

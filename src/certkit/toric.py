@@ -17,7 +17,8 @@ by division or floating point.  A cone's cofactor rows are read off the
 adjugate once, lifted to all d coordinates.  Validation takes one of two
 routes.  A complete simplicial fan is decided in time linear in its cones,
 from one determinant per cone, the two cones on each wall and one covered
-point, with no cone test.  Any other fan, or one that route declines, gets
+point, with no cone test, written out per dimension over each cone's
+cofactor rows.  Any other fan, or one that route declines, gets
 the per-cone checks: each cone tests its foreign rays in one pass, and
 since cones of one size nest only when equal, each cone is compared with
 larger ones only.  Completeness is one verdict of validation: the linear
@@ -48,7 +49,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .exactcore import _exact_ints, _is_int
+from .exactcore import _cross3, _exact_ints, _is_int
 
 
 def _index(i, n: int, what: str) -> int:
@@ -59,12 +60,6 @@ def _index(i, n: int, what: str) -> int:
     if not 0 <= i < n:
         raise ValueError(f"{what} out of range: {i}")
     return i
-
-
-def _cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 def _dot(a, b):
@@ -212,24 +207,48 @@ def _complete_simplicial(dim: int, rays, cones):
     Cofactor row i is (-1)^i times the normal of the wall without ray i,
     taken over the wall's rays in increasing order, so ray i lies on its
     positive side when D (-1)^i > 0.  The point is the sum of the first
-    cone's rays, interior to it, tested against the other cones' rows."""
+    cone's rays, interior to it, tested against the other cones' rows.
+    Each dimension's determinants, walls and point products are written
+    out over the cofactor rows, with no general dot product."""
     if any(len(c) != dim for c in cones):
         return None
     tests, sides = [], {}
-    for c in cones:
-        m = [rays[i] for i in c]
-        cof = _cofactor_rows(m)
-        det = _dot(cof[0], m[0])
-        if not det:
+    if dim == 2:
+        for i, j in cones:
+            r = rays[i]
+            cof = _cofactor_rows((r, rays[j]))
+            det = cof[0][0] * r[0] + cof[0][1] * r[1]
+            if not det:
+                return None
+            tests.append((det, cof))
+            sides.setdefault((j,), []).append(det > 0)
+            sides.setdefault((i,), []).append(det < 0)
+    else:
+        for i, j, k in cones:
+            r = rays[i]
+            cof = _cofactor_rows((r, rays[j], rays[k]))
+            det = cof[0][0] * r[0] + cof[0][1] * r[1] + cof[0][2] * r[2]
+            if not det:
+                return None
+            tests.append((det, cof))
+            sides.setdefault((j, k), []).append(det > 0)
+            sides.setdefault((i, k), []).append(det < 0)
+            sides.setdefault((i, j), []).append(det > 0)
+    for s in sides.values():
+        if len(s) != 2 or s[0] == s[1]:
             return None
-        tests.append((det, cof))
-        for i in range(dim):
-            sides.setdefault(c[:i] + c[i + 1:], []).append((det > 0) == (i % 2 == 0))
-    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
-        return None
-    point = [sum(x) for x in zip(*(rays[i] for i in cones[0]))]
-    if any(all(_dot(row, point) * det >= 0 for row in cof) for det, cof in tests[1:]):
-        return None
+    if dim == 2:
+        x, y = map(sum, zip(*(rays[i] for i in cones[0])))
+        for det, ((a, b), (e, f)) in tests[1:]:
+            if (a * x + b * y) * det >= 0 and (e * x + f * y) * det >= 0:
+                return None
+    else:
+        x, y, z = map(sum, zip(*(rays[i] for i in cones[0])))
+        for det, (p, q, r) in tests[1:]:
+            if ((p[0] * x + p[1] * y + p[2] * z) * det >= 0
+                    and (q[0] * x + q[1] * y + q[2] * z) * det >= 0
+                    and (r[0] * x + r[1] * y + r[2] * z) * det >= 0):
+                return None
     # d independent rays in d dimensions: the gcd of the maximal minors is |D|
     return {c: abs(det) for c, (det, _) in zip(cones, tests)}
 
@@ -266,7 +285,8 @@ class Fan:
             c = _exact_ints(c, "cone indices")
             if len(set(c)) != len(c):
                 raise ValueError(f"cone lists a ray index twice: {list(c)}")
-            if any(i < 0 or i >= len(rays) for i in c):
+            # the empty cone has no range; the size check below reports it
+            if c and (min(c) < 0 or max(c) >= len(rays)):
                 raise ValueError("cone index out of range")
             if len(c) < 2:
                 raise ValueError("maximal cone with fewer than two rays")

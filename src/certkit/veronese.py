@@ -29,6 +29,7 @@ from .exactcore import (
     Polynomial,
     RationalFunction,
     _CODES,
+    _cross3,
     _echelon,
     _exact_rational,
     _is_int,
@@ -111,16 +112,21 @@ class SecantStratum(enum.Enum):
 
 def secant_stratum(point: Sequence) -> SecantStratum:
     """Position of a rational point of P^5 relative to the Veronese surface
-    and its secant cubic, read off the rank of the symmetric matrix."""
-    x, y, z, s, t, u = (_exact_rational(c, "coordinate") for c in point)
+    and its secant cubic, read off the rank of the symmetric matrix with
+    rows r0, r1, r2 in closed form, in the coordinates' own arithmetic: 3
+    when det = r0 . (r1 x r2) is nonzero, else 2 when the cross product of
+    some pair of rows is nonzero, else 1."""
+    x, y, z, s, t, u = (c if _is_int(c) else _exact_rational(c, "coordinate")
+                        for c in point)
     if not any((x, y, z, s, t, u)):
         raise ValueError("zero point")
-    rank = matrix_rank([[x, u, t], [u, y, s], [t, s, z]])
-    if rank == 1:
-        return SecantStratum.ON_VERONESE
-    if rank == 2:
+    r0, r1, r2 = (x, u, t), (u, y, s), (t, s, z)
+    a, b, c = _cross3(r1, r2)
+    if x * a + u * b + t * c:
+        return SecantStratum.GENERIC
+    if a or b or c or any(_cross3(r0, r1)) or any(_cross3(r0, r2)):
         return SecantStratum.ON_SECANT_ONLY
-    return SecantStratum.GENERIC
+    return SecantStratum.ON_VERONESE
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,28 @@ def test_fan_check_accepts_a_four_ray_cone(tmp_path, capsys):
     assert "complete: no" in out
 
 
+# one malformed cone on the plane's three rays, and the one error line that
+# `fan check` gives for it: the cone's size cap, then its entries, repeats
+# and range, then too few rays, which the empty cone reaches with no range
+@pytest.mark.parametrize("cone, message", [
+    ("[]", "maximal cone with fewer than two rays"),
+    ("[0]", "maximal cone with fewer than two rays"),
+    ("[0, 0]", "cone lists a ray index twice: [0, 0]"),
+    ("[-1, 0]", "cone index out of range"),
+    ("[0, 3]", "cone index out of range"),
+    ("[0, 5]", "cone index out of range"),
+    ("[0, 1.0]", "cone indices must be integers: [0, 1.0]"),
+    ("[true, 1]", "cone indices must be integers: [True, 1]"),
+    (json.dumps(list(range(9))), f"cone has 9 rays, more than {toric.MAX_CONE_RAYS}"),
+])
+def test_fan_check_cone_index_errors(tmp_path, capsys, cone, message):
+    path = tmp_path / "cone.json"
+    path.write_text(f'{{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [{cone}]}}')
+    code, out, err = _main_inprocess(["fan", "check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("text, message", [
     # plain JSON decoding keeps the last "dim", and the 2-D rays then fail
     # with "ray length does not match dimension"

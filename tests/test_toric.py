@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from certkit import certify_cli, exactcore, toric
@@ -1089,6 +1089,114 @@ def test_route_declines_a_wall_in_three_cones():
         Fan(2, rays, cones)
 
 
+def _reference_complete_simplicial(dim: int, rays, cones):
+    """The wall-and-degree route in one general body over `_dot`: the
+    reference for `toric._complete_simplicial`, written out per dimension."""
+    if any(len(c) != dim for c in cones):
+        return None
+    tests, sides = [], {}
+    for c in cones:
+        m = [rays[i] for i in c]
+        cof = toric._cofactor_rows(m)
+        det = toric._dot(cof[0], m[0])
+        if not det:
+            return None
+        tests.append((det, cof))
+        for i in range(dim):
+            sides.setdefault(c[:i] + c[i + 1:], []).append((det > 0) == (i % 2 == 0))
+    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
+        return None
+    point = [sum(x) for x in zip(*(rays[i] for i in cones[0]))]
+    if any(all(toric._dot(row, point) * det >= 0 for row in cof) for det, cof in tests[1:]):
+        return None
+    # d independent rays in d dimensions: the gcd of the maximal minors is |D|
+    return {c: abs(det) for c, (det, _) in zip(cones, tests)}
+
+
+# one input per way the route declines a cone set, each failing that check
+# alone; the walls in three cones are the rays (1, 0) and (-1, -1) of a
+# complete fan with the cone on both added, which misses the covered point
+ROUTE_DECLINES = {
+    "cone without dim rays": (3, P3.rays, [(0, 1), (0, 1, 2)]),
+    "zero determinant": (2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)]),
+    "wall in one cone": (2, [(1, 0), (0, 1)], [(0, 1)]),
+    "wall in three cones": (2, [(1, 0), (0, 1), (-1, -1), (1, -1)],
+                            [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+    "wall with both cones on one side": (2, ZIGZAG, _cycle(len(ZIGZAG))),
+    "point covered twice": (2, DOUBLE_WRAP, _cycle(len(DOUBLE_WRAP))),
+}
+
+
+def _route_declines(d, rays, cones):
+    """The checks of the route that the cone set fails, read off the
+    reference determinant, `_wall_sides` and `_times_covered`."""
+    if any(len(c) != d for c in cones):
+        return {"cone without dim rays"}
+    if any(not _reference_det([rays[i] for i in c]) for c in cones):
+        return {"zero determinant"}
+    sides = _wall_sides(rays, cones).values()
+    out = {name for name, hit in (
+        ("wall in one cone", any(len(s) == 1 for s in sides)),
+        ("wall in three cones", any(len(s) > 2 for s in sides)),
+        ("wall with both cones on one side", any(len(s) == 2 and s[0] == s[1] for s in sides)),
+    ) if hit}
+    point = tuple(map(sum, zip(*(rays[i] for i in cones[0]))))
+    if not out and _times_covered(rays, cones, point) > 1:
+        out.add("point covered twice")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_DECLINES))
+def test_route_decline_examples_reach_their_decline(name):
+    case = ROUTE_DECLINES[name]
+    assert _route_declines(*case) == {name}
+    assert toric._complete_simplicial(*case) is None
+    assert _reference_complete_simplicial(*case) is None
+
+
+@st.composite
+def _route_cases(draw):
+    """(dim, rays, cones) with entries in -2..2: either any rays, zero and
+    repeated ones too, with 1-8 sorted cones of dim rays, the last one
+    sometimes of one ray more or less; or a cycle of 2-D rays in angular
+    order, wound once or twice, taken in 3-D as the cones of a P^1-bundle
+    over it, with the rays lifted to random heights, renumbered and listed
+    at random.  A cycle with a gap of a half turn or more declines at a
+    determinant or a wall, and one wound twice at the covered point."""
+    d = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8))
+        n = len(rays)
+        sizes = [min(d, n)] * draw(st.integers(1, 8))
+        if draw(st.integers(0, 9)) == 0:
+            sizes[-1] = min(draw(st.sampled_from((d - 1, d + 1))), n)
+        cones = [draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+                 for k in sizes]
+        return d, rays, [tuple(sorted(c)) for c in cones]
+    vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(_primitive)
+    turns = [sorted(draw(st.lists(vectors, min_size=3, max_size=6, unique=True)),
+                    key=lambda v: math.atan2(v[1], v[0]))
+             for _ in range(draw(st.integers(1, 2)))]
+    base = [v for turn in turns for v in turn]
+    rays, cones = base, _cycle(len(base))
+    if d == 3:
+        n = len(base)
+        rays = [(x, y, draw(st.integers(-2, 2))) for x, y in base] + [(0, 0, 1), (0, 0, -1)]
+        cones = [c + (pole,) for pole in (n, n + 1) for c in cones]
+    rays, cones = _shuffled(draw, SimpleNamespace(rays=rays, maximal_cones=cones))
+    return d, rays, [tuple(sorted(c)) for c in cones]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_route_cases())
+# each wall of P^3 lies in its two cones at different positions
+@example((3, P3.rays, P3.maximal_cones))
+def test_complete_simplicial_matches_the_general_reference(case):
+    # the route written out per dimension returns what the general body
+    # returned: None, or the same {cone: multiplicity}
+    assert toric._complete_simplicial(*case) == _reference_complete_simplicial(*case)
+
+
 def test_route_declines_the_overlapping_cones_file():
     # two 3-D cones that both hold (0, 0, 1) in their interiors, and neither
     # holds a ray of the other; the per-cone checks still accept the file
@@ -1130,25 +1238,37 @@ def test_two_double_covers_are_not_complete():
 
 def test_large_complete_fan_validates_without_cone_tests(monkeypatch, tmp_path, capsys):
     # 4,004 rays in angular order: (1, k) and (-1, k) for |k| <= 1000,
-    # (0, 1) and (0, -1), each consecutive pair a smooth cone; the per-cone
-    # checks would test every ray against every cone
-    built = []
-    cone_test = toric._Cone
-
-    def counted(*args):
-        built.append(args)
-        return cone_test(*args)
-
-    monkeypatch.setattr(toric, "_Cone", counted)
+    # (0, 1) and (0, -1), each consecutive pair a smooth cone, where the
+    # per-cone checks would test every ray against every cone; and the l014
+    # bundle fan in 3-D.  Each is validated from one set of cofactor rows per
+    # maximal cone, with no cone test and no facet pass
     rays = ([(1, k) for k in range(-1000, 1001)] + [(0, 1)]
             + [(-1, k) for k in range(1000, -1001, -1)] + [(0, -1)])
-    fan = Fan(2, rays, _cycle(len(rays)))
-    assert fan._complete and fan_is_smooth(fan)
-    path = tmp_path / "large.json"
-    path.write_text(json.dumps(fan.to_dict()))
-    assert certify_cli.main(["fan", "check", str(path)]) == 0
-    assert "complete: yes" in capsys.readouterr().out.splitlines()
-    assert built == []
+    bundle = bundle_14()
+    cases = [(2, rays, _cycle(len(rays))), (3, bundle.rays, bundle.maximal_cones)]
+
+    def counted(name):
+        real, calls = getattr(toric, name), []
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(toric, name, wrapper)
+        return calls
+
+    built, cofactors, facets = map(counted, ("_Cone", "_cofactor_rows", "_facets"))
+    for d, rays, cones in cases:
+        cofactors.clear()
+        fan = Fan(d, rays, cones)
+        assert fan._complete and fan_is_smooth(fan)
+        assert len(cofactors) == len(cones)
+        path = tmp_path / f"large{d}.json"
+        path.write_text(json.dumps(fan.to_dict()))
+        assert certify_cli.main(["fan", "check", str(path)]) == 0
+        assert "complete: yes" in capsys.readouterr().out.splitlines()
+        assert len(cofactors) == 2 * len(cones)
+    assert built == [] and facets == []
 
 
 # ---------------------------------------------------------------------------

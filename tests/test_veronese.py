@@ -121,6 +121,52 @@ def test_rank_two_sums_land_on_secant():
         assert secant_stratum(total).value in ("OnSecantOnly", "OnVeronese")
 
 
+STRATUM_OF_RANK = {1: SecantStratum.ON_VERONESE, 2: SecantStratum.ON_SECANT_ONLY,
+                   3: SecantStratum.GENERIC}
+
+
+@st.composite
+def _p5_points(draw):
+    """A nonzero point of P^5: any entries in -3..3, a Veronese image
+    (rank 1) or a signed sum of two images (rank at most 2); kept as ints,
+    or over one common denominator, which keeps the rank, or with each entry
+    over its own."""
+    small = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+    kind = draw(st.sampled_from(("any", "image", "sum")))
+    if kind == "any":
+        point = draw(st.tuples(*[st.integers(-3, 3)] * 6))
+    elif kind == "image":
+        point = veronese_map(draw(small))
+    else:
+        sign = draw(st.sampled_from((1, -1)))
+        point = tuple(a + sign * b for a, b in zip(veronese_map(draw(small)),
+                                                   veronese_map(draw(small))))
+    assume(any(point))
+    record = draw(st.sampled_from(("int", "common", "own")))
+    if record == "common":
+        k = draw(st.integers(2, 4))
+        point = tuple(Fraction(v, k) for v in point)
+    elif record == "own":
+        point = tuple(Fraction(v, draw(st.integers(1, 4))) for v in point)
+    return point
+
+
+@settings(max_examples=300, deadline=None)
+@given(_p5_points())
+def test_secant_stratum_matches_matrix_rank(point):
+    # the closed-form rank agrees with elimination on the symmetric matrix
+    x, y, z, s, t, u = point
+    rank = exactcore.matrix_rank([[x, u, t], [u, y, s], [t, s, z]])
+    assert secant_stratum(point) is STRATUM_OF_RANK[rank]
+
+
+def test_secant_stratum_rejects_inexact_and_zero_points():
+    for bad in ((0.5, 1, 1, 1, 0, 1), (True, 1, 0, 0, 0, 0), (1, 0, 0, "1", 0, 0),
+                (0,) * 6, (0, Fraction(0), 0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            secant_stratum(bad)
+
+
 def test_veronese_map_keeps_its_input_exact_type():
     image = veronese_map((1, -2, 3))
     assert image == (1, 4, 9, -6, 3, -2)
