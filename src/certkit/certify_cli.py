@@ -1056,10 +1056,42 @@ def render_fan_check(report: FanCheckReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _run_command(args, parser) -> int:
+    try:
+        config = RunConfig(seed=args.seed, trials=args.trials,
+                           degree_bound=args.degree_bound)
+    except ValueError as e:
+        parser.error(str(e))
+    report = run_suite(args.suite, config)
+    rendered = render_json(report) if args.fmt == "json" else render_text(report)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(rendered)
+    return 0 if report.counts()["fail"] == 0 else 1
+
+
+def _fan_check_command(args, parser) -> int:
+    try:
+        report = check_fan(args.file)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    sys.stdout.write(render_fan_check(report))
+    return 0
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first `main` call and reused: building costs far more
-    than a parse, and parse_args keeps no state between calls."""
+def _build_parser() -> tuple:
+    """(full parser, {command words: leaf subparser}), built on the first
+    `main` call and reused: building costs far more than a parse, and
+    parsing keeps no state between calls.  Each leaf names its handler as
+    the `handler` default."""
     parser = argparse.ArgumentParser(
         prog="certify",
         description="Run exact-arithmetic certificate suites and validate fan files.")
@@ -1076,48 +1108,30 @@ def _build_parser() -> argparse.ArgumentParser:
                             help=f"top degree of the kernel certificates (2 to {MAX_DEGREE_BOUND})")
     run_parser.add_argument("--out", default=None,
                             help="write the report to a file instead of stdout")
+    run_parser.set_defaults(handler=_run_command)
 
     fan_parser = sub.add_parser("fan", help="fan file utilities")
     fan_sub = fan_parser.add_subparsers(dest="fan_command", required=True)
     check_parser = fan_sub.add_parser("check", help="validate a fan file")
     check_parser.add_argument("file")
-    return parser
+    check_parser.set_defaults(handler=_fan_check_command)
+    return parser, {("run",): run_parser, ("fan", "check"): check_parser}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse a line that starts with a leaf's command words with that leaf
+    alone, and any other line, or one the leaf leaves words of, with the
+    full parser, which reports it as a fresh process would."""
+    parser, leaves = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for words, leaf in leaves.items():
+        if tuple(argv[:len(words)]) == words:
+            args, rest = leaf.parse_known_args(argv[len(words):])
+            if not rest:
+                return args.handler(args, parser)
+            break
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        try:
-            config = RunConfig(seed=args.seed, trials=args.trials,
-                               degree_bound=args.degree_bound)
-        except ValueError as e:
-            parser.error(str(e))
-        report = run_suite(args.suite, config)
-        rendered = render_json(report) if args.fmt == "json" else render_text(report)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(rendered)
-            except OSError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
-        else:
-            sys.stdout.write(rendered)
-        return 0 if report.counts()["fail"] == 0 else 1
-
-    if args.command == "fan" and args.fan_command == "check":
-        try:
-            report = check_fan(args.file)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        sys.stdout.write(render_fan_check(report))
-        return 0
-
-    parser.error("unknown command")
-    return 2
+    return args.handler(args, parser)
 
 
 if __name__ == "__main__":

@@ -96,6 +96,8 @@ def veronese_map(point: Sequence) -> tuple:
     """Degree-two embedding of P^2: (X,Y,Z) -> (X^2, Y^2, Z^2, YZ, ZX, XY),
     multiplied in the coordinates' own exact type: int coordinates give
     ints, and a Fraction among them gives Fractions."""
+    if len(point) != 3:
+        raise ValueError(f"point must have 3 coordinates: {point!r}")
     X, Y, Z = point
     if not (_is_int(X) and _is_int(Y) and _is_int(Z)):
         X, Y, Z = (_exact_rational(c, "coordinate") for c in (X, Y, Z))
@@ -116,6 +118,8 @@ def secant_stratum(point: Sequence) -> SecantStratum:
     rows r0, r1, r2 in closed form, in the coordinates' own arithmetic: 3
     when det = r0 . (r1 x r2) is nonzero, else 2 when the cross product of
     some pair of rows is nonzero, else 1."""
+    if len(point) != 6:
+        raise ValueError(f"point must have 6 coordinates: {point!r}")
     x, y, z, s, t, u = (c if _is_int(c) else _exact_rational(c, "coordinate")
                         for c in point)
     if not any((x, y, z, s, t, u)):

@@ -3,6 +3,7 @@ verdicts, and the command-line entry point."""
 
 import enum
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -17,6 +18,12 @@ from certkit import certify_cli as cli
 from certkit import toric
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = DATA.parent.parent
+
+_digest_spec = importlib.util.spec_from_file_location(
+    "output_digest", ROOT / "tools" / "output_digest.py")
+output_digest = importlib.util.module_from_spec(_digest_spec)
+_digest_spec.loader.exec_module(output_digest)
 
 
 FLAGGED_IDS = frozenset({
@@ -725,6 +732,38 @@ def test_import_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          env=_checkout_env(), text=True, check=True).stdout
     assert out == "0 0\n"
+
+
+@pytest.mark.parametrize("argv", output_digest.USAGE_LINES,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_leaf_and_full_parser_routes_answer_alike(argv, capsys, monkeypatch):
+    """A line that starts with a leaf's command words answers through that
+    leaf exactly as through the full parser, which is forced by emptying
+    the leaf table."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
+    leaf_route = _main_inprocess(argv, capsys)
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert _main_inprocess(argv, capsys) == leaf_route
+
+
+def test_leaf_lines_skip_the_full_parser(capsys, monkeypatch):
+    parser, _ = cli._build_parser()
+    parsed = []
+    full_parse = parser.parse_known_args
+
+    def spy(args=None, namespace=None):
+        parsed.append(args)
+        return full_parse(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for argv in (["fan", "check", str(DATA / "p2.json")], ["run", "numerology"]):
+        code, out, _ = _main_inprocess(argv, capsys)
+        assert code == 0 and out
+    assert parsed == []
+    _main_inprocess(["run", "numerology", "extra"], capsys)
+    assert parsed == [["run", "numerology", "extra"]]
 
 
 def _break_fan(data: dict, kind: int):

@@ -1,10 +1,10 @@
 """tools/output_digest.py digests the command line's output on the fan
-files of tests/data, and every byte of it."""
+files of tests/data and on the parser's usage lines, and every byte of it."""
 
 import importlib.util
 import pathlib
 
-from certkit import toric
+from certkit import certify_cli, toric
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,3 +30,11 @@ def test_data_digest_sees_a_changed_fibration_covector(monkeypatch):
     first = tool.data_digest()
     monkeypatch.setattr(toric, "fibration_to_p1", lambda fan: None)
     assert tool.data_digest() != first
+
+
+def test_usage_digest_sees_a_changed_usage_message(monkeypatch):
+    first = tool.usage_digest()
+    assert len(first) == 64 and tool.usage_digest() == first
+    _, leaves = certify_cli._build_parser()
+    monkeypatch.setattr(leaves[("fan", "check")], "usage", "certify fan check FILE")
+    assert tool.usage_digest() != first

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,9 @@ def test_secant_stratum_rejects_inexact_and_zero_points():
                 (0,) * 6, (0, Fraction(0), 0, 0, 0, 0)):
         with pytest.raises(ValueError):
             secant_stratum(bad)
+    for bad in ((1, 2, 3), (1, 2, 3, 4, 5, 6, 7)):
+        with pytest.raises(ValueError, match=re.escape(f"point must have 6 coordinates: {bad}")):
+            secant_stratum(bad)
 
 
 def test_veronese_map_keeps_its_input_exact_type():
@@ -178,6 +182,9 @@ def test_veronese_map_keeps_its_input_exact_type():
         assert image == tuple(Fraction(v) for v in veronese_map(tuple(Fraction(c) for c in pt)))
     for bad in ((0.5, 1, 1), (1, True, 1), (1, 1, "1"), (0, 0, 0), (0, Fraction(0), 0)):
         with pytest.raises(ValueError):
+            veronese_map(bad)
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"point must have 3 coordinates: {bad}")):
             veronese_map(bad)
 
 

@@ -13,6 +13,9 @@ every command in its group:
                            seed S in FAN_SEEDS, from perfbench/workloads
     run-all seed S         `certify run all --format json --seed S` for S
                            in RUN_SEEDS
+    usage                  the lines of USAGE_LINES: help, usage errors and
+                           a few valid lines, with COLUMNS=80 so that the
+                           usage text wraps alike on every terminal
 
 The commands run in this process through `certify_cli.main`, imported from
 this checkout's src, so the script run from a copy of another commit
@@ -29,10 +32,28 @@ import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAN_SEEDS = (0, 1)
 RUN_SEEDS = (0, 3, 7)
+
+# command lines that exercise the parser: help, wrong or incomplete commands,
+# `--` placement, leftover words, bad options and valid lines
+_F = "tests/data/p2.json"
+USAGE_LINES = (
+    ["-h"], ["fan", "-h"], ["run", "-h"], ["fan", "check", "-h"],
+    [], ["bogus"], ["fan"], ["fan", "check"], ["run"], ["fan", "bogus"],
+    ["run", "mystery"],
+    ["--", "run", "numerology"], ["run", "--", "numerology"],
+    ["fan", "--", "check", _F], ["fan", "check", "--", _F],
+    ["fan", "check", _F, "extra"], ["fan", "check", _F, _F],
+    ["run", "numerology", "extra"],
+    ["run", "all", "--bogus"], ["run", "numerology", "--trials", "100001"],
+    ["run", "all", "--seed", "x"],
+    ["run", "numerology", "--seed=3"], ["run", "numerology", "--format", "json", "--seed", "3"],
+    ["fan", "check", _F],
+)
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -82,12 +103,18 @@ def run_all_digest(seed: int) -> str:
     return digest([["run", "all", "--format", "json", "--seed", str(seed)]])
 
 
+def usage_digest() -> str:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return digest(USAGE_LINES)
+
+
 def main() -> int:
     print(f"fan-check tests/data  {data_digest()}", flush=True)
     for seed in FAN_SEEDS:
         print(f"fan-check seed {seed}  {fan_batch_digest(seed)}", flush=True)
     for seed in RUN_SEEDS:
         print(f"run-all seed {seed}  {run_all_digest(seed)}", flush=True)
+    print(f"usage  {usage_digest()}", flush=True)
     return 0
 
 
