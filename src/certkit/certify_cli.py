@@ -500,19 +500,18 @@ def _associativity_ok(rng: random.Random, trials: int) -> bool:
 def _compute_schubert(config: RunConfig) -> dict:
     rng = random.Random(f"{config.seed}:schubert")
     det = schubert.v5_separability_details()
-    ch = det.cotangent_character
-    tw = det.chern
-    c3_vector = list(schubert.weight_vector(tw.classes[3], 3))
+    ch, c = det.cotangent_character, det.chern
+    c3_vector = list(schubert.weight_vector(c, 3))
     return {
-        "cotangent-ch1-v5": schubert.weight_vector(ch.ch1, 1)[0],
-        "cotangent-ch2-v5": list(schubert.weight_vector(ch.ch2, 2)),
-        "cotangent-ch3-v5": list(schubert.weight_vector(ch.ch3, 3)),
-        "twisted-c1-v5": schubert.weight_vector(tw.classes[1], 1)[0],
-        "twisted-c2-v5": list(schubert.weight_vector(tw.classes[2], 2)),
+        "cotangent-ch1-v5": schubert.weight_vector(ch, 1)[0],
+        "cotangent-ch2-v5": list(schubert.weight_vector(ch, 2)),
+        "cotangent-ch3-v5": list(schubert.weight_vector(ch, 3)),
+        "twisted-c1-v5": schubert.weight_vector(c, 1)[0],
+        "twisted-c2-v5": list(schubert.weight_vector(c, 2)),
         "twisted-c3-v5": c3_vector,
         "twisted-c3-v5-recomputed": c3_vector,
         "degree-table-v5": list(det.degree_table),
-        "restriction-coefficients-v5": list(schubert.restriction_coefficients()),
+        "restriction-coefficients-v5": list(det.restriction_coefficients),
         "coefficient-vector-v5": list(det.coefficient_vector),
         "coefficient-vector-v5-recomputed": list(det.coefficient_vector),
         "c3-omega-v5-twist": det.value,

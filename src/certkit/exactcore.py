@@ -681,7 +681,11 @@ def kernel_dimension(mat: Sequence[Sequence[object]]):
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
     """All exponent vectors of the given total degree, in descending
-    lexicographic order (the graded-lex order within one degree)."""
+    lexicographic order (the graded-lex order within one degree); a
+    negative degree has none."""
+    if not (_is_int(nvars) and nvars >= 0 and _is_int(degree)):
+        raise ValueError(f"variable count must be an integer at least 0 and degree an "
+                         f"integer: {nvars!r}, {degree!r}")
     if degree < 0:
         return []
     out = []

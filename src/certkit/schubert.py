@@ -10,8 +10,9 @@ cross-checking.
 
 Chern-class bookkeeping happens in the formal weighted ring Q[s1,s11,s2,s3]
 (weights 1,2,2,3), whose elements are exactcore Polynomials over
-FORMAL_GENERATORS.  Classes only go up to weight 3, which ChernVector and
-ChernCharacter check homogeneous part by homogeneous part; powers of s1 stay
+FORMAL_GENERATORS.  A total Chern class 1 + c1 + c2 + c3 and a Chern character
+rank + ch1 + ch2 + ch3 are each one Polynomial cut at weight 3; an entry that
+takes a class raises ValueError on a term of higher weight.  Powers of s1 stay
 symbolic and are only paired against the ambient Grassmannian at the very end.
 """
 
@@ -142,10 +143,10 @@ def pieri(lam: Partition2, k: int, n: int) -> SchubertElement:
     Result: sum of sigma_mu over mu containing lam with mu/lam a horizontal
     strip of size k, clipped to the 2 x (n-2) box.
     """
-    a, b = lam
+    a, b = lam = _exact_ints(lam, "partition entries")
     if not partition_is_valid(lam, n):
         raise ValueError("invalid partition")
-    if not 1 <= k <= n - 2:
+    if not _is_int(k) or not 1 <= k <= n - 2:
         raise ValueError("invalid special class index")
     out = {}
     # mu = (a2, b2), horizontal strip: a2 >= a >= b2 >= b, sizes add up
@@ -159,7 +160,7 @@ def pieri(lam: Partition2, k: int, n: int) -> SchubertElement:
 
 def dual_pieri(lam: Partition2, n: int) -> SchubertElement:
     """Multiply sigma_lam by sigma_(1,1): shift by (1,1), zero out of the box."""
-    a, b = lam
+    a, b = lam = _exact_ints(lam, "partition entries")
     if not partition_is_valid(lam, n):
         raise ValueError("invalid partition")
     if a + 1 > n - 2:
@@ -242,10 +243,6 @@ S2 = Polynomial.variable("s2", FORMAL_GENERATORS)
 S3 = Polynomial.variable("s3", FORMAL_GENERATORS)
 
 
-def _weights(p: Polynomial) -> set:
-    return {sum(e * w for e, w in zip(exps, FORMAL_WEIGHTS)) for exps in p.terms}
-
-
 def weight_vector(p: Polynomial, w: int) -> tuple:
     """Coefficients of a formal class on the weight-w monomials of
     WEIGHT_BASES, for w = 1, 2, 3."""
@@ -268,108 +265,66 @@ def _to_schubert(p: Polynomial, n: int) -> SchubertElement:
     return total
 
 
-class ChernVector:
-    """Total Chern class (c0=1, c1, c2, c3) of a bundle, formal coefficients."""
-
-    __slots__ = ("rank", "classes")
-
-    def __init__(self, rank, classes):
-        classes = list(classes)
-        if len(classes) != 4:
-            raise ValueError("expected classes c0..c3")
-        if classes[0] != ONE:
-            raise ValueError("c0 must be 1")
-        for i, c in enumerate(classes):
-            if not c.is_zero() and _weights(c) != {i}:
-                raise ValueError(f"c{i} not homogeneous of weight {i}")
-        self.rank = _exact_rational(rank, "rank")
-        self.classes = classes
-
-    def __eq__(self, other):
-        if isinstance(other, ChernVector):
-            return self.rank == other.rank and self.classes == other.classes
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ChernVector(rank={self.rank}, c1={self.classes[1]!r}, " \
-               f"c2={self.classes[2]!r}, c3={self.classes[3]!r})"
+def _parts(*factors: Polynomial, total: bool = False) -> list:
+    """[p0, p1, p2, p3], the weight parts of the product of the formal classes
+    cut at weight 3, as Chern characters multiply (of one class, its parts).
+    ValueError unless each factor is a Polynomial over FORMAL_GENERATORS with
+    no term of weight above 3 and, if total, constant term 1."""
+    out = [ONE, ZERO, ZERO, ZERO]
+    for p in factors:
+        if not isinstance(p, Polynomial) or p.variables != FORMAL_GENERATORS:
+            raise ValueError(f"a formal class must be a Polynomial over {FORMAL_GENERATORS}: {p!r}")
+        parts = [{}, {}, {}, {}]
+        for e, c in p.terms.items():
+            w = sum(k * g for k, g in zip(e, FORMAL_WEIGHTS))
+            if w > 3:
+                raise ValueError(f"a formal class must have no term of weight above 3: {p!r}")
+            parts[w][e] = c
+        parts = [Polynomial(FORMAL_GENERATORS, t) for t in parts]
+        if total and parts[0] != ONE:
+            raise ValueError(f"a total Chern class must have constant term 1: {p!r}")
+        out = [sum((out[i] * parts[w - i] for i in range(w + 1)), ZERO) for w in range(4)]
+    return out
 
 
-class ChernCharacter:
-    """Chern character truncated at weight 3: rank + ch1 + ch2 + ch3."""
-
-    __slots__ = ("rank", "ch1", "ch2", "ch3")
-
-    def __init__(self, rank, ch1: Polynomial, ch2: Polynomial, ch3: Polynomial):
-        for i, p in enumerate((ch1, ch2, ch3), start=1):
-            if not p.is_zero() and _weights(p) != {i}:
-                raise ValueError(f"ch{i} not homogeneous of weight {i}")
-        self.rank = _exact_rational(rank, "rank")
-        self.ch1 = ch1
-        self.ch2 = ch2
-        self.ch3 = ch3
-
-    def __eq__(self, other):
-        if isinstance(other, ChernCharacter):
-            return (self.rank == other.rank and self.ch1 == other.ch1
-                    and self.ch2 == other.ch2 and self.ch3 == other.ch3)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ChernCharacter({self.rank}, {self.ch1!r}, {self.ch2!r}, {self.ch3!r})"
-
-
-def chern_to_character(c: ChernVector) -> ChernCharacter:
-    """Newton-identity expansion: ch1 = c1, ch2 = (c1^2 - 2 c2)/2,
-    ch3 = (c1^3 - 3 c1 c2 + 3 c3)/6."""
-    c1, c2, c3 = c.classes[1], c.classes[2], c.classes[3]
+def chern_to_character(c: Polynomial, rank) -> Polynomial:
+    """Chern character rank + ch1 + ch2 + ch3 of a bundle of this rank with
+    total Chern class c = 1 + c1 + c2 + c3, by Newton's identities:
+    ch1 = c1, ch2 = (c1^2 - 2 c2)/2, ch3 = (c1^3 - 3 c1 c2 + 3 c3)/6."""
+    _, c1, c2, c3 = _parts(c, total=True)
     ch2 = (c1 * c1 - c2.scale(2)).scale(Fraction(1, 2))
     ch3 = (c1 * c1 * c1 - (c1 * c2).scale(3) + c3.scale(3)).scale(Fraction(1, 6))
-    return ChernCharacter(c.rank, c1, ch2, ch3)
+    return ONE.scale(_exact_rational(rank, "rank")) + c1 + ch2 + ch3
 
 
-def character_mul(a: ChernCharacter, b: ChernCharacter) -> ChernCharacter:
-    """Graded product of characters, truncated at weight 3."""
-    rank = a.rank * b.rank
-    ch1 = a.ch1.scale(b.rank) + b.ch1.scale(a.rank)
-    ch2 = a.ch2.scale(b.rank) + a.ch1 * b.ch1 + b.ch2.scale(a.rank)
-    ch3 = (a.ch3.scale(b.rank) + a.ch2 * b.ch1 + a.ch1 * b.ch2
-           + b.ch3.scale(a.rank))
-    return ChernCharacter(rank, ch1, ch2, ch3)
+def character_to_chern(ch: Polynomial) -> Polynomial:
+    """Invert chern_to_character weight by weight.  The rank is the
+    constant term of ch; the Chern classes do not depend on it."""
+    _, ch1, ch2, ch3 = _parts(ch)
+    c2 = (ch1 * ch1).scale(Fraction(1, 2)) - ch2
+    c3 = ch3.scale(2) - (ch1 * ch1 * ch1).scale(Fraction(1, 3)) + ch1 * c2
+    return ONE + ch1 + c2 + c3
 
 
-def character_to_chern(ch: ChernCharacter, rank) -> ChernVector:
-    """Invert chern_to_character degree by degree."""
-    if ch.rank != _exact_rational(rank, "rank"):
-        raise ValueError("rank mismatch")
-    c1 = ch.ch1
-    c2 = (c1 * c1).scale(Fraction(1, 2)) - ch.ch2
-    c3 = ch.ch3.scale(2) - (c1 * c1 * c1).scale(Fraction(1, 3)) + c1 * c2
-    return ChernVector(rank, [ONE, c1, c2, c3])
+def line_character(m) -> Polynomial:
+    """Character of a line class m*s1: exp(m*s1) through weight 3."""
+    x = S1.scale(_exact_rational(m, "twist"))
+    return ONE + x + (x * x).scale(Fraction(1, 2)) + (x * x * x).scale(Fraction(1, 6))
 
 
-def line_character(m) -> ChernCharacter:
-    """Character of a line class m*s1: exp expansion through weight 3."""
-    m = _exact_rational(m, "twist")
-    return ChernCharacter(1,
-                          S1.scale(m),
-                          (S1 * S1).scale(m * m / 2),
-                          (S1 * S1 * S1).scale(m ** 3 / 6))
-
-
-def twist_character(ch: ChernCharacter, m) -> ChernCharacter:
+def twist_character(ch: Polynomial, m) -> Polynomial:
     """Tensor by the line class m*s1."""
-    return character_mul(ch, line_character(m))
+    return sum(_parts(ch, line_character(m)), ZERO)
 
 
-def tautological_sub_chern() -> ChernVector:
-    """c(S) = 1 - s1 t + s11 t^2 on Gr(2,n), rank 2."""
-    return ChernVector(2, [ONE, S1.scale(-1), S11, ZERO])
+def tautological_sub_chern() -> Polynomial:
+    """c(S) = 1 - s1 t + s11 t^2 of the rank-2 subbundle on Gr(2,n)."""
+    return ONE - S1 + S11
 
 
-def tautological_quotient_dual_chern() -> ChernVector:
+def tautological_quotient_dual_chern() -> Polynomial:
     """c(Q*) = 1 - s1 t + s2 t^2 - s3 t^3 for the rank-3 quotient on Gr(2,5)."""
-    return ChernVector(3, [ONE, S1.scale(-1), S2, S3.scale(-1)])
+    return ONE - S1 + S2 - S3
 
 
 def restriction_coefficients() -> tuple:
@@ -380,14 +335,13 @@ def restriction_coefficients() -> tuple:
     return tuple(cube.terms.get((k, 0, 0, 0), Fraction(0)) for k in (3, 2, 1, 0))
 
 
-def restrict_third_chern(c: ChernVector) -> Polynomial:
+def restrict_third_chern(c: Polynomial, coeffs: tuple) -> Polynomial:
     """Third Chern class after restriction along a codimension-3 linear
-    section: sum of (restriction coefficient)_k * s1^k * c_(3-k)."""
-    k3, k2, k1, k0 = restriction_coefficients()
-    return (c.classes[3].scale(k0)
-            + (S1 * c.classes[2]).scale(k1)
-            + (S1 * S1 * c.classes[1]).scale(k2)
-            + (S1 ** 3).scale(k3))
+    section: sum of coeffs_k * s1^k * c_(3-k) for a total Chern class c,
+    with coeffs = restriction_coefficients() in that order (k = 3, 2, 1, 0)."""
+    parts = _parts(c, total=True)
+    return sum((((S1 ** k) * parts[3 - k]).scale(x)
+                for k, x in zip((3, 2, 1, 0), coeffs)), ZERO)
 
 
 def weight3_degree_table() -> tuple:
@@ -402,9 +356,9 @@ def weight3_degree_table() -> tuple:
 
 
 V5Report = namedtuple("V5Report", [
-    "cotangent_character",      # ch of the ambient cotangent bundle
+    "cotangent_character",      # ch = 6 + ch1 + ch2 + ch3 of the ambient cotangent bundle
     "twisted_character",        # after tensoring with the square of the hyperplane class
-    "chern",                    # ChernVector of the twisted bundle
+    "chern",                    # total Chern class 1 + c1 + c2 + c3 of the twisted bundle
     "restriction_coefficients",
     "restricted_third_chern",   # Polynomial, weight 3
     "coefficient_vector",       # on the basis (s1^3, s1*s11, s1*s2, s3)
@@ -417,13 +371,12 @@ def v5_separability_details() -> V5Report:
     """Full pipeline for the degree certificate of the cotangent bundle of
     Gr(2,5) twisted by O(2) (so c1 = -5 + 6*2 = 7), restricted to the
     codimension-3 linear section V5 cut out by three hyperplanes."""
-    ch_sub = chern_to_character(tautological_sub_chern())
-    ch_qd = chern_to_character(tautological_quotient_dual_chern())
-    ch_cot = character_mul(ch_sub, ch_qd)
+    ch_cot = sum(_parts(chern_to_character(tautological_sub_chern(), 2),
+                        chern_to_character(tautological_quotient_dual_chern(), 3)), ZERO)
     ch_tw = twist_character(ch_cot, 2)
-    c = character_to_chern(ch_tw, 6)
+    c = character_to_chern(ch_tw)
     coeffs = restriction_coefficients()
-    cbar3 = restrict_third_chern(c)
+    cbar3 = restrict_third_chern(c, coeffs)
     vec = weight_vector(cbar3, 3)
     table = weight3_degree_table()
     value = sum(v * t for v, t in zip(vec, table))

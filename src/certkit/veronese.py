@@ -184,6 +184,8 @@ KernelVerdict = namedtuple("KernelVerdict", ["memberships", "rows",
 
 
 def _kernel_certificate(generators: list, degree_bound: int) -> KernelVerdict:
+    if not _is_int(degree_bound):
+        raise ValueError(f"degree bound must be an integer: {degree_bound!r}")
     if degree_bound < 2:
         raise ValueError("degree bound below two")
     # the numerators decide membership only for homogeneous generators;
@@ -297,15 +299,18 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
         raise ValueError("unknown quadric choice")
     q = _p4(QUADRIC_CHOICES[quadric_choice])
     x0, x1, x2, x3, _ = (Polynomial.variable(v, P4_VARS) for v in P4_VARS)
-    avoided = tuple(sorted(avoided_divisor)) if avoided_divisor is not None else None
+    # only the default components' planes, indices {0, 2} and {1, 2}, can be avoided
+    if avoided_divisor is not None and not (
+            isinstance(avoided_divisor, (tuple, list, set, frozenset))
+            and all(_is_int(i) for i in avoided_divisor)
+            and sorted(avoided_divisor) in ([0, 2], [1, 2])):
+        raise ValueError(f"avoided divisor must be the index pair (0, 2) or (1, 2): "
+                         f"{avoided_divisor!r}")
 
-    # default split: cut with the plane where the distinguished square
-    # coordinate vanishes, so the quadric degenerates to a product
-    h_default = x2
-    comp_a_default = (x0, x2)   # indices (0, 2)
-    comp_b_default = (x1, x2)   # indices (1, 2)
-    if avoided not in ((0, 2), (1, 2)):
-        h, comp_a, comp_b = h_default, comp_a_default, comp_b_default
+    if avoided_divisor is None:
+        # default split: cut with the plane where the distinguished square
+        # coordinate vanishes, so the quadric degenerates to a product
+        h, comp_a, comp_b = x2, (x0, x2), (x1, x2)
     else:
         # tilt the hyperplane so neither component is the avoided subspace
         h = x1 - x2

@@ -20,9 +20,6 @@ from certkit import certify_cli as cli
 from certkit import exactcore, hodge, numerology, schubert, toric, veronese
 from certkit.exactcore import poly_from_string_exps
 from certkit.schubert import (
-    S1,
-    S2,
-    S11,
     SchubertElement,
     degree,
     mul,
@@ -42,16 +39,17 @@ def test_criterion_01_twisted_cotangent_goldens():
     details = v5_separability_details()
 
     # cotangent character of the ambient sixfold
+    # (a class is one Polynomial; weight_vector reads its weight-w part on
+    # WEIGHT_BASES: s1; s1^2, s11, s2; s1^3, s1*s11, s1*s2, s3)
     cot = details.cotangent_character
-    assert cot.rank == 6
-    assert cot.ch1 == S1.scale(-5)
-    assert cot.ch2 == (S1 * S1).scale(Fraction(7, 2)) + S11.scale(-3) + S2.scale(-2)
-    assert schubert.weight_vector(cot.ch3, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    assert cot.terms[(0, 0, 0, 0)] == 6
+    assert schubert.weight_vector(cot, 1) == (-5,)
+    assert schubert.weight_vector(cot, 2) == (Fraction(7, 2), -3, -2)
+    assert schubert.weight_vector(cot, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
 
     # low Chern classes of the twisted bundle
-    assert details.chern.classes[1] == S1.scale(7)
-    assert details.chern.classes[2] == ((S1 * S1).scale(19) + S11.scale(3)
-                                        + S2.scale(2))
+    assert schubert.weight_vector(details.chern, 1) == (7,)
+    assert schubert.weight_vector(details.chern, 2) == (19, 3, 2)
 
     # restriction bookkeeping and the intersection table
     assert details.restriction_coefficients == (-10, 6, -3, 1)
@@ -61,7 +59,7 @@ def test_criterion_01_twisted_cotangent_goldens():
     assert elapsed < 1.0
 
     # published top Chern class and published degree
-    assert schubert.weight_vector(details.chern.classes[3], 3) == (145, 14, 10, -2)
+    assert schubert.weight_vector(details.chern, 3) == (145, 14, 10, -2)
     assert details.value == 620
 
 

@@ -612,8 +612,9 @@ _INEXACT_CALLS = [
     pytest.param(lambda: veronese.secant_stratum((0.5, 1, 1, "1", 0, True)),
                  id="secant_stratum"),
     pytest.param(lambda: schubert.line_character(0.1), id="line_character"),
-    pytest.param(lambda: schubert.ChernCharacter(1.0, schubert.ZERO, schubert.ZERO,
-                                                 schubert.ZERO), id="ChernCharacter"),
+    pytest.param(lambda: schubert.chern_to_character(schubert.ONE, 1.0),
+                 id="chern_to_character"),
+    pytest.param(lambda: schubert.twist_character(schubert.ONE, 0.5), id="twist_character"),
 ]
 
 
@@ -647,7 +648,9 @@ def test_exact_matrices_keep_their_ranks():
 
 # zero entries, polynomial coefficients and Chern ranks that slipped past
 # the rule: a falsy float, bool or string entry was dropped unchecked, a
-# polynomial kept 0.5 as a coefficient, and a rank of '1' was stored as given
+# polynomial kept 0.5 as a coefficient, and a rank of '1' was stored as given;
+# a Chern class or character is a Polynomial over the formal generators,
+# never a string, a bool, a list or a polynomial in other variables
 _UNCHECKED_CALLS = [
     pytest.param(lambda: matrix_rank([[0.0, False], ["", 0]]), id="matrix_rank-zeros"),
     pytest.param(lambda: kernel_dimension([[0.0, 0.0]]), id="kernel_dimension-zeros"),
@@ -658,13 +661,18 @@ _UNCHECKED_CALLS = [
     pytest.param(lambda: Polynomial.variable("x", XY).scale(0.5), id="scale-float"),
     pytest.param(lambda: Polynomial.variable("x", XY).scale(0.0), id="scale-zero-float"),
     pytest.param(lambda: Polynomial.variable("x", XY) * 0.5, id="mul-float"),
-    pytest.param(lambda: schubert.character_to_chern(schubert.line_character(1), "1"),
-                 id="character_to_chern-str"),
-    pytest.param(lambda: schubert.character_to_chern(schubert.line_character(1), True),
-                 id="character_to_chern-bool"),
-    pytest.param(lambda: schubert.ChernVector(1.5, [schubert.ONE, schubert.ZERO,
-                                                    schubert.ZERO, schubert.ZERO]),
-                 id="ChernVector-float"),
+    pytest.param(lambda: schubert.character_to_chern("1"), id="character_to_chern-str"),
+    pytest.param(lambda: schubert.character_to_chern(True), id="character_to_chern-bool"),
+    pytest.param(lambda: schubert.chern_to_character(schubert.ONE, 1.5),
+                 id="chern_to_character-float"),
+    pytest.param(lambda: schubert.chern_to_character(schubert.ONE, "1"),
+                 id="chern_to_character-str"),
+    pytest.param(lambda: schubert.chern_to_character(schubert.ONE, True),
+                 id="chern_to_character-bool"),
+    pytest.param(lambda: schubert.twist_character(schubert.ONE, True), id="twist_character-bool"),
+    pytest.param(lambda: schubert.twist_character([schubert.ONE], 1), id="twist_character-list"),
+    pytest.param(lambda: schubert.chern_to_character(Polynomial.variable("x", XY), 1),
+                 id="chern_to_character-foreign"),
 ]
 
 
@@ -691,21 +699,19 @@ def test_exact_zeros_coefficients_and_ranks_unchanged():
     assert p.scale(3) == p.scale(Fraction(3)) == 3 * p
     assert p.scale(Fraction(1, 2)).terms == {(1, 0): 1, (1, 1): Fraction(1, 6)}
     assert Polynomial(XY, {(1, 0): Fp(2, 1)}).scale(Fp(2, 3)).terms == {(1, 0): Fp(2, 1)}
-    line = schubert.line_character(1)
-    for rank in (1, Fraction(1)):
-        c = schubert.character_to_chern(line, rank)
-        assert c.rank == 1
-        assert c == schubert.character_to_chern(line, 1)
-    with pytest.raises(ValueError, match="rank mismatch"):
-        schubert.character_to_chern(line, 2)
-    trivial = [schubert.ONE, schubert.ZERO, schubert.ZERO, schubert.ZERO]
-    assert schubert.ChernVector(2, trivial) == schubert.ChernVector(Fraction(2), trivial)
-    assert schubert.ChernVector(Fraction(3, 2), trivial).rank == Fraction(3, 2)
+    trivial = schubert.ONE
+    assert (schubert.chern_to_character(trivial, 2)
+            == schubert.chern_to_character(trivial, Fraction(2)) == 2 * schubert.ONE)
+    rank = schubert.chern_to_character(trivial, Fraction(3, 2)).terms[(0, 0, 0, 0)]
+    assert rank == Fraction(3, 2) and type(rank) is Fraction
 
 
-# ambients, exponents and evaluation points that slipped past the rule: a
-# Schubert class on Gr(2,5.5) was built and multiplied, sigma_1 ** -1 gave
-# the unit, p ** True gave p, and evaluate returned the float 0.1
+# ambients, exponents, evaluation points, partitions and counts that slipped
+# past the rule: a Schubert class on Gr(2,5.5) was built and multiplied,
+# sigma_1 ** -1 gave the unit, p ** True gave p, evaluate returned the float
+# 0.1, pieri read (True, 0) and k = True as (1, 0) and 1, monomials_of_degree
+# read True variables as one or recursed without end on -1, and a degree
+# bound of 2.5 reached range()
 _SIGMA1 = schubert.SchubertElement.sigma(5, 1)
 _X = Polynomial.variable("x", XY)
 _UNCHECKED_AMBIENTS_POWERS_POINTS = [
@@ -722,6 +728,19 @@ _UNCHECKED_AMBIENTS_POWERS_POINTS = [
     pytest.param(lambda: _X.evaluate({"x": 0.1, "y": "2"}), id="evaluate-float-str"),
     pytest.param(lambda: _X.evaluate({"x": 1, "y": "2"}), id="evaluate-unused-str"),
     pytest.param(lambda: Polynomial.zero(XY).evaluate({"x": 0.1, "y": 1}), id="evaluate-zero"),
+    pytest.param(lambda: schubert.pieri((1, 0), True, 5), id="pieri-k-bool"),
+    pytest.param(lambda: schubert.pieri((1, 0), 1.0, 5), id="pieri-k-float"),
+    pytest.param(lambda: schubert.pieri((True, 0), 1, 5), id="pieri-partition-bool"),
+    pytest.param(lambda: schubert.pieri((1.0, 0), 1, 5), id="pieri-partition-float"),
+    pytest.param(lambda: schubert.dual_pieri((1, False), 5), id="dual_pieri-partition-bool"),
+    pytest.param(lambda: schubert.dual_pieri((1.0, 0), 5), id="dual_pieri-partition-float"),
+    pytest.param(lambda: monomials_of_degree(-1, 2), id="monomials-negative-count"),
+    pytest.param(lambda: monomials_of_degree(2, 1.5), id="monomials-float-degree"),
+    pytest.param(lambda: monomials_of_degree(True, 2), id="monomials-bool-count"),
+    pytest.param(lambda: monomials_of_degree(2, True), id="monomials-bool-degree"),
+    pytest.param(lambda: veronese.projection_kernel_certificate(2.5), id="kernel-bound-float"),
+    pytest.param(lambda: veronese.projection_kernel_principal_certificate(3.0),
+                 id="principal-kernel-bound-float"),
 ]
 
 
@@ -735,6 +754,9 @@ def test_exact_ambients_powers_and_points_unchanged():
     S = schubert.SchubertElement
     assert repr(S(2, {})) == "0 (Gr(2,2))"
     assert S(2, {(0, 0): 1}) == S.unit(2)
+    assert schubert.pieri((1, 0), 1, 5) == schubert.pieri([1, 0], 1, 5) == _SIGMA1 ** 2
+    assert schubert.dual_pieri((1, 0), 5) == S(5, {(2, 1): 1})
+    assert schubert.dual_pieri([3, 0], 5) == S.zero(5)
     assert _SIGMA1 ** 0 == S.unit(5)
     assert _SIGMA1 ** 2 == S(5, {(2, 0): 1, (1, 1): 1})
     assert _SIGMA1 ** 6 == S(5, {(3, 3): 5})
@@ -755,6 +777,9 @@ def test_exact_ambients_powers_and_points_unchanged():
 def test_monomials_of_degree_count():
     assert len(monomials_of_degree(4, 2)) == 10
     assert monomials_of_degree(2, 1) == [(1, 0), (0, 1)]
+    assert monomials_of_degree(1, 2) == [(2,)]
+    assert monomials_of_degree(0, 0) == [()] and monomials_of_degree(0, 1) == []
+    assert monomials_of_degree(3, -1) == [] and monomials_of_degree(0, -2) == []
 
 
 def test_ideal_graded_dimension_examples():

@@ -1,6 +1,6 @@
-"""The package's public surface has no dead entry points: every module-level
-public function and class in src/certkit is named somewhere in the package
-besides its own definition."""
+"""The package has no dead definitions: every module-level function and
+class in src/certkit, private helpers included, is named somewhere in the
+package besides its own definition."""
 
 import ast
 import pathlib
@@ -9,7 +9,7 @@ import certkit
 
 PACKAGE = pathlib.Path(certkit.__file__).parent
 
-# public names kept without a caller in the package, each for a stated job
+# names kept without a caller in the package, each for a stated job
 UNCALLED = {
     "exactcore.solve": "the tests' reference for cone membership and span coefficients",
 }
@@ -28,16 +28,15 @@ def _names(node) -> set:
     return out
 
 
-def test_every_public_definition_is_named_in_the_package():
-    """Uncalled public definitions are exactly the listed exceptions: a new
-    dead entry point fails, and so does an exception that gained a caller
-    or was deleted."""
+def test_every_definition_is_named_in_the_package():
+    """Uncalled definitions are exactly the listed exceptions: a new dead
+    entry point or helper fails, and so does an exception that gained a
+    caller or was deleted."""
     defined, used = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined.append(f"{path.stem}.{node.name}")
+                defined.append(f"{path.stem}.{node.name}")
                 # a recursive call does not make a function live
                 used |= _names(node) - {node.name}
             else:

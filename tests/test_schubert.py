@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from certkit import schubert
 from certkit.exactcore import Polynomial
 from certkit.schubert import (
-    ChernCharacter,
-    ChernVector,
     FORMAL_GENERATORS,
     ONE,
     S1,
@@ -22,7 +20,6 @@ from certkit.schubert import (
     S3,
     SchubertElement,
     ZERO,
-    character_mul,
     character_to_chern,
     chern_to_character,
     degree,
@@ -294,77 +291,70 @@ def fc(**data):
 
 
 def test_chern_to_character_tautological():
-    c = ChernVector(2, [ONE, S1.scale(Fraction(-1)), S11, ZERO])
-    ch = chern_to_character(c)
-    assert ch.rank == 2
-    assert ch.ch1 == fc(s1=-1)
-    assert ch.ch2 == fc(s1sq=Fraction(1, 2), s11=-1)
-    assert ch.ch3 == fc(s1cu=Fraction(-1, 6), s1s11=Fraction(1, 2))
+    ch = chern_to_character(ONE - S1 + S11, 2)
+    assert ch == fc(one=2, s1=-1, s1sq=Fraction(1, 2), s11=-1,
+                    s1cu=Fraction(-1, 6), s1s11=Fraction(1, 2))
 
 
 def test_chern_to_character_quotient_dual():
-    c = ChernVector(3, [ONE, S1.scale(Fraction(-1)), S2,
-                        S3.scale(Fraction(-1))])
-    ch = chern_to_character(c)
-    assert ch.ch2 == fc(s1sq=Fraction(1, 2), s2=-1)
-    assert ch.ch3 == fc(s1cu=Fraction(-1, 6), s1s2=Fraction(1, 2),
-                        s3=Fraction(-1, 2))
+    ch = chern_to_character(ONE - S1 + S2 - S3, 3)
+    assert ch == fc(one=3, s1=-1, s1sq=Fraction(1, 2), s2=-1, s1cu=Fraction(-1, 6),
+                    s1s2=Fraction(1, 2), s3=Fraction(-1, 2))
 
 
 def test_chern_to_character_trivial_bundle():
-    c = ChernVector(4, [ONE, ZERO, ZERO, ZERO])
-    ch = chern_to_character(c)
-    assert ch.rank == 4
-    assert ch.ch1 == ZERO
-    assert ch.ch2 == ZERO
-    assert ch.ch3 == ZERO
+    assert chern_to_character(ONE, 4) == fc(one=4)
+    assert chern_to_character(ONE, Fraction(3, 2)) == fc(one=Fraction(3, 2))
+    assert chern_to_character(ONE, 0) == ZERO
 
 
 def test_character_mul_cotangent_parts():
+    # the cotangent character is the product of the characters of S and
+    # Q*, cut at weight 3
     det = v5_separability_details()
     ch = det.cotangent_character
-    assert ch.rank == 6
-    assert ch.ch1 == fc(s1=-5)
-    assert ch.ch2 == fc(s1sq=Fraction(7, 2), s11=-3, s2=-2)
-    assert weight_vector(ch.ch3, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    assert ch == fc(one=6, s1=-5, s1sq=Fraction(7, 2), s11=-3, s2=-2,
+                    s1cu=Fraction(-11, 6), s1s11=Fraction(5, 2), s1s2=2, s3=-1)
+    assert weight_vector(ch, 3) == (Fraction(-11, 6), Fraction(5, 2), 2, -1)
+    full = chern_to_character(ONE - S1 + S11, 2) * chern_to_character(ONE - S1 + S2 - S3, 3)
+    assert ch == Polynomial(FORMAL_GENERATORS, {
+        e: c for e, c in full.terms.items()
+        if sum(k * w for k, w in zip(e, schubert.FORMAL_WEIGHTS)) <= 3})
 
 
 def test_character_mul_by_zero():
     det = v5_separability_details()
-    zero = ChernCharacter(0, ZERO, ZERO, ZERO)
-    prod = character_mul(det.cotangent_character, zero)
-    assert prod.rank == 0
-    assert prod.ch1 == ZERO
-    assert prod.ch3 == ZERO
+    assert sum(schubert._parts(det.cotangent_character, ZERO), ZERO) == ZERO
+    assert sum(schubert._parts(ONE, det.cotangent_character), ZERO) == det.cotangent_character
 
 
 def test_twist_degree_one_part():
     det = v5_separability_details()
     twisted = twist_character(det.cotangent_character, 2)
-    assert twisted.ch1 == fc(s1=7)
-    direct = character_mul(line_character(2), det.cotangent_character)
-    assert direct.ch1 == twisted.ch1
-    assert direct.ch2 == twisted.ch2
-    assert direct.ch3 == twisted.ch3
+    assert weight_vector(twisted, 1) == (7,)
+    assert twisted == det.twisted_character
+    assert line_character(2) == fc(one=1, s1=2, s1sq=2, s1cu=Fraction(4, 3))
+    # tensoring by m*s1 and then by -m*s1 gives the character back
+    assert twist_character(twisted, -2) == det.cotangent_character
 
 
 def test_character_to_chern_twisted_cotangent():
     det = v5_separability_details()
-    tw = det.chern
-    assert tw.rank == 6
-    assert tw.classes[1] == fc(s1=7)
-    assert tw.classes[2] == fc(s1sq=19, s11=3, s2=2)
+    c = det.chern
+    assert det.twisted_character.terms[(0, 0, 0, 0)] == 6
+    assert weight_vector(c, 1) == (7,)
+    assert weight_vector(c, 2) == (19, 3, 2)
     # third class recomputed exactly; the published table differs and is
     # carried as a flagged certificate plus a red acceptance assert
-    assert weight_vector(tw.classes[3], 3) == (25, 14, 10, -2)
+    assert weight_vector(c, 3) == (25, 14, 10, -2)
+    assert c == fc(one=1, s1=7, s1sq=19, s11=3, s2=2, s1cu=25, s1s11=14, s1s2=10, s3=-2)
 
 
 def test_character_to_chern_constant_character():
-    ch = ChernCharacter(5, ZERO, ZERO, ZERO)
-    c = character_to_chern(ch, 5)
-    assert c.classes[1] == ZERO
-    assert c.classes[2] == ZERO
-    assert c.classes[3] == ZERO
+    # the rank is the constant term and leaves the Chern classes alone
+    for rank in (0, 5, Fraction(1, 2)):
+        assert character_to_chern(fc(one=rank)) == ONE
+    assert character_to_chern(line_character(1)) == ONE + S1
 
 
 def _random_formal(rng, weight):
@@ -391,12 +381,11 @@ def test_chern_character_roundtrip_random():
     rng = random.Random("chern-roundtrip")
     for _ in range(200):
         rank = rng.randrange(1, 7)
-        c = ChernVector(rank, [ONE, _random_formal(rng, 1),
-                               _random_formal(rng, 2), _random_formal(rng, 3)])
-        back = character_to_chern(chern_to_character(c), rank)
-        assert back.classes[1] == c.classes[1]
-        assert back.classes[2] == c.classes[2]
-        assert back.classes[3] == c.classes[3]
+        c = ONE + _random_formal(rng, 1) + _random_formal(rng, 2) + _random_formal(rng, 3)
+        ch = chern_to_character(c, rank)
+        assert ch.terms[(0, 0, 0, 0)] == rank
+        assert weight_vector(ch, 1) == weight_vector(c, 1)
+        assert character_to_chern(ch) == c
 
 
 def test_formal_classes_are_plain_polynomials():
@@ -404,31 +393,45 @@ def test_formal_classes_are_plain_polynomials():
     assert ONE == Polynomial.constant(FORMAL_GENERATORS, 1)
     s1, s11, s2, s3 = (Polynomial.variable(g, FORMAL_GENERATORS)
                        for g in FORMAL_GENERATORS)
-    c = ChernVector(5, [Polynomial.constant(FORMAL_GENERATORS, 1), s1.scale(3),
-                        s1 * s1 - s11.scale(2) + s2,
-                        (s1 * s11).scale(Fraction(1, 2)) - s3])
-    back = character_to_chern(chern_to_character(c), 5)
+    c = (Polynomial.constant(FORMAL_GENERATORS, 1) + s1.scale(3)
+         + s1 * s1 - s11.scale(2) + s2 + (s1 * s11).scale(Fraction(1, 2)) - s3)
+    back = character_to_chern(chern_to_character(c, 5))
     assert back == c
-    assert weight_vector(back.classes[3], 3) == (0, Fraction(1, 2), 0, -1)
+    assert weight_vector(back, 3) == (0, Fraction(1, 2), 0, -1)
 
 
 def test_homogeneity_checks_reject_stray_weights():
-    with pytest.raises(ValueError):
-        ChernVector(2, [ONE, S1, S1, ZERO])
-    with pytest.raises(ValueError):
-        ChernVector(2, [ONE + S1, ZERO, ZERO, ZERO])
-    with pytest.raises(ValueError):
-        ChernCharacter(1, S1, S1 * S1, S1 ** 4)
+    # a term of weight 4 (s1^4, s1^2*s11, s11^2, s1*s3, ...) lies past the
+    # weight-3 cut, and every entry that takes a class refuses it
+    coeffs = restriction_coefficients()
+    for stray in (S1 ** 4, S1 * S1 * S11, S11 * S2, S1 * S3):
+        c = ONE + S1 + stray
+        with pytest.raises(ValueError, match="weight above 3"):
+            chern_to_character(c, 2)
+        with pytest.raises(ValueError, match="weight above 3"):
+            character_to_chern(c)
+        with pytest.raises(ValueError, match="weight above 3"):
+            twist_character(c, 1)
+        with pytest.raises(ValueError, match="weight above 3"):
+            restrict_third_chern(c, coeffs)
+
+
+def test_total_chern_class_must_start_with_one():
+    coeffs = restriction_coefficients()
+    for c in (ZERO, S1, ONE.scale(2) + S1, ONE.scale(Fraction(1, 2)), -ONE + S11):
+        with pytest.raises(ValueError, match="constant term 1"):
+            chern_to_character(c, 2)
+        with pytest.raises(ValueError, match="constant term 1"):
+            restrict_third_chern(c, coeffs)
+    # a character has any rank as its constant term: O + L has rank 2
+    assert character_to_chern(ONE + line_character(1)) == ONE + S1
 
 
 def test_whitney_trivial_twist_fixes_chern_vector():
     det = v5_separability_details()
     twisted = twist_character(det.cotangent_character, 0)
-    back = character_to_chern(twisted, 6)
-    orig = character_to_chern(det.cotangent_character, 6)
-    assert back.classes[1] == orig.classes[1]
-    assert back.classes[2] == orig.classes[2]
-    assert back.classes[3] == orig.classes[3]
+    assert twisted == det.cotangent_character
+    assert character_to_chern(twisted) == character_to_chern(det.cotangent_character)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +450,9 @@ def test_degree_table():
 def test_restricted_third_chern_coefficient_vector():
     det = v5_separability_details()
     assert det.coefficient_vector == (0, 5, 4, -2)
-    direct = restrict_third_chern(det.chern)
+    direct = restrict_third_chern(det.chern, det.restriction_coefficients)
     assert direct == det.restricted_third_chern
+    assert weight_vector(direct, 3) == det.coefficient_vector
 
 
 def test_separability_value_recomputed():

@@ -377,6 +377,22 @@ def test_split_rejects_unknown_choice():
         split_hyperplane_certificate("x0^2")
 
 
+@pytest.mark.parametrize("avoided", [
+    (9, 9), "02", (0, 1), (2,), (0, 2, 1), (0.0, 2), (False, 2), 2, frozenset(),
+])
+def test_split_rejects_unknown_avoided_divisor(avoided):
+    # each of these gave the untilted hyperplane x2 as if none were given
+    with pytest.raises(ValueError, match="avoided divisor must be"):
+        split_hyperplane_certificate("x0x1+x2^2", avoided_divisor=avoided)
+
+
+def test_split_tilts_for_either_default_plane_in_any_order():
+    tilted = split_hyperplane_certificate("x0x1+x2x3", avoided_divisor=(0, 2))
+    for avoided in ((2, 0), [1, 2], (2, 1), {0, 2}):
+        v = split_hyperplane_certificate("x0x1+x2x3", avoided_divisor=avoided)
+        assert v == tilted
+
+
 # ---------------------------------------------------------------------------
 # smooth conics in characteristic two
 # ---------------------------------------------------------------------------
