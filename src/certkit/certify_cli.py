@@ -20,14 +20,12 @@ zero exactly when no certificate fails.
 from __future__ import annotations
 
 import argparse
-import enum
 import functools
 import itertools
 import json
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hodge, numerology, schubert, toric, veronese
@@ -51,28 +49,26 @@ GENUS_MAX = 12
 EXCLUDED_GENUS = (11,)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", ["seed", "trials", "degree_bound"])):
     """Knobs shared by every suite: plain ints, with the trial count and the
     degree bound in range; anything else is a ValueError."""
 
-    seed: int = 0
-    trials: int = 500
-    degree_bound: int = 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for flag, value in (("--seed", self.seed), ("--trials", self.trials),
-                            ("--degree-bound", self.degree_bound)):
+    def __new__(cls, seed=0, trials=500, degree_bound=6):
+        for flag, value in (("--seed", seed), ("--trials", trials),
+                            ("--degree-bound", degree_bound)):
             if not _is_int(value):
                 raise ValueError(f"{flag} must be an integer: {value!r}")
-        if self.trials < 0:
+        if trials < 0:
             raise ValueError("--trials must be nonnegative")
-        if self.trials > MAX_TRIALS:
+        if trials > MAX_TRIALS:
             raise ValueError(f"--trials must be at most {MAX_TRIALS}")
-        if self.degree_bound < 2:
+        if degree_bound < 2:
             raise ValueError("--degree-bound must be at least 2")
-        if self.degree_bound > MAX_DEGREE_BOUND:
+        if degree_bound > MAX_DEGREE_BOUND:
             raise ValueError(f"--degree-bound must be at most {MAX_DEGREE_BOUND}")
+        return super().__new__(cls, seed, trials, degree_bound)
 
     def echo(self) -> dict:
         return {
@@ -84,22 +80,12 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    id: str
-    description: str
-    provenance: str
-    expected: object
-    computed: object
-    verdict: str
+Certificate = namedtuple("Certificate", ["id", "description", "provenance",
+                                         "expected", "computed", "verdict"])
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    certificates: tuple
-    seed: int
-    config: dict
+class Report(namedtuple("Report", ["suite", "certificates", "seed", "config"])):
+    __slots__ = ()
 
     def counts(self) -> dict:
         out = {v: 0 for v in VERDICTS}
@@ -123,8 +109,6 @@ def encode_value(value):
         return value
     if value is None:
         return None
-    if isinstance(value, enum.Enum):
-        return encode_value(value.value)
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
@@ -713,7 +697,7 @@ def _veronese_points_ok(rng: random.Random, trials: int) -> bool:
         values = dict(zip(veronese.P5_VARS, image))
         if any(g.evaluate(values) for g in gens):
             return False
-        if veronese.secant_stratum(image).value != "OnVeronese":
+        if veronese.secant_stratum(image) != "OnVeronese":
             return False
     return True
 
@@ -1100,10 +1084,11 @@ def _build_parser() -> tuple:
     run_parser.add_argument("suite", choices=(*_CLAIMS, "all"))
     run_parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                             default="text", help="report rendering (default text)")
-    run_parser.add_argument("--seed", type=int, default=RunConfig.seed)
-    run_parser.add_argument("--trials", type=int, default=RunConfig.trials,
+    defaults = RunConfig()
+    run_parser.add_argument("--seed", type=int, default=defaults.seed)
+    run_parser.add_argument("--trials", type=int, default=defaults.trials,
                             help=f"seeded trials per randomized check (0 to {MAX_TRIALS})")
-    run_parser.add_argument("--degree-bound", type=int, default=RunConfig.degree_bound,
+    run_parser.add_argument("--degree-bound", type=int, default=defaults.degree_bound,
                             help=f"top degree of the kernel certificates (2 to {MAX_DEGREE_BOUND})")
     run_parser.add_argument("--out", default=None,
                             help="write the report to a file instead of stdout")

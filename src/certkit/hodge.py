@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,14 +39,13 @@ def chi_pn(m: int, N: int) -> int:
     return (-1) ** N * math.comb(-m - 1, N)
 
 
-@dataclass(frozen=True)
-class CIData:
+class CIData(namedtuple("CIData", ["ambient_dim", "degrees"])):
     """A smooth complete intersection inside projective N-space, recorded
     by the ambient dimension and its multidegree."""
-    ambient_dim: int
-    degrees: tuple
 
-    def __init__(self, ambient_dim: int, degrees: Sequence[int]):
+    __slots__ = ()
+
+    def __new__(cls, ambient_dim: int, degrees: Sequence[int]):
         degrees = tuple(degrees)
         if not _is_int(ambient_dim) or ambient_dim < 1:
             raise ValueError(f"ambient dimension must be a positive integer: {ambient_dim!r}")
@@ -55,8 +53,7 @@ class CIData:
             raise ValueError(f"degrees must be positive integers: {degrees!r}")
         if len(degrees) >= ambient_dim:
             raise ValueError("too many hypersurfaces")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "degrees", degrees)
+        return super().__new__(cls, ambient_dim, degrees)
 
     @property
     def dim(self) -> int:
@@ -295,10 +292,10 @@ def chi_omega1_ci_koszul(ci: CIData) -> int:
     return total - sum(ci_chi_twist(ci, -d) for d in ci.degrees)
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(namedtuple("HodgeDiamond", ["table"])):
     """Hodge numbers of a threefold, as a 4x4 grid h[p][q]."""
-    table: tuple
+
+    __slots__ = ()
 
     def h(self, p: int, q: int) -> int:
         return self.table[p][q]

@@ -338,7 +338,12 @@ def restriction_coefficients() -> tuple:
 def restrict_third_chern(c: Polynomial, coeffs: tuple) -> Polynomial:
     """Third Chern class after restriction along a codimension-3 linear
     section: sum of coeffs_k * s1^k * c_(3-k) for a total Chern class c,
-    with coeffs = restriction_coefficients() in that order (k = 3, 2, 1, 0)."""
+    with coeffs = restriction_coefficients() in that order (k = 3, 2, 1, 0):
+    four ints or Fractions."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != 4:
+        raise ValueError(f"need four restriction coefficients: {list(coeffs)}")
+    coeffs = [_exact_rational(x, "restriction coefficient") for x in coeffs]
     parts = _parts(c, total=True)
     return sum((((S1 ** k) * parts[3 - k]).scale(x)
                 for k, x in zip((3, 2, 1, 0), coeffs)), ZERO)

@@ -291,6 +291,8 @@ class Fan:
             if len(c) < 2:
                 raise ValueError("maximal cone with fewer than two rays")
             cones.append(tuple(sorted(c)))
+        if not cones:
+            raise ValueError("fan has no maximal cone")
         self.dim = dim
         self.rays = rays
         self.maximal_cones = tuple(cones)

@@ -11,11 +11,9 @@ in them; nothing is clamped to an expected value.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -106,18 +104,13 @@ def veronese_map(point: Sequence) -> tuple:
     return (X * X, Y * Y, Z * Z, Y * Z, Z * X, X * Y)
 
 
-class SecantStratum(enum.Enum):
-    ON_VERONESE = "OnVeronese"
-    ON_SECANT_ONLY = "OnSecantOnly"
-    GENERIC = "Generic"
-
-
-def secant_stratum(point: Sequence) -> SecantStratum:
+def secant_stratum(point: Sequence) -> str:
     """Position of a rational point of P^5 relative to the Veronese surface
     and its secant cubic, read off the rank of the symmetric matrix with
-    rows r0, r1, r2 in closed form, in the coordinates' own arithmetic: 3
-    when det = r0 . (r1 x r2) is nonzero, else 2 when the cross product of
-    some pair of rows is nonzero, else 1."""
+    rows r0, r1, r2 in closed form, in the coordinates' own arithmetic:
+    "Generic" (rank 3) when det = r0 . (r1 x r2) is nonzero, else
+    "OnSecantOnly" (rank 2) when the cross product of some pair of rows is
+    nonzero, else "OnVeronese" (rank 1)."""
     if len(point) != 6:
         raise ValueError(f"point must have 6 coordinates: {point!r}")
     x, y, z, s, t, u = (c if _is_int(c) else _exact_rational(c, "coordinate")
@@ -127,10 +120,10 @@ def secant_stratum(point: Sequence) -> SecantStratum:
     r0, r1, r2 = (x, u, t), (u, y, s), (t, s, z)
     a, b, c = _cross3(r1, r2)
     if x * a + u * b + t * c:
-        return SecantStratum.GENERIC
+        return "Generic"
     if a or b or c or any(_cross3(r0, r1)) or any(_cross3(r0, r2)):
-        return SecantStratum.ON_SECANT_ONLY
-    return SecantStratum.ON_VERONESE
+        return "OnSecantOnly"
+    return "OnVeronese"
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +292,13 @@ def split_hyperplane_certificate(quadric_choice: str, avoided_divisor=None) -> S
         raise ValueError("unknown quadric choice")
     q = _p4(QUADRIC_CHOICES[quadric_choice])
     x0, x1, x2, x3, _ = (Polynomial.variable(v, P4_VARS) for v in P4_VARS)
-    # only the default components' planes, indices {0, 2} and {1, 2}, can be avoided
+    # only the plane V(x0, x2) can be avoided: for either quadric choice the
+    # tilted split's first component is V(x1, x2)
     if avoided_divisor is not None and not (
             isinstance(avoided_divisor, (tuple, list, set, frozenset))
             and all(_is_int(i) for i in avoided_divisor)
-            and sorted(avoided_divisor) in ([0, 2], [1, 2])):
-        raise ValueError(f"avoided divisor must be the index pair (0, 2) or (1, 2): "
+            and sorted(avoided_divisor) == [0, 2]):
+        raise ValueError(f"avoided divisor must be the index pair (0, 2): "
                          f"{avoided_divisor!r}")
 
     if avoided_divisor is None:
@@ -462,24 +456,27 @@ def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
     return bool(a * d * d + b * e * e + c * f * f + d * e * f)
 
 
-@dataclass(frozen=True)
-class ConicSubspace:
-    """A linear system of ternary quadratic forms over F2 or F4.  The field
-    is read from the entries here, once: `q` is its order, and `rows` holds
-    the basis forms as GF(4) code rows, which the search computes on."""
-    basis: tuple
+class ConicSubspace(namedtuple("ConicSubspace", ["basis", "q", "rows"])):
+    """A linear system of ternary quadratic forms over F2 or F4, built from
+    its basis alone.  The field is read from the entries here, once: `q` is
+    its order, and `rows` holds the basis forms as GF(4) code rows, which the
+    search computes on."""
 
-    def __init__(self, basis):
+    __slots__ = ()
+
+    def __new__(cls, basis):
         basis = tuple(basis)
         if not basis:
             raise ValueError("empty basis")
         q, codes = _encode(c for form in basis for c in form.coeffs)
         if matrix_rank([list(form.coeffs) for form in basis]) != len(basis):
             raise ValueError("basis not linearly independent")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rows", tuple(tuple(codes[i:i + 6])
-                                               for i in range(0, len(codes), 6)))
+        rows = tuple(tuple(codes[i:i + 6]) for i in range(0, len(codes), 6))
+        return super().__new__(cls, basis, q, rows)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the subspace from its basis alone
+        return (self.basis,)
 
     @property
     def dimension(self) -> int:

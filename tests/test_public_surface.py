@@ -1,6 +1,8 @@
-"""The package has no dead definitions: every module-level function and
-class in src/certkit, private helpers included, is named somewhere in the
-package besides its own definition."""
+"""The package has no dead definitions: every module-level function, class
+and assigned name in src/certkit, private helpers included, is named
+somewhere in the package besides its own definition.  Dunder names such as
+`__all__` and `__version__` are read from outside the package and are
+exempt."""
 
 import ast
 import pathlib
@@ -39,6 +41,13 @@ def test_every_definition_is_named_in_the_package():
                 defined.append(f"{path.stem}.{node.name}")
                 # a recursive call does not make a function live
                 used |= _names(node) - {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stored = {n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                defined += [f"{path.stem}.{name}" for name in stored
+                            if not (name.startswith("__") and name.endswith("__"))]
+                used |= _names(node) - stored
             else:
                 used |= _names(node)
     assert len(defined) > len(UNCALLED)

@@ -453,6 +453,17 @@ def test_restricted_third_chern_coefficient_vector():
     direct = restrict_third_chern(det.chern, det.restriction_coefficients)
     assert direct == det.restricted_third_chern
     assert weight_vector(direct, 3) == det.coefficient_vector
+    # ints and Fractions mix; on the class 1 only the s1^3 term survives
+    assert restrict_third_chern(ONE, (1, 0, 0, Fraction(5))) == S1 ** 3
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 2), (), (-10, 6, -3, 1, 0), (-10, 6, -3, 1.0), (-10, 6, -3, True), (-10, 6, -3, "1"),
+])
+def test_restrict_third_chern_needs_four_exact_coefficients(coeffs):
+    # two coefficients zipped against the four powers (3, 2, 1, 0) gave s1^3
+    with pytest.raises(ValueError, match="restriction coefficient"):
+        restrict_third_chern(ONE, coeffs)
 
 
 def test_separability_value_recomputed():

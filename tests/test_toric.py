@@ -104,6 +104,11 @@ SQUARE = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
     (3, SQUARE + ((1, 1, 2),), (range(5),), "non-extremal ray in cone"),
     (3, ((1, 0, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0)), ((0, 1, 2, 3),),
      "non-extremal ray in cone"),
+    # no maximal cone, with or without rays: validation read the first cone
+    # and raised IndexError
+    (2, (), (), "fan has no maximal cone"),
+    (3, (), (), "fan has no maximal cone"),
+    (3, ((1, 0, 0),), (), "fan has no maximal cone"),
 ])
 def test_fan_validation_errors(dim, rays, cones, message):
     with pytest.raises(ValueError, match=message):

@@ -2,10 +2,12 @@
 projection kernel, singular quadrics, hyperplane splittings, and the
 characteristic-two smooth-conic search."""
 
+import copy
 import itertools
 import json
 import math
 import pathlib
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -28,7 +30,6 @@ from certkit.exactcore import (
 from certkit.veronese import (
     ConicSubspace,
     QuadraticForm3,
-    SecantStratum,
     exhaustive_smooth_conic,
     find_smooth_conic_details,
     is_smooth_conic,
@@ -86,10 +87,9 @@ def test_secant_cubic_is_symmetric_determinant():
 
 
 def test_secant_strata_samples():
-    assert secant_stratum(veronese_map((1, 2, 3))) is SecantStratum.ON_VERONESE \
-        or secant_stratum(veronese_map((1, 2, 3))).value == "OnVeronese"
-    assert secant_stratum((1, 1, 0, 0, 0, 0)).value == "OnSecantOnly"
-    assert secant_stratum((1, 2, 3, 4, 5, 6)).value == "Generic"
+    assert secant_stratum(veronese_map((1, 2, 3))) == "OnVeronese"
+    assert secant_stratum((1, 1, 0, 0, 0, 0)) == "OnSecantOnly"
+    assert secant_stratum((1, 2, 3, 4, 5, 6)) == "Generic"
 
 
 def test_veronese_points_satisfy_ideal_seeded():
@@ -104,7 +104,7 @@ def test_veronese_points_satisfy_ideal_seeded():
         image = veronese_map(pt)
         values = dict(zip(P5, image))
         assert all(g.evaluate(values) == 0 for g in gens)
-        assert secant_stratum(image).value == "OnVeronese"
+        assert secant_stratum(image) == "OnVeronese"
 
 
 def test_rank_two_sums_land_on_secant():
@@ -119,11 +119,10 @@ def test_rank_two_sums_land_on_secant():
                 and p[0] * q[2] == p[2] * q[0]:
             continue
         total = tuple(a + b for a, b in zip(veronese_map(p), veronese_map(q)))
-        assert secant_stratum(total).value in ("OnSecantOnly", "OnVeronese")
+        assert secant_stratum(total) in ("OnSecantOnly", "OnVeronese")
 
 
-STRATUM_OF_RANK = {1: SecantStratum.ON_VERONESE, 2: SecantStratum.ON_SECANT_ONLY,
-                   3: SecantStratum.GENERIC}
+STRATUM_OF_RANK = {1: "OnVeronese", 2: "OnSecantOnly", 3: "Generic"}
 
 
 @st.composite
@@ -158,7 +157,7 @@ def test_secant_stratum_matches_matrix_rank(point):
     # the closed-form rank agrees with elimination on the symmetric matrix
     x, y, z, s, t, u = point
     rank = exactcore.matrix_rank([[x, u, t], [u, y, s], [t, s, z]])
-    assert secant_stratum(point) is STRATUM_OF_RANK[rank]
+    assert secant_stratum(point) == STRATUM_OF_RANK[rank]
 
 
 def test_secant_stratum_rejects_inexact_and_zero_points():
@@ -379,16 +378,19 @@ def test_split_rejects_unknown_choice():
 
 @pytest.mark.parametrize("avoided", [
     (9, 9), "02", (0, 1), (2,), (0, 2, 1), (0.0, 2), (False, 2), 2, frozenset(),
+    (1, 2), [1, 2], (2, 1), {1, 2},
 ])
 def test_split_rejects_unknown_avoided_divisor(avoided):
-    # each of these gave the untilted hyperplane x2 as if none were given
+    # the pair {1, 2} gave a tilted split whose first component is the plane
+    # V(x1, x2) itself; each other value gave the untilted hyperplane x2 as
+    # if none were given
     with pytest.raises(ValueError, match="avoided divisor must be"):
         split_hyperplane_certificate("x0x1+x2^2", avoided_divisor=avoided)
 
 
-def test_split_tilts_for_either_default_plane_in_any_order():
+def test_split_tilts_for_the_plane_x0_x2_in_any_order():
     tilted = split_hyperplane_certificate("x0x1+x2x3", avoided_divisor=(0, 2))
-    for avoided in ((2, 0), [1, 2], (2, 1), {0, 2}):
+    for avoided in ((2, 0), [0, 2], {0, 2}, frozenset({0, 2})):
         v = split_hyperplane_certificate("x0x1+x2x3", avoided_divisor=avoided)
         assert v == tilted
 
@@ -438,6 +440,13 @@ def test_conic_subspace_validation():
     a = form((1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="not linearly independent"):
         ConicSubspace([a, a])
+
+
+def test_conic_subspace_copies_and_pickles_from_its_basis():
+    # `q` and `rows` are read off the basis, which alone rebuilds a copy
+    sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
+    for twin in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert twin == sub and type(twin) is ConicSubspace
 
 
 def _f2_subspaces():
