@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import hodge, numerology, schubert, toric, veronese
-from .exactcore import (F2_ELEMENTS, F4_ELEMENTS, Polynomial, _is_int,
+from .exactcore import (F2_ELEMENTS, F4_ELEMENTS, GF4_MUL, Polynomial, _is_int,
                         poly_from_string_exps, span_dimension, spans_contain)
 from .veronese import ConicSubspace, QuadraticForm3
 
@@ -622,23 +622,28 @@ def _rref_bases(k: int, q: int):
 
 
 def _combo_matches(result, subspace) -> bool:
-    """The search's witness, checked in field elements: the combination has
-    one coefficient per basis form, it and the form are in the subspace's
-    field (a ConicSubspace's entries are all of one type), and coefficient
-    by coefficient the combination of the basis forms is the returned form."""
+    """The search's witness, checked apart from the search: the combination
+    has one coefficient per basis form, it and the form are in the
+    subspace's field (a ConicSubspace's entries are all of one type), and
+    the combination of the basis forms is the returned form.  The sum is
+    re-added in a loop of its own on the elements' GF(4) codes, read from
+    the basis forms themselves and not from the subspace's code rows."""
     kind = type(subspace.basis[0].coeffs[0])
     if (len(result.combo) != subspace.dimension
             or any(type(x) is not kind for x in (*result.combo, *result.form.coeffs))):
         return False
-    columns = zip(*(form.coeffs for form in subspace.basis))
-    return all(sum(mu * c for mu, c in zip(result.combo, column)) == coeff
-               for column, coeff in zip(columns, result.form.coeffs))
+    total = [0] * 6
+    for mu, form in zip(result.combo, subspace.basis):
+        if mu.c:
+            m = GF4_MUL[mu.c]
+            total = [t ^ m[x.c] for t, x in zip(total, form.coeffs)]
+    return total == [x.c for x in result.form.coeffs]
 
 
 def _witness_ok(result, subspace) -> bool:
-    """The search returned a form, the closed-form criterion calls it
-    smooth, and its combination of the basis is that form."""
-    return (result.form is not None
+    """The search returned a nonzero form, the closed-form criterion calls
+    it smooth, and its combination of the basis is that form."""
+    return (result.form is not None and any(result.form.coeffs)
             and veronese.smooth_conic_closed_form(result.form)
             and _combo_matches(result, subspace))
 

@@ -406,7 +406,6 @@ class QuadraticForm3:
 
 # coefficient slots: 0 x^2, 1 y^2, 2 z^2, 3 yz, 4 zx, 5 xy
 _SLOT_VARS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-_PAIR_SLOT = ((0, 5, 4), (5, 1, 3), (4, 3, 2))   # slot of x_i x_j
 
 
 def _plane_points(q: int) -> tuple:
@@ -448,8 +447,9 @@ def smooth_conic_closed_form(q: QuadraticForm3) -> bool:
     """Independent closed-form smoothness criterion in characteristic two:
     the off-diagonal part is nonzero and a d^2 + b e^2 + c f^2 + def is
     nonzero, computed on the field elements.  The coefficients must be all
-    F2 or all F4, as for `is_smooth_conic`."""
-    _encode(q.coeffs)
+    F2 or all F4 and not all zero, as for `is_smooth_conic`."""
+    if not any(_encode(q.coeffs)[1]):
+        raise ValueError("zero form")
     a, b, c, d, e, f = q.coeffs
     if not (d or e or f):
         return False
@@ -483,31 +483,30 @@ class ConicSubspace(namedtuple("ConicSubspace", ["basis", "q", "rows"])):
         return len(self.basis)
 
 
-def _substitute_linear(vec, sub):
-    """x_i -> sum_j sub[i][j] * x_j on the six form codes of a code row."""
-    out = [0] * 6
-    for slot, (v1, v2) in enumerate(_SLOT_VARS):
-        coeff = vec[slot]
-        if not coeff:
-            continue
-        # product of the two substituted linear forms
-        l1, l2 = _scale(sub[v1], coeff), sub[v2]
-        for i in range(3):
-            if not l1[i]:
-                continue
-            m = GF4_MUL[l1[i]]
-            for j in range(3):
-                out[_PAIR_SLOT[i][j]] ^= m[l2[j]]
-    return out + vec[6:]
+# the split's coordinate changes, written out on the six form codes
+# (a, b, c, d, e, f) of a row; the row's combination tail rides along
+def _shear_z(vec, alpha, beta):
+    """x -> x + alpha z, y -> y + beta z; squaring is additive in
+    characteristic two, so x^2 and y^2 add only alpha^2 a + beta^2 b to z^2."""
+    a, b, c, d, e, f = vec[:6]
+    ma, mb = GF4_MUL[alpha], GF4_MUL[beta]
+    c ^= ma[ma[a]] ^ mb[mb[b]] ^ mb[d] ^ ma[e] ^ ma[mb[f]]
+    return [a, b, c, d ^ ma[f], e ^ mb[f], f] + vec[6:]
 
 
-def _swap_vars(vec, i, j):
-    perm = [0, 1, 2]
-    perm[i], perm[j] = perm[j], perm[i]
-    out = [0] * 6
-    for slot, (v1, v2) in enumerate(_SLOT_VARS):
-        out[_PAIR_SLOT[perm[v1]][perm[v2]]] = vec[slot]
-    return out + vec[6:]
+def _shear_y(vec, g):
+    """y -> y + g x."""
+    a, b, c, d, e, f = vec[:6]
+    m = GF4_MUL[g]
+    return [a ^ m[m[b]] ^ m[f], b, c, d, e ^ m[d], f] + vec[6:]
+
+
+# swapping two variables permutes the six slots: (y, z), (x, z), (x, y)
+_SWAP_YZ, _SWAP_XZ, _SWAP_XY = (0, 2, 1, 3, 5, 4), (2, 1, 0, 5, 4, 3), (1, 0, 2, 4, 3, 5)
+
+
+def _swap(vec, perm):
+    return [vec[k] for k in perm] + vec[6:]
 
 
 ConicSearchResult = namedtuple("ConicSearchResult", ["form", "path", "combo"])
@@ -546,16 +545,15 @@ def _case_split(rows):
         return None
     if not rows[pick][5]:
         # zx-term: swap y and z brings it to xy; yz-term: swap x and z
-        swap = (1, 2) if rows[pick][4] else (0, 2)
-        rows = [_swap_vars(r, swap[0], swap[1]) for r in rows]
+        perm = _SWAP_YZ if rows[pick][4] else _SWAP_XZ
+        rows = [_swap(r, perm) for r in rows]
     f = _scale(rows[pick], GF4_INV[rows[pick][5]])
 
     # absorb the remaining off-diagonal terms of f into a coordinate change
     alpha, beta = f[3], f[4]
     if alpha or beta:
-        sub = ((1, 0, alpha), (0, 1, beta), (0, 0, 1))
-        rows = [_substitute_linear(r, sub) for r in rows]
-        f = _substitute_linear(f, sub)
+        rows = [_shear_z(r, alpha, beta) for r in rows]
+        f = _shear_z(f, alpha, beta)
     if f[3] or f[4] or f[5] != 1:
         return None
     if f[2]:
@@ -584,15 +582,14 @@ def _case_split(rows):
     if not g[3]:
         if not g[4]:
             return None
-        rows = [_swap_vars(r, 0, 1) for r in rows]
-        f = _swap_vars(f, 0, 1)
-        g = _swap_vars(g, 0, 1)
+        rows = [_swap(r, _SWAP_XY) for r in rows]
+        f = _swap(f, _SWAP_XY)
+        g = _swap(g, _SWAP_XY)
     g = _scale(g, GF4_INV[g[3]])
     if g[4]:
-        sub = ((1, 0, 0), (g[4], 1, 0), (0, 0, 1))
-        rows = [_substitute_linear(r, sub) for r in rows]
-        f = _substitute_linear(f, sub)
-        g = _substitute_linear(g, sub)
+        rows = [_shear_y(r, g[4]) for r in rows]
+        f = _shear_y(f, g[4])
+        g = _shear_y(g, g[4])
     if g[0]:
         return g[6:], "yz-member-smooth"
 

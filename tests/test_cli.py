@@ -224,6 +224,42 @@ def test_split_failing_everywhere_fails_without_a_traceback(monkeypatch, capsys)
         "conic-seeded-oracle-agreement", "conic-case-split-corrected"}
 
 
+def _rows_rotated(real):
+    # the search reads the rotated rows and still finds a smooth member of
+    # their span; only the witness check, which reads the basis, sees it
+    return property(lambda sub: tuple(r[1:] + r[:1] for r in real.__get__(sub)))
+
+
+def _echelon_swapped(real):
+    def swapped(rows, order, field):
+        reduced, *rest = real(rows, order, field)
+        reduced[0], reduced[1] = reduced[1], reduced[0]
+        return (reduced, *rest)
+    return swapped
+
+
+# each case drifts one code path of the search that the witness check must
+# not share: the module attribute and the drifted one made from the real one
+SEARCH_DRIFTS = {
+    "combine-drops-last-row": (cli.veronese, "_combine",
+                               lambda real: lambda combo, basis: real(combo, basis[:-1])),
+    "rows-rotated": (cli.veronese.ConicSubspace, "rows", _rows_rotated),
+    "echelon-rows-swapped": (cli.veronese, "_echelon", _echelon_swapped),
+}
+
+
+@pytest.mark.parametrize("drift", sorted(SEARCH_DRIFTS))
+def test_witness_check_catches_a_drifted_search(monkeypatch, drift):
+    target, name, make = SEARCH_DRIFTS[drift]
+    monkeypatch.setattr(target, name, make(getattr(target, name)))
+    report = cli.run_suite("veronese", cli.RunConfig(trials=0))
+    sweep = next(c for c in report.certificates if c.id == "conic-subspaces-f2-sweep")
+    assert sweep.verdict == "fail"
+    assert sweep.computed["witnesses"] is False
+    if drift == "rows-rotated":
+        assert sweep.computed["constructive"] is True
+
+
 # each case drifts the kernel that one grid or seeded check reads, so that
 # the check's `return False` runs: suite, certificate, module, kernel, and the
 # drifted kernel made from the real one

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certkit import exactcore, veronese
-from certkit.certify_cli import _combo_matches, _rref_bases
+from certkit.certify_cli import _combo_matches, _rref_bases, _witness_ok
 from certkit.exactcore import (
     F2_ELEMENTS,
     F4_ELEMENTS,
@@ -629,6 +629,86 @@ def test_witness_check_rejects_tampered_witnesses(field_name):
     }
     for name, bad in tampered.items():
         assert not _combo_matches(bad, sub), name
+    # the witness's own codes in the other field: codes alone cannot tell
+    # F2's 1 from F4's 1, so only the type check rejects this one.  F2 has
+    # only the codes 0 and 1, so it runs on the first echelon basis
+    # written in `field`
+    sub01 = ConicSubspace([form(r, field) for r in next(_f2_subspaces())])
+    res01 = find_smooth_conic_details(sub01)
+    twin = QuadraticForm3(other[c.c] for c in res01.form.coeffs)
+    assert [c.c for c in twin.coeffs] == [c.c for c in res01.form.coeffs]
+    assert _combo_matches(res01, sub01)
+    assert not _combo_matches(res01._replace(form=twin), sub01), "other-field-form"
+
+
+def test_witness_check_does_no_element_arithmetic(monkeypatch):
+    """The witness check re-adds on GF(4) codes: with element addition and
+    multiplication made to raise, it still accepts every witness of the F2
+    sweep and of seeded F4 subspaces."""
+    rng = random.Random("witness-codes")
+    subs = [ConicSubspace([form(r) for r in rows]) for rows in _f2_subspaces()]
+    subs += [_random_subspace(rng, F4_ELEMENTS, dim) for dim in (4, 5, 6) for _ in range(20)]
+    results = [find_smooth_conic_details(sub) for sub in subs]
+
+    def forbidden(self, other):
+        raise AssertionError("the witness check did element arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(exactcore._Char2, name, forbidden)
+    assert all(_combo_matches(res, sub) for res, sub in zip(results, subs))
+
+
+def _substitute(vec, sub):
+    """The generic x_i -> sum_j sub[i][j] x_j on the six form codes of a code
+    row, one 3x3 product per slot; the reference for the closed forms."""
+    pair_slot = ((0, 5, 4), (5, 1, 3), (4, 3, 2))   # slot of x_i x_j
+    out = [0] * 6
+    for slot, (v1, v2) in enumerate(veronese._SLOT_VARS):
+        coeff = vec[slot]
+        if not coeff:
+            continue
+        l1 = [exactcore.GF4_MUL[coeff][c] for c in sub[v1]]
+        l2 = sub[v2]
+        for i in range(3):
+            m = exactcore.GF4_MUL[l1[i]]
+            for j in range(3):
+                out[pair_slot[i][j]] ^= m[l2[j]]
+    return out + vec[6:]
+
+
+def test_closed_form_coordinate_changes_match_generic_substitution():
+    """Every F4 form, with a combination tail, under the 16 z-shears, the 4
+    y-shears and the 3 swaps: the closed forms of the case split give what
+    the generic substitution gives."""
+    changes = [(lambda v, a=a, b=b: veronese._shear_z(v, a, b),
+                ((1, 0, a), (0, 1, b), (0, 0, 1))) for a in range(4) for b in range(4)]
+    changes += [(lambda v, g=g: veronese._shear_y(v, g), ((1, 0, 0), (g, 1, 0), (0, 0, 1)))
+                for g in range(4)]
+    changes += [(lambda v, perm=perm: veronese._swap(v, perm), sub) for perm, sub in (
+        (veronese._SWAP_YZ, ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
+        (veronese._SWAP_XZ, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+        (veronese._SWAP_XY, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))]
+    for codes in itertools.product(range(4), repeat=6):
+        vec = list(codes) + [3, 1]
+        for closed, sub in changes:
+            assert closed(vec) == _substitute(vec, sub), (codes, sub)
+
+
+def test_both_smoothness_routes_refuse_the_zero_form():
+    for field in (F2_ELEMENTS, F4_ELEMENTS):
+        zero = form((0,) * 6, field)
+        for route in (is_smooth_conic, smooth_conic_closed_form):
+            with pytest.raises(ValueError, match="zero form"):
+                route(zero)
+
+
+def test_witness_check_rejects_a_zero_form_without_raising():
+    sub = ConicSubspace([form(r) for r in next(_f2_subspaces())])
+    res = find_smooth_conic_details(sub)
+    zero = res._replace(form=form((0,) * 6), combo=(F2_ELEMENTS[0],) * 4)
+    assert _combo_matches(zero, sub)
+    assert not _witness_ok(zero, sub)
+    assert _witness_ok(res, sub)
 
 
 def test_case_split_regression_span():

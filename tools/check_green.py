@@ -2,7 +2,7 @@
 
 Usage (from the repository root, or anywhere with its path):
 
-    python3 tools/check_green.py
+    python3 tools/check_green.py [--durations PATH]
 
 Runs the tier-1 suite (`python -m pytest -q --continue-on-collection-errors`
 with src on PYTHONPATH) and the benchmark's own tests (`pytest
@@ -12,12 +12,17 @@ directory.  Exits 0 when the only failures are acceptance criteria 01 and
 nothing errors, fails to collect or stops the session; otherwise prints
 what differs and exits 1.  Also prints the tier-1 suite's slowest tests
 with their times from its report, so that a growth of the suite's wall
-time can be traced to the tests that add it.
+time can be traced to the tests that add it.  With --durations PATH it
+also writes the time of every test of both suites to PATH as one JSON
+object, {test id: seconds}, with the ids the failure lines use; nothing
+is written when a session did not run to its end.
 """
 
 from __future__ import annotations
 
+import argparse
 import heapq
+import json
 import os
 import pathlib
 import subprocess
@@ -63,8 +68,12 @@ def _outcomes(xml_path: pathlib.Path) -> tuple:
     return failed, errored, times
 
 
-def main() -> int:
-    failed, errored = set(), set()
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Decide whether the build is green.")
+    parser.add_argument("--durations", type=pathlib.Path, metavar="PATH",
+                        help="write every test's time in seconds to PATH as JSON")
+    options = parser.parse_args(argv)
+    failed, errored, durations = set(), set(), {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, args in SUITES:
             xml_path = pathlib.Path(tmp) / f"{label}.xml"
@@ -82,6 +91,10 @@ def main() -> int:
                     print(f"  {seconds:6.2f} s  {name}")
             failed |= f
             errored |= e
+            durations.update((name, seconds) for seconds, name in times)
+    if options.durations is not None:
+        options.durations.write_text(
+            json.dumps(durations, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     green = failed == EXPECTED_FAILURES and not errored
     for name in sorted(failed - EXPECTED_FAILURES):
         print(f"unexpected failure: {name}")
